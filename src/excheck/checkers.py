@@ -8,7 +8,27 @@ middle, elements or I inner), so witnesses are canonical.  The sweeps may
 be partitioned across threads; contiguous chunks reduce to the earliest
 hit, which keeps the reported witness identical for any thread count.
 
-Exhaustive triple-quantified scans are practical up to roughly n = 12.
+One kernel runs every one-item scan: ``mnat-exc``, ``valuated-matroid``
+(which has no deletion branch), the family axiom ``b-exc`` and the domain
+check of ``local``.  A family F is scanned as its indicator table, 0 on F
+and -1 elsewhere, on which ``b-exc`` is exactly ``mnat-exc``.  The kernel
+reads the integer table of :class:`IntTable`.  When twice the largest
+magnitude among its entries and its ``-inf`` sentinel is below 2^62, every
+two-term sum is exact in int64 and the scan is vectorized with numpy:
+chunks of X rows, in order, against every Y, each element i on the grid of
+rows holding i and columns missing it.  Otherwise, and for domains of fewer
+than 32 sets, where numpy's call overhead loses, the same scan runs as
+loops over Python integers of any size.  Both routes return the same
+first violation: the least (row-major (X, Y) cell, i) of the first chunk
+holding one is the first tuple of the lexicographic order.  Every hit is
+re-checked on the raw rational table, or the family's members, before it
+becomes a witness; a mismatch raises :class:`InternalCheckError`.
+
+Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), a full ``mnat-exc``
+scan of min(|S|, n/2) takes about 0.06 s at n = 10, 1.4 s at n = 12 and
+12-14 s at n = 14; ``local`` takes 1.5 s at n = 12, most of it the domain
+check.  The multi-item scans (``mnat-exc-m``, ``b-exc-m``) are still
+loops: about 0.3 s at n = 8, 1.3 s at n = 9 and 10 s at n = 10.
 """
 
 from __future__ import annotations
@@ -18,11 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from ._fast import IntTable
 from .core import PriceVector, SetFamily, SetFunction, validate_exchange_args
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .sets import elements_of, iter_bits, iter_submasks, set_str, submasks_smallest_first
-from .values import NEG_INF, ExtValue, ext_to_json, ext_to_str
+from .values import NEG_INF, ExtValue, ext_to_json, ext_to_str, is_finite
 
 __all__ = [
     "Witness",
@@ -143,6 +165,186 @@ def _first_hit(items, scan, threads: int):
 
 
 # ----------------------------------------------------------------------
+# the one-item exchange kernel (see the module docstring for its routes)
+
+# Two-term sums are exact in int64 while twice the largest magnitude is below this.
+_INT64_SAFE = 1 << 62
+# Below this many (X, Y) cells numpy's per-call overhead loses to the loops.
+_VECTOR_MIN_CELLS = 1 << 10
+# X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
+# (X, Y) cells, so early exits stay cheap, then doubling up to
+# _BLOCK_CELLS cells or _MIN_CAP_ROWS rows, whichever is more.  Column
+# tables are built once per chunk and element; the (X, Y) work arrays hold
+# one block of rows, at most _BLOCK_CELLS cells or a single row.
+_FIRST_CHUNK_CELLS = 1 << 12
+_BLOCK_CELLS = 1 << 16
+_MIN_CAP_ROWS = 32
+
+
+def _fits_int64(neg: int, lo: int, hi: int) -> bool:
+    return 2 * max(abs(neg), abs(lo), abs(hi)) < _INT64_SAFE
+
+
+def _exchange_scanner(s, dom, neg: int, lo: int, hi: int, deletion: bool):
+    """Return ``scan(xs)``: the earliest violating (X, Y, i-bit) with X in xs.
+
+    ``s`` is a sentinel table (``-inf`` entries replaced by ``neg``, as in
+    :class:`IntTable`) and ``dom`` the ascending masks of its finite
+    entries.  With ``deletion`` the rhs includes s(X-i) + s(Y+i)
+    (mnat-exc); without it the empty swap maximum is the floor 2*neg - 1,
+    below every two-term sum (valuated matroids).
+    """
+    floor = None if deletion else 2 * neg - 1
+    if not _fits_int64(neg, lo, hi) or len(dom) ** 2 < _VECTOR_MIN_CELLS:
+        return lambda xs: _scan_exchange_py(s, dom, xs, floor)
+    sa = np.array(s, dtype=np.int64)
+    da = np.array(dom, dtype=np.int64)
+    return lambda xs: _scan_exchange_np(sa, da, xs, neg, floor)
+
+
+def _scan_exchange_py(s, dom, xs, floor):
+    """Loop form of the kernel: exact for integers of any size."""
+    for X in xs:
+        fx = s[X]
+        for Y in dom:
+            lhs = fx + s[Y]
+            xd = X & ~Y
+            while xd:
+                ib = xd & -xd
+                xd ^= ib
+                xi = X ^ ib
+                yi = Y | ib
+                best = s[xi] + s[yi] if floor is None else floor
+                if lhs > best:
+                    yd = Y & ~X
+                    while yd:
+                        jb = yd & -yd
+                        yd ^= jb
+                        cand = s[xi | jb] + s[yi ^ jb]
+                        if cand > best:
+                            best = cand
+                            if lhs <= best:
+                                break
+                    if lhs > best:
+                        return (X, Y, ib)
+    return None
+
+
+def _scan_exchange_np(sa, da, xs, neg: int, floor):
+    """Vectorized kernel: chunks of X rows, in order, against every Y."""
+    ncols = len(da)
+    xa = np.array(xs, dtype=np.int64)
+    n = len(sa).bit_length() - 1
+    rows = max(1, _FIRST_CHUNK_CELLS // ncols)
+    cap = max(_MIN_CAP_ROWS, _BLOCK_CELLS // ncols)
+    start = 0
+    while start < len(xa):
+        chunk = xa[start : start + rows]
+        hit = _exchange_chunk(sa, da, chunk, n, neg, floor)
+        if hit is not None:
+            r, c, i = hit
+            return int(chunk[r]), int(da[c]), 1 << i
+        start += rows
+        rows = min(2 * rows, cap)
+    return None
+
+
+def _exchange_chunk(sa, da, xa, n: int, neg: int, floor):
+    """Least (row, column, i) of one chunk that violates the exchange, or None.
+
+    For each i the grid narrows to rows with i in X and columns with i not
+    in Y, and is swept in blocks of rows.  Row-major order on the narrowed
+    grid is the order on the full grid, so the least (flat index, i) over
+    all i is the loop scan's first hit.
+    """
+    ncols = len(da)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    found = None
+    for i in range(n):
+        b = 1 << i
+        ri = np.flatnonzero(xa & b)
+        if found is not None:
+            ri = ri[ri <= found[0] // ncols]  # later rows cannot come first
+        ci = np.flatnonzero((da & b) == 0)
+        if not ri.size or not ci.size:
+            continue
+        yc = da[ci]
+        yi = yc | b
+        y_has = (yc & bits) != 0
+        cv = np.where(y_has, sa[yi ^ bits], neg)
+        sy, y_any = sa[yc], y_has.any(axis=1)
+        step = max(1, _BLOCK_CELLS // ci.size)
+        for lo in range(0, ri.size, step):
+            rb = ri[lo : lo + step]
+            xr = xa[rb]
+            k = _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
+            if k is not None:
+                key = (int(rb[k // ci.size]) * ncols + int(ci[k % ci.size]), i)
+                if found is None or key < found:
+                    found = key
+                break
+    if found is None:
+        return None
+    flat, i = found
+    return flat // ncols, flat % ncols, i
+
+
+def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
+    """Row-major index of the first cell with lhs > best, or None.
+
+    Rows are X-i (``sx`` = s(X)), columns Y+i (``sy`` = s(Y)); row j of
+    ``cv`` holds s((Y+i)-j), or ``neg`` where j is not in Y.  A swap term
+    whose j lies outside Y\\X reads ``neg`` on one side, and a sum
+    containing ``neg`` is below every lhs, so no mask is needed.
+    """
+    if floor is None:
+        best = sa[xi][:, None] + sa[yi]
+    else:
+        best = np.full((xi.size, yi.size), floor, dtype=np.int64)
+    tmp = np.empty_like(best)
+    x_has = (xi & bits) != 0
+    rv = np.where(x_has, neg, sa[xi | bits])
+    for j in np.flatnonzero(~x_has.all(axis=1) & y_any):
+        np.add(rv[j][:, None], cv[j], out=tmp)
+        np.maximum(best, tmp, out=best)
+    bad = (np.add(sx[:, None], sy, out=tmp) > best).ravel()
+    k = int(bad.argmax())
+    return k if bad[k] else None
+
+
+def _scan_indicator(size: int, members, threads: int):
+    """Earliest b-exc violation of a family: the mnat-exc scan of its indicator.
+
+    The indicator is 0 on the ascending ``members`` and -1 elsewhere, which
+    is IntTable's sentinel table of the zero function on the family.
+    """
+    delta = [-1] * size
+    for m in members:
+        delta[m] = 0
+    scan = _exchange_scanner(delta, members, -1, 0, 0, deletion=True)
+    return _first_hit(members, scan, threads)
+
+
+def _recheck(holds: bool, condition: str, X: int, Y: int, ib: int) -> None:
+    """Raise unless a kernel hit is a violation of the raw table."""
+    if not holds:
+        raise InternalCheckError(
+            f"{condition}: the scan reported X={set_str(X)} Y={set_str(Y)} "
+            f"i={ib.bit_length()}, which the exact table does not violate"
+        )
+
+
+def _family_witness(condition: str, members, X: int, Y: int, ib: int) -> Witness:
+    xi, yi = X ^ ib, Y | ib
+    repaired = (xi in members and yi in members) or any(
+        (xi | jb) in members and (yi ^ jb) in members for jb in iter_bits(Y & ~X)
+    )
+    holds = X in members and Y in members and bool(ib & X & ~Y) and not repaired
+    _recheck(holds, condition, X, Y, ib)
+    return Witness(condition, sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),))
+
+
+# ----------------------------------------------------------------------
 # single-item exchange (discrete concavity)
 
 
@@ -155,36 +357,11 @@ def check_single_exchange(f: SetFunction, threads: int = 1) -> Verdict:
     side hold vacuously.
     """
     t = IntTable(f)
-    s = t.sent
-    dom = t.dom
+    scan = _exchange_scanner(t.sent, t.dom, t.neg, t.lo, t.hi, deletion=True)
+    return _single_exchange_verdict(f, _first_hit(t.dom, scan, threads))
 
-    def scan(xs):
-        for X in xs:
-            fx = s[X]
-            for Y in dom:
-                lhs = fx + s[Y]
-                xd = X & ~Y
-                while xd:
-                    ib = xd & -xd
-                    xd ^= ib
-                    xi = X ^ ib
-                    yi = Y | ib
-                    best = s[xi] + s[yi]
-                    if lhs > best:
-                        yd = Y & ~X
-                        while yd:
-                            jb = yd & -yd
-                            yd ^= jb
-                            cand = s[xi | jb] + s[yi ^ jb]
-                            if cand > best:
-                                best = cand
-                                if lhs <= best:
-                                    break
-                        if lhs > best:
-                            return (X, Y, ib)
-        return None
 
-    hit = _first_hit(dom, scan, threads)
+def _single_exchange_verdict(f: SetFunction, hit) -> Verdict:
     if hit is None:
         return Verdict(True)
     X, Y, ib = hit
@@ -197,6 +374,7 @@ def _single_exchange_witness(f: SetFunction, X: int, Y: int, ib: int) -> Witness
     best: ExtValue = tab[X ^ ib] + tab[Y | ib]
     for jb in iter_bits(Y & ~X):
         best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
+    _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, "mnat-exc", X, Y, ib)
     return Witness(
         "mnat-exc",
         sets=(("X", X), ("Y", Y)),
@@ -291,7 +469,6 @@ def check_valuated_matroid(f: SetFunction, threads: int = 1) -> Verdict:
     deletion branch here; the empty swap maximum counts as -inf).
     """
     t = IntTable(f)
-    s = t.sent
     dom = t.dom
 
     card = dom[0].bit_count()
@@ -307,48 +484,28 @@ def check_valuated_matroid(f: SetFunction, threads: int = 1) -> Verdict:
                 ),
             )
 
-    empty_max = 2 * t.neg - 1  # below any two-term sum
+    scan = _exchange_scanner(t.sent, dom, t.neg, t.lo, t.hi, deletion=False)
+    return _valuated_matroid_verdict(f, _first_hit(dom, scan, threads))
 
-    def scan(xs):
-        for X in xs:
-            fx = s[X]
-            for Y in dom:
-                lhs = fx + s[Y]
-                xd = X & ~Y
-                while xd:
-                    ib = xd & -xd
-                    xd ^= ib
-                    xi = X ^ ib
-                    yi = Y | ib
-                    best = empty_max
-                    yd = Y & ~X
-                    while yd:
-                        jb = yd & -yd
-                        yd ^= jb
-                        cand = s[xi | jb] + s[yi ^ jb]
-                        if cand > best:
-                            best = cand
-                            if lhs <= best:
-                                break
-                    if lhs > best:
-                        return (X, Y, ib)
-        return None
 
-    hit = _first_hit(dom, scan, threads)
+def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
     if hit is None:
         return Verdict(True)
     X, Y, ib = hit
     tab = f.table
+    lhs = tab[X] + tab[Y]
     best: ExtValue = NEG_INF
     for jb in iter_bits(Y & ~X):
         best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
+    holds = bool(ib & X & ~Y) and is_finite(lhs) and lhs > best
+    _recheck(holds, "valuated-matroid:exchange", X, Y, ib)
     return Verdict(
         False,
         Witness(
             "valuated-matroid:exchange",
             sets=(("X", X), ("Y", Y)),
             elements=(("i", ib.bit_length()),),
-            lhs=tab[X] + tab[Y],
+            lhs=lhs,
             rhs=best,
         ),
     )
@@ -370,17 +527,9 @@ def check_local(f: SetFunction, threads: int = 1) -> Verdict:
     t = IntTable(f)
     dom = t.dom
 
-    hit = _scan_b_exc(frozenset(dom), dom, threads)
+    hit = _scan_indicator(t.size, dom, threads)
     if hit is not None:
-        X, Y, ib = hit
-        return Verdict(
-            False,
-            Witness(
-                "local:domain",
-                sets=(("X", X), ("Y", Y)),
-                elements=(("i", ib.bit_length()),),
-            ),
-        )
+        return Verdict(False, _family_witness("local:domain", frozenset(dom), *hit))
 
     xs_all = list(range(t.size))
     tab = f.table
@@ -536,31 +685,6 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 # family axioms
 
 
-def _scan_b_exc(members: frozenset[int], ms, threads: int):
-    def scan(xs):
-        for X in xs:
-            for Y in ms:
-                xd = X & ~Y
-                while xd:
-                    ib = xd & -xd
-                    xd ^= ib
-                    if (X ^ ib) in members and (Y | ib) in members:
-                        continue
-                    ok = False
-                    yd = Y & ~X
-                    while yd:
-                        jb = yd & -yd
-                        yd ^= jb
-                        if ((X ^ ib) | jb) in members and ((Y | ib) ^ jb) in members:
-                            ok = True
-                            break
-                    if not ok:
-                        return (X, Y, ib)
-        return None
-
-    return _first_hit(list(ms), scan, threads)
-
-
 def _scan_b_exc_m(members: frozenset[int], ms, threads: int):
     def scan(xs):
         for X in xs:
@@ -638,14 +762,10 @@ def check_family(family: SetFamily, axiom: str, threads: int = 1) -> Verdict:
     ms = family.sorted_members
 
     if ax == "b-exc":
-        hit = _scan_b_exc(members, ms, threads)
+        hit = _scan_indicator(1 << family.n, ms, threads)
         if hit is None:
             return Verdict(True)
-        X, Y, ib = hit
-        return Verdict(
-            False,
-            Witness("bnat-exc", sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),)),
-        )
+        return Verdict(False, _family_witness("bnat-exc", members, *hit))
     if ax == "b-exc-m":
         hit = _scan_b_exc_m(members, ms, threads)
         if hit is None:

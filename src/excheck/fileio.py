@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import SetFamily, SetFunction
+from .core import MAX_GROUND_SIZE, SetFamily, SetFunction
 from .errors import InputError
 from .sets import elements_of, mask_from_elements
 from .values import as_ext_value, ext_to_json, is_finite
@@ -47,8 +47,8 @@ def _load_json(path) -> dict:
 
 def _ground_size(obj) -> int:
     n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n > 20:
-        raise InputError(f"'n' must be an integer in 1..20, got {n!r}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n > MAX_GROUND_SIZE:
+        raise InputError(f"'n' must be an integer in 1..{MAX_GROUND_SIZE}, got {n!r}")
     return n
 
 
