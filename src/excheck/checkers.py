@@ -24,11 +24,28 @@ holding one is the first tuple of the lexicographic order.  Every hit is
 re-checked on the raw rational table, or the family's members, before it
 becomes a witness; a mismatch raises :class:`InternalCheckError`.
 
+A second kernel runs the multi-item scans, ``mnat-exc-m`` (and so ``snc``)
+and, on the indicator table, ``b-exc-m``, with the same two routes chosen
+by the same rule.  The numpy route takes chunks of X rows in order, drops
+the cells with X\\Y empty and groups the rest by (|X\\Y|, |Y\\X|).  Each
+cell expands to its (X, Y, I) tuples, I over the nonzero submasks of X\\Y
+in ascending order, and the J inside Y\\X are tried level by level: every
+J with |J| = 0, then 1, and so on, each level only on the tuples that no
+smaller J repaired.  Tuples left after the last level are violations, and
+the least (row-major cell, I) of the first chunk holding one is again the
+loop scan's first hit.  Levels keep early exits cheap: most tuples are
+repaired by a small J, and trying every J at once made the early exits
+of n = 14 scans several times slower.  ``b-exc-pm`` runs on the per-i grid
+of the one-item kernel, where both clauses become bitmask tests (see
+:func:`_scan_b_exc_pm`).
+
 Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), a full ``mnat-exc``
 scan of min(|S|, n/2) takes about 0.06 s at n = 10, 1.4 s at n = 12 and
 12-14 s at n = 14; ``local`` takes 1.5 s at n = 12, most of it the domain
-check.  The multi-item scans (``mnat-exc-m``, ``b-exc-m``) are still
-loops: about 0.3 s at n = 8, 1.3 s at n = 9 and 10 s at n = 10.
+check.  A full ``mnat-exc-m`` scan of the same function takes about 0.04 s
+at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at n = 11 (the loops
+took 0.3 s, 1.3 s and 10 s up to n = 10); on the bases of U(6, 12),
+``b-exc-m`` takes 2.0 s and ``b-exc-pm`` 0.03 s.
 """
 
 from __future__ import annotations
@@ -230,35 +247,46 @@ def _scan_exchange_py(s, dom, xs, floor):
     return None
 
 
-def _scan_exchange_np(sa, da, xs, neg: int, floor):
-    """Vectorized kernel: chunks of X rows, in order, against every Y."""
-    ncols = len(da)
-    xa = np.array(xs, dtype=np.int64)
-    n = len(sa).bit_length() - 1
+def _row_chunks(nrows: int, ncols: int, cap: int):
+    """(start, stop) of the chunks of X rows, in order: the first of about
+    _FIRST_CHUNK_CELLS cells, then doubling up to ``cap`` rows."""
     rows = max(1, _FIRST_CHUNK_CELLS // ncols)
-    cap = max(_MIN_CAP_ROWS, _BLOCK_CELLS // ncols)
     start = 0
-    while start < len(xa):
-        chunk = xa[start : start + rows]
-        hit = _exchange_chunk(sa, da, chunk, n, neg, floor)
-        if hit is not None:
-            r, c, i = hit
-            return int(chunk[r]), int(da[c]), 1 << i
+    while start < nrows:
+        yield start, start + rows
         start += rows
         rows = min(2 * rows, cap)
+
+
+def _scan_per_element(da, xs, n: int, prepare):
+    """Earliest (X, Y, i-bit, tag) with X in xs that one of the per-i grids flags.
+
+    ``prepare(b, yc)`` gets the bit b of i and the columns ``yc`` missing it
+    and returns ``sweep(xr)``: for rows ``xr``, all holding i, the row-major
+    index and tag of the least flagged cell of the grid against ``yc``, or
+    None.  Tags order the conditions checked on one (X, Y, i).
+    """
+    xa = np.array(xs, dtype=np.int64)
+    ncols = len(da)
+    cap = max(_MIN_CAP_ROWS, _BLOCK_CELLS // ncols)
+    for start, stop in _row_chunks(len(xa), ncols, cap):
+        chunk = xa[start:stop]
+        hit = _grid_chunk(da, chunk, n, prepare)
+        if hit is not None:
+            r, c, i, tag = hit
+            return int(chunk[r]), int(da[c]), 1 << i, tag
     return None
 
 
-def _exchange_chunk(sa, da, xa, n: int, neg: int, floor):
-    """Least (row, column, i) of one chunk that violates the exchange, or None.
+def _grid_chunk(da, xa, n: int, prepare):
+    """Least (row, column, i, tag) of one chunk that a sweep flags, or None.
 
     For each i the grid narrows to rows with i in X and columns with i not
     in Y, and is swept in blocks of rows.  Row-major order on the narrowed
-    grid is the order on the full grid, so the least (flat index, i) over
-    all i is the loop scan's first hit.
+    grid is the order on the full grid, so the least (flat index, i, tag)
+    over all i is the loop scan's first hit.
     """
     ncols = len(da)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
     found = None
     for i in range(n):
         b = 1 << i
@@ -268,25 +296,46 @@ def _exchange_chunk(sa, da, xa, n: int, neg: int, floor):
         ci = np.flatnonzero((da & b) == 0)
         if not ri.size or not ci.size:
             continue
-        yc = da[ci]
-        yi = yc | b
-        y_has = (yc & bits) != 0
-        cv = np.where(y_has, sa[yi ^ bits], neg)
-        sy, y_any = sa[yc], y_has.any(axis=1)
+        sweep = prepare(b, da[ci])
         step = max(1, _BLOCK_CELLS // ci.size)
         for lo in range(0, ri.size, step):
             rb = ri[lo : lo + step]
-            xr = xa[rb]
-            k = _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
-            if k is not None:
-                key = (int(rb[k // ci.size]) * ncols + int(ci[k % ci.size]), i)
+            hit = sweep(xa[rb])
+            if hit is not None:
+                k, tag = hit
+                key = (int(rb[k // ci.size]) * ncols + int(ci[k % ci.size]), i, tag)
                 if found is None or key < found:
                     found = key
                 break
     if found is None:
         return None
-    flat, i = found
-    return flat // ncols, flat % ncols, i
+    flat, i, tag = found
+    return flat // ncols, flat % ncols, i, tag
+
+
+def _element_bits(n: int):
+    return np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+
+
+def _scan_exchange_np(sa, da, xs, neg: int, floor):
+    """Vectorized kernel: chunks of X rows, in order, against every Y."""
+    n = len(sa).bit_length() - 1
+    bits = _element_bits(n)
+
+    def prepare(b, yc):
+        yi = yc | b
+        y_has = (yc & bits) != 0
+        cv = np.where(y_has, sa[yi ^ bits], neg)
+        sy, y_any = sa[yc], y_has.any(axis=1)
+
+        def sweep(xr):
+            k = _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
+            return None if k is None else (k, 0)
+
+        return sweep
+
+    hit = _scan_per_element(da, xs, n, prepare)
+    return None if hit is None else hit[:3]
 
 
 def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
@@ -312,8 +361,197 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
     return k if bad[k] else None
 
 
-def _scan_indicator(size: int, members, threads: int):
-    """Earliest b-exc violation of a family: the mnat-exc scan of its indicator.
+# ----------------------------------------------------------------------
+# the multi-item exchange kernel (see the module docstring for its routes)
+
+# Chunks of X rows stop at this many (X, Y) cells (or one row), and one
+# block of a level of the J search holds at most this many (X, Y, I, J).
+_MULTI_BLOCK = 1 << 13
+
+
+def _multi_scanner(s, dom, neg: int, lo: int, hi: int):
+    """Return ``scan(xs)``: the earliest (X, Y, I) with X in xs that no J repairs.
+
+    ``s`` and ``dom`` are as for :func:`_exchange_scanner`; the tuple is
+    repaired by J inside Y\\X when s(X-I+J) + s(Y-J+I) >= s(X) + s(Y).
+    """
+    if not _fits_int64(neg, lo, hi) or len(dom) ** 2 < _VECTOR_MIN_CELLS:
+        return lambda xs: _scan_multi_py(s, dom, xs)
+    sa = np.array(s, dtype=np.int64)
+    da = np.array(dom, dtype=np.int64)
+    return lambda xs: _scan_multi_np(sa, da, xs)
+
+
+def _scan_multi_py(s, dom, xs):
+    """Loop form of the multi-item kernel: exact for integers of any size."""
+    for X in xs:
+        fx = s[X]
+        for Y in dom:
+            xd = X & ~Y
+            if not xd:
+                continue
+            lhs = fx + s[Y]
+            yd = Y & ~X
+            for I in iter_submasks(xd):
+                if not I:
+                    continue  # J = empty reproduces (X, Y)
+                xmi = X ^ I
+                yi = Y | I
+                for J in iter_submasks(yd):
+                    if s[xmi | J] + s[yi ^ J] >= lhs:
+                        break
+                else:
+                    return (X, Y, I)
+    return None
+
+
+def _scan_multi_np(sa, da, xs):
+    """Vectorized multi-item kernel: chunks of X rows, in order, against every Y.
+
+    Chunks grow as in the one-item kernel but stop at _MULTI_BLOCK cells:
+    there are no per-chunk column tables to spread over more rows, and
+    smaller chunks keep the work arrays and the overshoot of an early exit
+    small.
+    """
+    xa = np.array(xs, dtype=np.int64)
+    ncols = len(da)
+    pc = _popcounts(len(sa).bit_length() - 1)
+    picks: dict = {}
+    for start, stop in _row_chunks(len(xa), ncols, max(1, _MULTI_BLOCK // ncols)):
+        chunk = xa[start:stop]
+        hit = _multi_chunk(sa, da, chunk, pc, picks)
+        if hit is not None:
+            r, c, I = hit
+            return int(chunk[r]), int(da[c]), I
+    return None
+
+
+def _multi_chunk(sa, da, xa, pc, picks):
+    """Least (row, column, I) of one chunk that no J repairs, or None.
+
+    Cells with X\\Y nonempty are grouped by (|X\\Y|, |Y\\X|) and stay in
+    row-major order within a group; I runs over the nonzero submasks of
+    X\\Y in ascending order.  So the least (flat index, I) over all groups
+    is the loop scan's first hit, and once a group has one, later groups
+    need only the cells before it.
+    """
+    ncols = len(da)
+    xd = (xa[:, None] & ~da).ravel()
+    flat = np.flatnonzero(xd)
+    xd = xd[flat]
+    X = xa[flat // ncols]
+    Y = da[flat % ncols]
+    yd = Y & ~X
+    width = len(pc).bit_length()  # exceeds every |Y\X|
+    key = (pc[xd] * width + pc[yd]).astype(np.int16)  # int16 keys get a radix sort
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    found = None
+    for g0, g1 in zip(starts, [*starts[1:], key.size]):
+        g = order[g0:g1]
+        if found is not None:
+            g = g[flat[g] < found[0]]
+            if not g.size:
+                continue
+        a, b = divmod(int(key[g0]), width)
+        hit = _multi_group(sa, X[g], Y[g], xd[g], yd[g], a, b, pc, picks)
+        if hit is not None:
+            c, I = hit
+            found = (int(flat[g[c]]), I)
+    if found is None:
+        return None
+    flat0, I = found
+    return flat0 // ncols, flat0 % ncols, I
+
+
+def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks):
+    """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
+
+    The group's cells go in blocks of whole cells.  Level l tries every J
+    of size l, only on the (X, Y, I) tuples that no smaller J repaired, so
+    a tuple repaired early costs little; the tuples left after level b are
+    violations.  Work arrays put the I or J index first, so the test over
+    all J of a level is a reduction across rows.
+    """
+    lhs = sa[X] + sa[Y]
+    per_cell = (1 << a) - 1
+    step = max(1, _MULTI_BLOCK // per_cell)
+    for lo in range(0, X.size, step):
+        hi = lo + step
+        I = _pick(picks, pc, a, None) @ _low_bits(xd[lo:hi], a)  # row t: the t-th I of each cell
+        xi = X[lo:hi] ^ I
+        yi = Y[lo:hi] | I
+        open_ = np.flatnonzero(sa[xi] + sa[yi] < lhs[lo:hi])
+        xi, yi = xi.ravel(), yi.ravel()
+        ybits = _low_bits(yd[lo:hi], b)
+        for size in range(1, b + 1):
+            if not open_.size:
+                break
+            pick_j = _pick(picks, pc, b, size)
+            open_ = _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, open_, pick_j)
+        if open_.size:
+            cells = I.shape[1]
+            c, t = open_ % cells, open_ // cells
+            k = int(np.argmin(c * per_cell + t))
+            return lo + int(c[k]), int(I[t[k], c[k]])
+    return None
+
+
+def _unrepaired(sa, xi, yi, lhs, ybits, open_, pick_j):
+    """The entries of ``open_`` (indices into the flat ``xi`` = X-I and
+    ``yi`` = Y+I, cell fastest) that no J of one level repairs; row r of
+    ``pick_j`` selects the bits of the r-th J among the cell's ``ybits``.
+    Blocks are sized by the level's width, so each holds at most
+    _MULTI_BLOCK (entry, J) pairs."""
+    cells = lhs.size
+    step = max(1, _MULTI_BLOCK // pick_j.shape[0])
+    keep = []
+    for lo in range(0, open_.size, step):
+        e = open_[lo : lo + step]
+        c = e % cells
+        J = pick_j @ ybits[:, c]
+        repaired = (sa[xi[e] | J] + sa[yi[e] ^ J] >= lhs[c]).any(axis=0)
+        keep.append(e[~repaired])
+    return np.concatenate(keep)
+
+
+def _popcounts(n: int):
+    pc = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    return pc
+
+
+def _low_bits(v, k: int):
+    """Row j holds the j-th lowest set bit of each entry of ``v``."""
+    out = np.empty((k, v.size), dtype=np.int64)
+    rest = v.copy()
+    for j in range(k):
+        out[j] = rest & -rest
+        rest ^= out[j]
+    return out
+
+
+def _pick(picks: dict, pc, k: int, size):
+    """0/1 matrix whose rows are the k-bit patterns of popcount ``size``
+    (every nonzero pattern when ``size`` is None), in ascending order, one
+    bit per column; times a matrix of single-bit masks, one row per bit, it
+    deposits the patterns.  Kept in ``picks`` for the rest of the scan."""
+    key = (k, size)
+    if key not in picks:
+        pats = np.arange(1, 1 << k) if size is None else np.flatnonzero(pc[: 1 << k] == size)
+        picks[key] = ((pats[:, None] >> np.arange(k)) & 1).astype(np.int8)
+    return picks[key]
+
+
+# ----------------------------------------------------------------------
+# families on the kernels
+
+
+def _scan_indicator(size: int, members, threads: int, multi: bool = False):
+    """Earliest b-exc (or b-exc-m) violation of a family: the mnat-exc (or
+    mnat-exc-m) scan of its indicator.
 
     The indicator is 0 on the ascending ``members`` and -1 elsewhere, which
     is IntTable's sentinel table of the zero function on the family.
@@ -321,17 +559,68 @@ def _scan_indicator(size: int, members, threads: int):
     delta = [-1] * size
     for m in members:
         delta[m] = 0
-    scan = _exchange_scanner(delta, members, -1, 0, 0, deletion=True)
+    if multi:
+        scan = _multi_scanner(delta, members, -1, 0, 0)
+    else:
+        scan = _exchange_scanner(delta, members, -1, 0, 0, deletion=True)
     return _first_hit(members, scan, threads)
 
 
-def _recheck(holds: bool, condition: str, X: int, Y: int, ib: int) -> None:
-    """Raise unless a kernel hit is a violation of the raw table."""
+def _scan_b_exc_pm(mem, da, xs, n: int):
+    """Earliest (X, Y, i-bit, clause) with X in xs that b-exc-pm fails.
+
+    ``mem`` is the boolean membership table and ``da`` the ascending
+    members.  On the grid of element i, clause a fails when X-i is no
+    member and no j in Y\\X has X-i+j in the family: ``jmask`` packs the
+    j outside X with X-i+j a member, so the test is jmask & Y == 0.  Clause
+    b fails when Y+i is no member and no k in Y\\X has Y+i-k in the family:
+    ``kmask`` packs the k in Y with Y+i-k a member, tested against ~X.
+    Clause a comes first on one (X, Y, i).
+    """
+    bits = _element_bits(n)
+
+    def prepare(b, yc):
+        yi = yc | b
+        kmask = np.where(((yc & bits) != 0) & mem[yi ^ bits], bits, 0).sum(axis=0)
+        b_open = ~mem[yi]
+
+        def sweep(xr):
+            xi = xr ^ b
+            jmask = np.where(((xr & bits) == 0) & mem[xi | bits], bits, 0).sum(axis=0)
+            fail_a = ~mem[xi][:, None] & ((jmask[:, None] & yc) == 0)
+            fail_b = b_open & ((kmask & ~xr[:, None]) == 0)
+            bad = (fail_a | fail_b).ravel()
+            k = int(bad.argmax())
+            if not bad[k]:
+                return None
+            return k, 0 if fail_a.flat[k] else 1
+
+        return sweep
+
+    hit = _scan_per_element(da, xs, n, prepare)
+    if hit is None:
+        return None
+    X, Y, ib, tag = hit
+    return X, Y, ib, "ab"[tag]
+
+
+# ----------------------------------------------------------------------
+# re-checks of kernel hits on the raw data
+
+
+def _recheck(holds: bool, witness: Witness) -> Witness:
+    """Return the witness of a kernel hit; raise unless the raw data violate it."""
     if not holds:
         raise InternalCheckError(
-            f"{condition}: the scan reported X={set_str(X)} Y={set_str(Y)} "
-            f"i={ib.bit_length()}, which the exact table does not violate"
+            f"the scan reported {witness.describe()}, which the raw data do not violate"
         )
+    return witness
+
+
+def _best_exchange_rhs(tab, X: int, Y: int, I: int) -> ExtValue:
+    """max over J inside Y\\X of f((X\\I)uJ) + f((Y\\J)uI), from the raw table."""
+    xmi = X ^ I
+    return max(tab[xmi | J] + tab[(Y & ~J) | I] for J in iter_submasks(Y & ~X))
 
 
 def _family_witness(condition: str, members, X: int, Y: int, ib: int) -> Witness:
@@ -340,8 +629,32 @@ def _family_witness(condition: str, members, X: int, Y: int, ib: int) -> Witness
         (xi | jb) in members and (yi ^ jb) in members for jb in iter_bits(Y & ~X)
     )
     holds = X in members and Y in members and bool(ib & X & ~Y) and not repaired
-    _recheck(holds, condition, X, Y, ib)
-    return Witness(condition, sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),))
+    w = Witness(condition, sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),))
+    return _recheck(holds, w)
+
+
+def _family_multi_witness(family: SetFamily, X: int, Y: int, I: int) -> Witness:
+    m = family.members
+    holds = (
+        X in m and Y in m and bool(I) and not I & (Y | ~X)
+        and find_base_exchange(family, X, Y, I) is None
+    )
+    return _recheck(holds, Witness("bnat-exc-m", sets=(("X", X), ("Y", Y), ("I", I))))
+
+
+def _family_pm_witness(members, X: int, Y: int, ib: int, clause: str) -> Witness:
+    # X-i+j and Y+i-k, for j and k in Y\X, are both `start` with one bit flipped
+    start = X ^ ib if clause == "a" else Y | ib
+    unrepaired = start not in members and not any(
+        (start ^ jb) in members for jb in iter_bits(Y & ~X)
+    )
+    holds = X in members and Y in members and bool(ib & X & ~Y) and unrepaired
+    w = Witness(
+        f"bnat-exc-pm:{clause}",
+        sets=(("X", X), ("Y", Y)),
+        elements=(("i", ib.bit_length()),),
+    )
+    return _recheck(holds, w)
 
 
 # ----------------------------------------------------------------------
@@ -374,14 +687,14 @@ def _single_exchange_witness(f: SetFunction, X: int, Y: int, ib: int) -> Witness
     best: ExtValue = tab[X ^ ib] + tab[Y | ib]
     for jb in iter_bits(Y & ~X):
         best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
-    _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, "mnat-exc", X, Y, ib)
-    return Witness(
+    w = Witness(
         "mnat-exc",
         sets=(("X", X), ("Y", Y)),
         elements=(("i", ib.bit_length()),),
         lhs=lhs,
         rhs=best,
     )
+    return _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w)
 
 
 # ----------------------------------------------------------------------
@@ -413,48 +726,19 @@ def check_multiple_exchange(f: SetFunction, threads: int = 1) -> Verdict:
     documented exhaustive-scan cap.
     """
     t = IntTable(f)
-    s = t.sent
-    dom = t.dom
+    scan = _multi_scanner(t.sent, t.dom, t.neg, t.lo, t.hi)
+    return _multiple_exchange_verdict(f, _first_hit(t.dom, scan, threads))
 
-    def scan(xs):
-        for X in xs:
-            fx = s[X]
-            for Y in dom:
-                lhs = fx + s[Y]
-                xd = X & ~Y
-                yd = Y & ~X
-                if not xd:
-                    continue
-                for I in iter_submasks(xd):
-                    if not I:
-                        continue  # J = empty reproduces (X, Y)
-                    xmi = X ^ I
-                    found = False
-                    for J in iter_submasks(yd):
-                        if s[xmi | J] + s[(Y & ~J) | I] >= lhs:
-                            found = True
-                            break
-                    if not found:
-                        return (X, Y, I)
-        return None
 
-    hit = _first_hit(dom, scan, threads)
+def _multiple_exchange_verdict(f: SetFunction, hit) -> Verdict:
     if hit is None:
         return Verdict(True)
     X, Y, I = hit
     tab = f.table
-    best: ExtValue = NEG_INF
-    for J in iter_submasks(Y & ~X):
-        best = max(best, tab[(X ^ I) | J] + tab[(Y & ~J) | I])
-    return Verdict(
-        False,
-        Witness(
-            "mnat-exc-m",
-            sets=(("X", X), ("Y", Y), ("I", I)),
-            lhs=tab[X] + tab[Y],
-            rhs=best,
-        ),
-    )
+    lhs = tab[X] + tab[Y]
+    rhs = _best_exchange_rhs(tab, X, Y, I)
+    w = Witness("mnat-exc-m", sets=(("X", X), ("Y", Y), ("I", I)), lhs=lhs, rhs=rhs)
+    return Verdict(False, _recheck(bool(I) and not I & (Y | ~X) and lhs > rhs, w))
 
 
 # ----------------------------------------------------------------------
@@ -497,18 +781,14 @@ def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
     best: ExtValue = NEG_INF
     for jb in iter_bits(Y & ~X):
         best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
-    holds = bool(ib & X & ~Y) and is_finite(lhs) and lhs > best
-    _recheck(holds, "valuated-matroid:exchange", X, Y, ib)
-    return Verdict(
-        False,
-        Witness(
-            "valuated-matroid:exchange",
-            sets=(("X", X), ("Y", Y)),
-            elements=(("i", ib.bit_length()),),
-            lhs=lhs,
-            rhs=best,
-        ),
+    w = Witness(
+        "valuated-matroid:exchange",
+        sets=(("X", X), ("Y", Y)),
+        elements=(("i", ib.bit_length()),),
+        lhs=lhs,
+        rhs=best,
     )
+    return Verdict(False, _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w))
 
 
 # ----------------------------------------------------------------------
@@ -685,66 +965,6 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 # family axioms
 
 
-def _scan_b_exc_m(members: frozenset[int], ms, threads: int):
-    def scan(xs):
-        for X in xs:
-            for Y in ms:
-                xd = X & ~Y
-                if not xd:
-                    continue
-                yd = Y & ~X
-                for I in iter_submasks(xd):
-                    if not I:
-                        continue
-                    xmi = X ^ I
-                    found = False
-                    for J in iter_submasks(yd):
-                        if (xmi | J) in members and ((Y & ~J) | I) in members:
-                            found = True
-                            break
-                    if not found:
-                        return (X, Y, I)
-        return None
-
-    return _first_hit(list(ms), scan, threads)
-
-
-def _scan_b_exc_pm(members: frozenset[int], ms, threads: int):
-    def scan(xs):
-        for X in xs:
-            for Y in ms:
-                xd = X & ~Y
-                while xd:
-                    ib = xd & -xd
-                    xd ^= ib
-                    yd0 = Y & ~X
-                    if (X ^ ib) not in members:
-                        ok = False
-                        yd = yd0
-                        while yd:
-                            jb = yd & -yd
-                            yd ^= jb
-                            if ((X ^ ib) | jb) in members:
-                                ok = True
-                                break
-                        if not ok:
-                            return (X, Y, ib, "a")
-                    if (Y | ib) not in members:
-                        ok = False
-                        yd = yd0
-                        while yd:
-                            kb = yd & -yd
-                            yd ^= kb
-                            if ((Y | ib) ^ kb) in members:
-                                ok = True
-                                break
-                        if not ok:
-                            return (X, Y, ib, "b")
-        return None
-
-    return _first_hit(list(ms), scan, threads)
-
-
 def check_family(family: SetFamily, axiom: str, threads: int = 1) -> Verdict:
     """Check a set-family exchange axiom: one of ``b-exc``, ``b-exc-m``,
     ``b-exc-pm``.
@@ -760,30 +980,25 @@ def check_family(family: SetFamily, axiom: str, threads: int = 1) -> Verdict:
         raise InputError("the family has no members")
     members = family.members
     ms = family.sorted_members
+    size = 1 << family.n
 
     if ax == "b-exc":
-        hit = _scan_indicator(1 << family.n, ms, threads)
+        hit = _scan_indicator(size, ms, threads)
         if hit is None:
             return Verdict(True)
         return Verdict(False, _family_witness("bnat-exc", members, *hit))
     if ax == "b-exc-m":
-        hit = _scan_b_exc_m(members, ms, threads)
+        hit = _scan_indicator(size, ms, threads, multi=True)
         if hit is None:
             return Verdict(True)
-        X, Y, I = hit
-        return Verdict(False, Witness("bnat-exc-m", sets=(("X", X), ("Y", Y), ("I", I))))
-    hit = _scan_b_exc_pm(members, ms, threads)
+        return Verdict(False, _family_multi_witness(family, *hit))
+    da = np.array(ms, dtype=np.int64)
+    mem = np.zeros(size, dtype=bool)
+    mem[da] = True
+    hit = _first_hit(ms, lambda xs: _scan_b_exc_pm(mem, da, xs, family.n), threads)
     if hit is None:
         return Verdict(True)
-    X, Y, ib, clause = hit
-    return Verdict(
-        False,
-        Witness(
-            f"bnat-exc-pm:{clause}",
-            sets=(("X", X), ("Y", Y)),
-            elements=(("i", ib.bit_length()),),
-        ),
-    )
+    return Verdict(False, _family_pm_witness(members, *hit))
 
 
 def is_generalized_matroid(family: SetFamily, threads: int = 1) -> bool:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from .checkers import (
+    _best_exchange_rhs,
     check_family,
     check_local,
     check_multiple_exchange,
@@ -32,8 +33,8 @@ from .duality import fenchel_gap
 from .errors import InputError, InternalCheckError
 from .fileio import load_instance, set_family_to_obj, set_function_to_obj
 from .generators import MatroidSpec, gen_modular_plus_concave, gen_rank_valuation, gen_weighted_matroid
-from .sets import elements_of, iter_submasks, mask_from_elements, set_str
-from .values import NEG_INF, ext_to_json, ext_to_str, parse_rational
+from .sets import elements_of, mask_from_elements, set_str
+from .values import ext_to_json, ext_to_str, parse_rational
 
 __all__ = ["main"]
 
@@ -206,9 +207,7 @@ def _cmd_exchange(args) -> int:
         _emit(args, report, lines, started)
         return 0
     lhs = f.table[X] + f.table[Y]
-    best = NEG_INF
-    for J in iter_submasks(Y & ~X):
-        best = max(best, f.table[(X ^ I) | J] + f.table[(Y & ~J) | I])
+    best = _best_exchange_rhs(f.table, X, Y, I)
     report = {
         "command": "exchange",
         "input": str(args.file),

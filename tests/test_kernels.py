@@ -1,9 +1,9 @@
-"""Differential tests of the one-item exchange kernel.
+"""Differential tests of the one-item and multi-item exchange kernels.
 
 The vectorized int64 route and the exact loop route are called directly on
 the same sentinel table; the verdicts built from their hits, witnesses
 included, must be equal.  Family scans are compared against the plain
-membership scan kept below as the oracle.
+membership scans kept below as the oracles.
 """
 
 from fractions import Fraction
@@ -23,20 +23,29 @@ from excheck import (
     Witness,
     check_family,
     check_local,
+    check_multiple_exchange,
     check_single_exchange,
     check_valuated_matroid,
+    find_exchange_set,
     with_value,
 )
 from excheck._fast import IntTable
 from excheck.checkers import (
+    _FIRST_CHUNK_CELLS,
     _VECTOR_MIN_CELLS,
+    _family_multi_witness,
+    _family_pm_witness,
     _family_witness,
     _fits_int64,
+    _multiple_exchange_verdict,
     _scan_exchange_np,
     _scan_exchange_py,
+    _scan_multi_np,
+    _scan_multi_py,
     _single_exchange_verdict,
     _valuated_matroid_verdict,
 )
+from excheck.sets import iter_submasks
 from excheck.values import is_finite
 
 
@@ -63,14 +72,99 @@ def _scan_b_exc(members, ms):
     return None
 
 
+def _scan_b_exc_m(members, ms):
+    """Membership form of the b-exc-m scan, in the canonical (X, Y, I) order."""
+    for X in ms:
+        for Y in ms:
+            xd = X & ~Y
+            if not xd:
+                continue
+            yd = Y & ~X
+            for I in iter_submasks(xd):
+                if not I:
+                    continue
+                xmi = X ^ I
+                found = False
+                for J in iter_submasks(yd):
+                    if (xmi | J) in members and ((Y & ~J) | I) in members:
+                        found = True
+                        break
+                if not found:
+                    return (X, Y, I)
+    return None
+
+
+def _scan_b_exc_pm(members, ms):
+    """Membership form of the b-exc-pm scan: (X, Y, i), clause a before b."""
+    for X in ms:
+        for Y in ms:
+            xd = X & ~Y
+            while xd:
+                ib = xd & -xd
+                xd ^= ib
+                yd0 = Y & ~X
+                if (X ^ ib) not in members:
+                    ok = False
+                    yd = yd0
+                    while yd:
+                        jb = yd & -yd
+                        yd ^= jb
+                        if ((X ^ ib) | jb) in members:
+                            ok = True
+                            break
+                    if not ok:
+                        return (X, Y, ib, "a")
+                if (Y | ib) not in members:
+                    ok = False
+                    yd = yd0
+                    while yd:
+                        kb = yd & -yd
+                        yd ^= kb
+                        if ((Y | ib) ^ kb) in members:
+                            ok = True
+                            break
+                    if not ok:
+                        return (X, Y, ib, "b")
+    return None
+
+
 def _oracle_family_verdict(family: SetFamily, condition: str = "bnat-exc") -> Verdict:
-    hit = _scan_b_exc(family.members, family.sorted_members)
-    if hit is None:
-        return Verdict(True)
-    X, Y, ib = hit
+    """The verdict of the membership oracle for ``condition``: ``bnat-exc``
+    (or ``local:domain``), ``bnat-exc-m`` or ``bnat-exc-pm``."""
+    members, ms = family.members, family.sorted_members
+    if condition == "bnat-exc-m":
+        hit = _scan_b_exc_m(members, ms)
+        if hit is None:
+            return Verdict(True)
+        X, Y, I = hit
+        return Verdict(False, Witness(condition, sets=(("X", X), ("Y", Y), ("I", I))))
+    if condition == "bnat-exc-pm":
+        hit = _scan_b_exc_pm(members, ms)
+        if hit is None:
+            return Verdict(True)
+        X, Y, ib, clause = hit
+        condition = f"bnat-exc-pm:{clause}"
+    else:
+        hit = _scan_b_exc(members, ms)
+        if hit is None:
+            return Verdict(True)
+        X, Y, ib = hit
     return Verdict(
         False, Witness(condition, sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),))
     )
+
+
+def _multi_routes(s, dom):
+    py = _scan_multi_py(s, dom, dom)
+    vec = _scan_multi_np(np.array(s, dtype=np.int64), np.array(dom, dtype=np.int64), dom)
+    return py, vec
+
+
+def _assert_multi_routes_agree(f: SetFunction):
+    t = IntTable(f)
+    py, vec = _multi_routes(t.sent, t.dom)
+    assert _multiple_exchange_verdict(f, py) == _multiple_exchange_verdict(f, vec)
+    return py
 
 
 def _both_routes(s, dom, neg, floor):
@@ -111,6 +205,15 @@ def test_n3_universe_both_routes():
     assert 0 < failing < seen
 
 
+def test_n3_universe_multi_routes():
+    levels = (NEG_INF, Fraction(0), Fraction(1))
+    failing = 0
+    for tab in product(levels, repeat=8):
+        if any(v is not NEG_INF for v in tab):
+            failing += _assert_multi_routes_agree(SetFunction(3, tab)) is not None
+    assert 0 < failing < 6560
+
+
 def test_n3_families_against_oracle():
     for bits in range(1, 256):
         fam = SetFamily(3, frozenset(m for m in range(8) if bits >> m & 1))
@@ -123,6 +226,13 @@ def test_n3_families_against_oracle():
                                            oracle.witness.set_mask("Y"),
                                            1 << oracle.witness.element("i") - 1)
         assert py == want
+
+        oracle_m = _oracle_family_verdict(fam, "bnat-exc-m")
+        assert check_family(fam, "b-exc-m") == oracle_m
+        py, vec = _multi_routes(delta, fam.sorted_members)
+        want = None if oracle_m.passed else tuple(mask for _, mask in oracle_m.witness.sets)
+        assert py == vec == want
+        assert check_family(fam, "b-exc-pm") == _oracle_family_verdict(fam, "bnat-exc-pm")
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +299,15 @@ def test_single_exchange_routes_agree(f):
     _assert_routes_agree(f)
 
 
+@given(st.one_of(near_concave(), near_valuated_matroid()))
+@settings(max_examples=150, deadline=None)
+def test_multi_exchange_routes_agree(f):
+    hit = _assert_multi_routes_agree(f)
+    t = IntTable(f)
+    if len(t.dom) ** 2 >= _VECTOR_MIN_CELLS:
+        assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
+
+
 @given(near_valuated_matroid())
 @settings(max_examples=100, deadline=None)
 def test_valuated_matroid_routes_agree(f):
@@ -224,6 +343,8 @@ def test_larger_families_against_oracle(n, data):
         members = {0}
     fam = SetFamily(n, frozenset(members))
     assert check_family(fam, "b-exc") == _oracle_family_verdict(fam)
+    assert check_family(fam, "b-exc-m") == _oracle_family_verdict(fam, "bnat-exc-m")
+    assert check_family(fam, "b-exc-pm") == _oracle_family_verdict(fam, "bnat-exc-pm")
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +361,25 @@ def test_chunked_scan_matches_loops(raised):
     assert hit is not None
     assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
     assert check_single_exchange(g, threads=3) == check_single_exchange(g)
+
+
+def test_multi_hit_in_a_later_chunk_after_deep_levels():
+    # min(|S|, 4) on n = 8 with f({1..5, 8}) raised by one: the first
+    # violation lies in the fourth chunk of X rows and every J inside
+    # Y\X, up to |J| = 4, must fail before it is reported; earlier tuples
+    # of its chunk are repaired only by a J with |J| = 2
+    n = 8
+    f = SetFunction.from_callable(n, lambda m: Fraction(min(m.bit_count(), 4)))
+    g = with_value(f, 0b10011111, Fraction(5))
+    hit = _assert_multi_routes_agree(g)
+    X, Y, I = hit
+    assert (X, Y, I) == (0b1100011, 0b10011111, 0b100000)
+    assert X >= 3 * _FIRST_CHUNK_CELLS // (1 << n)  # past the first chunks
+    assert (Y & ~X).bit_count() == 4
+    assert find_exchange_set(g, 0b1100000, 0b1111, 0b1100000).j_set.bit_count() == 2
+    v = check_multiple_exchange(g)
+    assert v == _multiple_exchange_verdict(g, hit)
+    assert check_multiple_exchange(g, threads=3) == v
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +407,11 @@ CASES = [
     (check_single_exchange, SetFunction.from_callable(6, lambda m: Fraction(m.bit_count() ** 2))),
     (check_valuated_matroid, _uniform_weighted(8, 4, W8)),
     (check_valuated_matroid, with_value(_uniform_weighted(8, 4, W8), 0b10111000, Fraction(60))),
+    (check_multiple_exchange, _rank(6, 3)),
+    (check_multiple_exchange, with_value(_rank(6, 3), 0b101100, Fraction(4))),
+    (check_multiple_exchange, with_value(_rank(5, 2), 0b11, Fraction(1, 2))),
+    (check_multiple_exchange, _uniform_weighted(7, 3, W8[:7])),
+    (check_multiple_exchange, with_value(_uniform_weighted(7, 3, W8[:7]), 0b1110000, Fraction(40))),
 ]
 
 
@@ -286,7 +431,7 @@ def test_scaled_table_takes_big_int_route(check, f):
 
 
 def test_some_scaled_cases_fail():
-    assert sum(not check(f).passed for check, f in CASES) >= 3
+    assert sum(not check(f).passed for check, f in CASES) >= 5
 
 
 # ----------------------------------------------------------------------
@@ -301,3 +446,18 @@ def test_recheck_rejects_a_non_violation(rank2):
     bases = SetFamily(3, frozenset({0b011, 0b101, 0b110}))
     with pytest.raises(InternalCheckError):
         _family_witness("bnat-exc", bases.members, 0b011, 0b110, 0b001)
+    with pytest.raises(InternalCheckError):
+        _multiple_exchange_verdict(rank2, (0b011, 0b100, 0b011))
+    with pytest.raises(InternalCheckError):
+        _family_multi_witness(bases, 0b011, 0b110, 0b001)
+    for clause in "ab":
+        with pytest.raises(InternalCheckError):
+            _family_pm_witness(bases.members, 0b011, 0b110, 0b001, clause)
+
+
+def test_recheck_accepts_a_violation(comp):
+    v = _multiple_exchange_verdict(comp, (0b11, 0b00, 0b01))
+    assert (v.witness.lhs, v.witness.rhs) == (3, 2)
+    fam = SetFamily(3, frozenset({0b011, 0b100}))
+    assert _family_multi_witness(fam, 0b011, 0b100, 0b001).condition == "bnat-exc-m"
+    assert _family_pm_witness(fam.members, 0b011, 0b100, 0b001, "a").condition == "bnat-exc-pm:a"
