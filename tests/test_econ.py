@@ -167,3 +167,29 @@ def test_sampler_validation():
         PriceSampler(seed=0, count=-1)
     with pytest.raises(InputError):
         PriceSampler(seed=0, radius=Fraction(-1))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grid_step": 0.1},
+        {"grid_step": 0.5},
+        {"grid_step": True},
+        {"radius": 2.5},
+        {"radius": False},
+        {"count": 2.0},
+        {"count": True},
+        {"seed": 1.0},
+        {"seed": True},
+    ],
+)
+def test_sampler_rejects_inexact_inputs(kwargs):
+    args = {"seed": 0, **kwargs}
+    with pytest.raises(InputError):
+        PriceSampler(**args)
+
+
+def test_sampler_accepts_exact_inputs(comp):
+    s = PriceSampler(seed=0, count=3, grid_step=1, radius=2)
+    assert (s.grid_step, s.radius) == (Fraction(1), Fraction(2))
+    assert list(s.iter_prices(comp))[-1].entries[0].denominator == 1

@@ -1,13 +1,18 @@
-"""Differential tests of the one-item and multi-item exchange kernels.
+"""Differential tests of the exchange kernels and the demand kernel.
 
 The vectorized int64 route and the exact loop route are called directly on
 the same sentinel table; the verdicts built from their hits, witnesses
 included, must be equal.  Family scans are compared against the plain
-membership scans kept below as the oracles.
+membership scans kept below as the oracles.  The sampled GS/SI/NC sweeps
+are compared against per-price loops over the integer table, with the
+price streams drawn the way those loops drew them.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import floor
+from random import Random
 
 import hypothesis.strategies as st
 import numpy as np
@@ -17,15 +22,25 @@ from hypothesis import given, settings
 from excheck import (
     NEG_INF,
     InternalCheckError,
+    PriceSampler,
+    PriceVector,
     SetFamily,
     SetFunction,
     Verdict,
     Witness,
     check_family,
+    check_gs_at,
+    check_gs_sampled,
     check_local,
     check_multiple_exchange,
+    check_nc_at,
+    check_nc_sampled,
+    check_si_at,
+    check_si_sampled,
     check_single_exchange,
     check_valuated_matroid,
+    demand,
+    econ,
     find_exchange_set,
     with_value,
 )
@@ -45,7 +60,14 @@ from excheck.checkers import (
     _single_exchange_verdict,
     _valuated_matroid_verdict,
 )
-from excheck.sets import iter_submasks
+from excheck.econ import (
+    _DemandKernel,
+    _fixed_price_mask,
+    _gs_violating_bundle,
+    _nc_violation,
+    _price_sweep,
+)
+from excheck.sets import iter_bits, iter_submasks
 from excheck.values import is_finite
 
 
@@ -461,3 +483,305 @@ def test_recheck_accepts_a_violation(comp):
     fam = SetFamily(3, frozenset({0b011, 0b100}))
     assert _family_multi_witness(fam, 0b011, 0b100, 0b001).condition == "bnat-exc-m"
     assert _family_pm_witness(fam.members, 0b011, 0b100, 0b001, "a").condition == "bnat-exc-pm:a"
+
+
+# ----------------------------------------------------------------------
+# the demand kernel against the per-price loops
+
+
+def _oracle_prices(sampler: PriceSampler, f: SetFunction):
+    """The price stream as drawn by the per-price loops, in Fractions."""
+    ri = sampler._phase1_radius(f)
+    if ri is not None:
+        for combo in product(range(-ri, ri + 1), repeat=f.n):
+            yield PriceVector(tuple(Fraction(c) for c in combo))
+    rng = Random(2 * sampler.seed)
+    step = sampler.grid_step
+    kmax = floor(sampler.radius_for(f) / step)
+    for _ in range(sampler.count):
+        yield PriceVector(tuple(step * rng.randint(-kmax, kmax) for _ in range(f.n)))
+
+
+def _oracle_pairs(sampler: PriceSampler, f: SetFunction):
+    ri = sampler._phase1_radius(f)
+    if ri is not None:
+        for combo in product(range(-ri, ri + 1), repeat=f.n):
+            p = PriceVector(tuple(Fraction(c) for c in combo))
+            for c in range(f.n):
+                yield p, PriceVector(tuple(v + (i == c) for i, v in enumerate(p.entries)))
+    rng = Random(2 * sampler.seed + 1)
+    step = sampler.grid_step
+    kmax = floor(sampler.radius_for(f) / step)
+    for _ in range(sampler.count):
+        p = tuple(step * rng.randint(-kmax, kmax) for _ in range(f.n))
+        raised = [rng.random() < 0.5 for _ in range(f.n)]
+        q = tuple(v + step * rng.randint(1, max(1, kmax)) if r else v for v, r in zip(p, raised))
+        yield PriceVector(p), PriceVector(q)
+
+
+class _ScaledView:
+    """Integer view of the table shared by every price in a sampled run."""
+
+    def __init__(self, f: SetFunction, extra_denominator: int):
+        self.t = IntTable(f, extra_denominator=extra_denominator)
+
+    def price_ints(self, p: PriceVector) -> list[int]:
+        s = self.t.scale
+        assert all(s % v.denominator == 0 for v in p.entries)
+        return [v.numerator * (s // v.denominator) for v in p.entries]
+
+    def price_sums(self, pint: list[int]) -> list[int]:
+        sums = [0] * (1 << self.t.n)
+        for m in range(1, 1 << self.t.n):
+            low = m & -m
+            sums[m] = sums[m ^ low] + pint[low.bit_length() - 1]
+        return sums
+
+    def demand_members(self, p: PriceVector) -> tuple[list[int], int, list[int]]:
+        sums = self.price_sums(self.price_ints(p))
+        vals = self.t.vals
+        best = None
+        members: list[int] = []
+        for mask in self.t.dom:
+            v = vals[mask] - sums[mask]
+            if best is None or v > best:
+                best = v
+                members = [mask]
+            elif v == best:
+                members.append(mask)
+        return members, best, sums
+
+
+def _si_improves_int(vals, sums, X, v, full) -> bool:
+    for ib in iter_bits(X):
+        m = X ^ ib
+        w = vals[m]
+        if w is not None and w - sums[m] > v:
+            return True
+    for jb in iter_bits(full & ~X):
+        m = X | jb
+        w = vals[m]
+        if w is not None and w - sums[m] > v:
+            return True
+    for ib in iter_bits(X):
+        for jb in iter_bits(full & ~X):
+            m = (X ^ ib) | jb
+            w = vals[m]
+            if w is not None and w - sums[m] > v:
+                return True
+    return False
+
+
+def _tagged(exact: Verdict, idx: int) -> Verdict:
+    assert not exact.passed
+    return Verdict(False, replace(exact.witness, elements=(("sample", idx),)))
+
+
+def _oracle_gs(f: SetFunction, sampler: PriceSampler) -> Verdict:
+    view = _ScaledView(f, sampler.grid_step.denominator)
+    for idx, (p, q) in enumerate(_oracle_pairs(sampler, f)):
+        dp, _, _ = view.demand_members(p)
+        dq, _, _ = view.demand_members(q)
+        if _gs_violating_bundle(dp, dq, _fixed_price_mask(p, q)) is not None:
+            return _tagged(check_gs_at(f, p, q), idx)
+    return Verdict(True)
+
+
+def _oracle_si(f: SetFunction, sampler: PriceSampler) -> Verdict:
+    view = _ScaledView(f, sampler.grid_step.denominator)
+    full = (1 << f.n) - 1
+    for idx, p in enumerate(_oracle_prices(sampler, f)):
+        _, best, sums = view.demand_members(p)
+        for X in view.t.dom:
+            v = view.t.vals[X] - sums[X]
+            if v != best and not _si_improves_int(view.t.vals, sums, X, v, full):
+                return _tagged(check_si_at(f, p), idx)
+    return Verdict(True)
+
+
+def _oracle_nc(f: SetFunction, sampler: PriceSampler, simultaneous: bool) -> Verdict:
+    view = _ScaledView(f, sampler.grid_step.denominator)
+    for idx, p in enumerate(_oracle_prices(sampler, f)):
+        members, _, _ = view.demand_members(p)
+        if _nc_violation(members, simultaneous) is not None:
+            return _tagged(check_nc_at(f, p, simultaneous), idx)
+    return Verdict(True)
+
+
+def _assert_sweeps_agree(f: SetFunction, sampler: PriceSampler) -> dict:
+    """Every sampled check, alone and in the shared sweep, against the loops."""
+    want = {
+        "gs": _oracle_gs(f, sampler),
+        "si": _oracle_si(f, sampler),
+        "nc": _oracle_nc(f, sampler, False),
+        "ncsim": _oracle_nc(f, sampler, True),
+    }
+    assert check_gs_sampled(f, sampler) == want["gs"]
+    assert check_si_sampled(f, sampler) == want["si"]
+    assert check_nc_sampled(f, sampler) == want["nc"]
+    assert check_nc_sampled(f, sampler, simultaneous=True) == want["ncsim"]
+    shared = _price_sweep(f, sampler, ("si", "nc", "ncsim"))
+    assert shared == {k: want[k] for k in ("si", "nc", "ncsim")}
+    return want
+
+
+def _oracle_demand(f: SetFunction, p: PriceVector):
+    vals = {m: f.table[m] - p.sum_over(m) for m in f.dom_masks}
+    best = max(vals.values())
+    return frozenset(m for m, v in vals.items() if v == best), best
+
+
+def test_price_streams_match_the_loops():
+    for f, sampler in [
+        (SetFunction(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(3))),
+         PriceSampler(seed=4, count=30)),
+        (_rank(5, 2), PriceSampler(seed=9, count=40, grid_step=Fraction(1, 3))),
+        (_rank(3, 1), PriceSampler(seed=1, count=10, grid_step=Fraction(2, 3),
+                                   radius=Fraction(5, 2))),
+        (_rank(3, 3), PriceSampler(seed=2, count=10, radius=Fraction(0))),
+    ]:
+        assert list(sampler.iter_prices(f)) == list(_oracle_prices(sampler, f))
+        assert list(sampler.iter_price_pairs(f)) == list(_oracle_pairs(sampler, f))
+
+
+def test_n2_universe_sweeps_match_the_loops():
+    levels = (NEG_INF, Fraction(0), Fraction(1))
+    failing = 0
+    for tab in product(levels, repeat=4):
+        if any(v is not NEG_INF for v in tab):
+            want = _assert_sweeps_agree(SetFunction(2, tab), PriceSampler(seed=5, count=20))
+            failing += not want["gs"].passed
+    assert 0 < failing < 80
+
+
+def test_n3_slice_sweeps_match_the_loops():
+    # every 97th {-inf, 0, 1} function on n = 3; the integer sweep runs
+    levels = (NEG_INF, Fraction(0), Fraction(1))
+    tables = [tab for tab in product(levels, repeat=8) if any(v is not NEG_INF for v in tab)]
+    verdicts = set()
+    for tab in tables[::97]:
+        want = _assert_sweeps_agree(SetFunction(3, tab), PriceSampler(seed=6, count=10))
+        verdicts.add(tuple(v.passed for v in want.values()))
+    assert {(True,) * 4, (False,) * 4} <= verdicts
+
+
+@st.composite
+def random_tables(draw, max_n, min_n=0):
+    """A seeded random table of rationals with -inf holes."""
+    n = draw(st.integers(min_n, max_n))
+    rng = Random(draw(st.integers(0, 2**32)))
+    holes = rng.random() / 2
+    tab = [NEG_INF if rng.random() < holes else Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+           for _ in range(1 << n)]
+    if not any(is_finite(v) for v in tab):
+        tab[rng.randrange(1 << n)] = Fraction(0)
+    return SetFunction(n, tuple(tab))
+
+
+@st.composite
+def priced_tables(draw, max_n=10):
+    f = draw(random_tables(max_n))
+    prices = st.one_of(RATIONALS, st.fractions(-9, 9, max_denominator=12))
+    return f, PriceVector(tuple(draw(prices) for _ in range(f.n)))
+
+
+SAMPLERS = st.builds(
+    PriceSampler,
+    seed=st.integers(0, 10**6),
+    count=st.integers(0, 60),
+    grid_step=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 4)]),
+    # small radii keep the integer sweep of n <= 4 short; the default
+    # radius runs on the small universes and the bumped instances
+    radius=st.sampled_from([Fraction(0), Fraction(3, 2), Fraction(5, 2)]),
+)
+
+
+@given(st.one_of(near_concave(), near_valuated_matroid(), random_tables(5, 2)), SAMPLERS)
+@settings(max_examples=150, deadline=None)
+def test_sweeps_match_the_loops(f, sampler):
+    _assert_sweeps_agree(f, sampler)
+
+
+@pytest.mark.parametrize("raised,by", [(0b11, 1), (0b110, Fraction(1, 2)), (0b111, 1), (0b11111, 2)])
+def test_bumped_sweeps_match_the_loops(raised, by):
+    # hits fall past the first chunks, up to sample 298
+    f = _rank(5, 2)
+    g = with_value(f, raised, f.table[raised] + by)
+    passed = set()
+    for sampler in (PriceSampler(seed=3, count=300),
+                    PriceSampler(seed=8, count=200, grid_step=Fraction(1, 3),
+                                 radius=Fraction(3))):
+        passed |= {v.passed for v in _assert_sweeps_agree(g, sampler).values()}
+    assert False in passed
+
+
+@given(priced_tables())
+@settings(max_examples=80, deadline=None)
+def test_demand_matches_the_rational_argmax(fp):
+    f, p = fp
+    d = demand(f, p)
+    assert (d.members.members, d.value) == _oracle_demand(f, p)
+    assert type(d.value) is Fraction
+
+
+# the big-integer route
+
+BIG_CASES = [
+    (_scaled(SetFunction(2, (Fraction(0), Fraction(1), Fraction(1), Fraction(3))), C),
+     PriceSampler(seed=4, count=60, grid_step=Fraction(C, 2), radius=Fraction(7 * C))),
+    (_scaled(_rank(5, 2), C), PriceSampler(seed=2, count=40)),
+    (_scaled(with_value(_rank(5, 2), 0b111, Fraction(3)), C),
+     PriceSampler(seed=2, count=200, grid_step=Fraction(C, 2), radius=Fraction(5 * C))),
+    (with_value(_rank(4, 2), 0b1111, Fraction(3)),
+     PriceSampler(seed=7, count=40, radius=Fraction(2**70))),
+]
+
+
+@pytest.mark.parametrize("f,sampler", BIG_CASES)
+def test_big_integer_sweeps_match_the_loops(f, sampler):
+    assert sampler._kernel(f).dtype is object
+    _assert_sweeps_agree(f, sampler)
+
+
+def test_some_big_integer_sweeps_fail():
+    assert sum(not _oracle_gs(f, s).passed for f, s in BIG_CASES) >= 2
+
+
+def test_big_integer_demand():
+    f = _scaled(with_value(_rank(6, 3), 0b111000, Fraction(5, 2)), C)
+    for p in (PriceVector((C,) * 6), PriceVector(tuple(Fraction(C * k, 3) for k in range(6)))):
+        d = demand(f, p)
+        assert (d.members.members, d.value) == _oracle_demand(f, p)
+
+
+def test_route_guard_boundary():
+    # |values| = 0, n = 1, scale 1: the sentinel is -(bound + 1), and int64
+    # holds while twice its magnitude stays below 2^62
+    f = SetFunction(1, (Fraction(0), Fraction(0)))
+    assert _DemandKernel(f, 1, 2**61 - 2).dtype is np.int64
+    assert _DemandKernel(f, 1, 2**61 - 1).dtype is object
+    for k in (2**61 - 2, 2**61 - 1, -(2**61) + 2, -(2**61) + 1):
+        p = PriceVector((Fraction(k),))
+        d = demand(f, p)
+        assert (d.members.members, d.value) == _oracle_demand(f, p)
+    # small scaled values but a price unit past int64, even at price zero
+    g = SetFunction(1, (Fraction(0), Fraction(1, 3**50)))
+    assert _DemandKernel(g, 1, 0).dtype is object
+    assert _DemandKernel(g, 3**50, 0).dtype is np.int64
+    for p in (PriceVector((0,)), PriceVector((Fraction(1, 3**50),))):
+        d = demand(g, p)
+        assert (d.members.members, d.value) == _oracle_demand(g, p)
+
+
+def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
+    sampler = PriceSampler(seed=1, count=20)
+    monkeypatch.setattr(econ, "_gs_flags", lambda kern, pq: np.ones(len(pq), dtype=bool))
+    monkeypatch.setattr(econ, "_si_flags", lambda kern, u, dem: np.ones(len(u), dtype=bool))
+    monkeypatch.setattr(econ, "_nc_first", lambda dem, simultaneous: 0)
+    with pytest.raises(InternalCheckError):
+        check_gs_sampled(rank2, sampler)
+    with pytest.raises(InternalCheckError):
+        check_si_sampled(rank2, sampler)
+    for simultaneous in (False, True):
+        with pytest.raises(InternalCheckError):
+            check_nc_sampled(rank2, sampler, simultaneous)
