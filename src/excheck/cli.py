@@ -12,6 +12,7 @@ arguments use exact ``p/q`` strings; decimals are rejected.  The
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -429,7 +430,9 @@ def _add_common(sp, caps: bool = True) -> None:
         sp.add_argument("--force", action="store_true", help="override size caps")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = _Parser(prog="excheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

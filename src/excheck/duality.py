@@ -1,10 +1,45 @@
 """Conjugates, submodularity spot checks, duality-gap reports, and the
 big-M price construction that reduces slice conjugates to the global one.
 
-The dual side of the gap report is searched exhaustively over integer
-points of a box after all values are rescaled to integers, so every number
-that enters a comparison is exact.  The sweep is vectorized over int64
-grids with an overflow guard that falls back to plain Python integers.
+The dual side of the gap report minimizes g1(q) + g2(-q) exactly over the
+integer points of the box [-R, R]^k (m = 2R + 1 values per coordinate),
+after all values are rescaled to integers, so every number that enters a
+comparison is exact.  Here g1(q) = max_J f1(J) - q(J) and g2(-q) =
+max_J f2(J) + q(J) over subsets J of the k elements of Y\\X.
+
+The sweep runs slab by slab over coordinate 0 in increasing order.  On
+slab q_0 = a, each conjugate is a subset dynamic program on int64 arrays:
+coordinate 0 is folded into the dense 2^(k-1)-entry slice table,
+h(J) = max(f(J), f(J + e_0) -/+ a), and every further coordinate c turns
+the table's {0, 1} axis into the grid axis q_c with one max-plus pass,
+max(h(J), h(J + e_c) -/+ q_c).  The last pass writes m^(k-1) entries
+twice (an add and a max) and each earlier pass a factor of about m/2
+fewer, so a slab costs about 2 m^(k-1) element operations per conjugate
+plus the sum and its minimum: under 8 m^k for the whole box, where one
+pass per finite slice entry cost 2 (|dom f1| + |dom f2|) m^k.  Entries
+off the domain hold the sentinel -2*bound - 1, below every finite entry
+at every grid point; int64 is used only while 2*bound (bound = max
+|value| + R*k) stays below 2^60, and the same sweep runs point by point
+on Python integers otherwise.
+
+By weak duality no point of the box lies below the primal value, and
+every visited point is checked against it (a violation raises
+``InternalCheckError``).  So the sweep stops after the first slab whose
+minimum equals the primal: the first minimizer of that slab in C order,
+which is lexicographic, is the lexicographically first minimizer of the
+whole box, the same point a full sweep returns.  When the gap is positive
+or the primal is -inf, every slab is visited.  The exit rests on weak
+duality alone.  For M-natural-concave f, steepest descent on the dual
+would reach some minimizer, but the report names the lexicographically
+first one, which can sit at the end of a line of minimizers.
+
+Measured on a 2-core host with CPython 3.11 and numpy 2.4, one
+``fenchel_gap`` call: k = 6 on min(|S|, 3) with the default radius
+(15^6 points) 0.03 s, from 1.9 s with one pass per slice entry; k = 7
+there 1.0 s at a peak RSS of 0.23 GB; the k = 5 weighted-matroid
+instance of the benchmark's dual corpus (31^5 points, closed in the first
+slab) 7 ms, from 0.69 s, and its k = 5 positive-gap instance (full box)
+4 ms, from 62 ms.
 """
 
 from __future__ import annotations
@@ -93,7 +128,9 @@ class DualityReport:
     is populated only when the gap closes.  ``box_radius`` records the
     search radius actually used, in original (unscaled) units, and
     ``scale`` the denominator-clearing factor, so a nonzero gap is
-    diagnosable.
+    diagnosable.  ``points_visited`` counts the box points the dual sweep
+    evaluated (0 on a degenerate instance): fewer than the box holds when
+    the sweep stopped at the slab where the dual reached the primal.
     """
 
     primal: ExtValue
@@ -104,6 +141,7 @@ class DualityReport:
     box_radius: Fraction
     scale: int
     note: str | None = None
+    points_visited: int = 0
 
 
 def _scaled_slice_items(f1: SetFunction, scale: int) -> list[tuple[int, int]]:
@@ -114,93 +152,127 @@ def _scaled_slice_items(f1: SetFunction, scale: int) -> list[tuple[int, int]]:
     return items
 
 
-def _grid_conjugate(items, a, axes, shape, sign):
-    """Max over items of v + sign * q(J) on the grid of the trailing axes.
-
-    ``a`` is the fixed value of the leading coordinate.
-    """
-    acc = None
-    for mask, v in items:
-        t0 = v + (sign * a if mask & 1 else 0)
-        expr = None
-        for d, ax in enumerate(axes):
-            if mask >> (d + 1) & 1:
-                expr = ax if expr is None else expr + ax
-        if expr is None:
-            if acc is None:
-                acc = np.full(shape, t0, dtype=np.int64)
-            else:
-                np.maximum(acc, t0, out=acc)
-        else:
-            arr = t0 + expr if sign > 0 else t0 - expr
-            if acc is None:
-                acc = np.broadcast_to(arr, shape).copy()
-            else:
-                np.maximum(acc, arr, out=acc)
-    assert acc is not None
-    return acc
-
-
 def _dual_sweep(items1, items2, k, radius, primal_int):
-    """Exhaustive min of g1(q) + g2(-q) over integer q in [-R, R]^k.
+    """Exact min of g1(q) + g2(-q) over integer q in [-R, R]^k.
 
     Returns (minimum, q as int tuple), taking the lexicographically first
-    minimizer.  Every visited point is checked against the primal value.
+    minimizer.  Every visited point is checked against the primal value,
+    and the sweep stops after the first slab of coordinate 0 whose minimum
+    equals it (see the module docstring).
     """
-    if k == 0:
-        total = items1[0][1] + items2[0][1]
-        if primal_int is not None and total < primal_int:
-            raise InternalCheckError("weak duality failed on the empty ground set")
-        return total, ()
-
     m = 2 * radius + 1
     if m**k > _MAX_BOX_POINTS:
         raise InputError(
             f"dual box has {m}^{k} integer points; shrink box_radius or the instance"
         )
+    # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
+    kk = max(k, 1)
     bound = max(abs(v) for _, v in items1 + items2) + radius * k
-    if 2 * bound >= _INT64_SAFE or m ** (k - 1) > _MAX_SLAB_ENTRIES:
+    if 2 * bound >= _INT64_SAFE or m ** (kk - 1) > _MAX_SLAB_ENTRIES:
         return _dual_sweep_py(items1, items2, k, radius, primal_int)
 
-    shape = (m,) * (k - 1)
-    axis_vals = np.arange(-radius, radius + 1, dtype=np.int64)
-    axes = []
-    for d in range(k - 1):
-        sh = [1] * (k - 1)
-        sh[d] = m
-        axes.append(axis_vals.reshape(sh))
-
+    sides = [_SlabConjugate(items, kk, radius, -2 * bound - 1, sign) for items, sign in
+             ((items1, -1), (items2, +1))]
+    shape = (m,) * (kk - 1)
+    lead = radius if k else 0
     best_val = None
     best_q: tuple[int, ...] = ()
-    for a in range(-radius, radius + 1):
-        g1 = _grid_conjugate(items1, a, axes, shape, sign=-1)
-        g2 = _grid_conjugate(items2, a, axes, shape, sign=+1)
-        total = g1 + g2
-        if primal_int is not None and bool((total < primal_int).any()):
-            raise InternalCheckError("weak duality failed during the dual sweep")
+    for a in range(-lead, lead + 1):
+        # the first side's result is scratch until its next slab
+        total = sides[0].slab(a)
+        total += sides[1].slab(a)
         mn = int(total.min())
+        if primal_int is not None and mn < primal_int:
+            raise InternalCheckError("weak duality failed during the dual sweep")
         if best_val is None or mn < best_val:
-            flat = int(total.argmin())
-            idx = np.unravel_index(flat, shape) if shape else ()
+            idx = np.unravel_index(int(total.argmin()), shape)
             best_val = mn
-            best_q = (a,) + tuple(int(i) - radius for i in idx)
+            best_q = ((a,) + tuple(int(i) - radius for i in idx))[:k]
+            if mn == primal_int:
+                break
     assert best_val is not None
     return best_val, best_q
+
+
+class _SlabConjugate:
+    """max over J of t(J) + sign * q(J) on one slab q_0 = a of the box.
+
+    The scaled slice table is dense over the 2^k subsets, with ``sentinel``
+    off the domain.  Per slab, coordinate 0 is folded into the table,
+    h_a(J) = max(t(J), t(J + e_0) + sign * a) over J without element 0;
+    then each further coordinate c, last first, replaces the table's
+    {0, 1} axis by the grid axis q_c: max(h(J), h(J + e_c) + sign * q_c).
+    The result's axes are q_1, ..., q_{k-1} in order, so a C-order index
+    enumerates the slab lexicographically.  All arrays are reused.
+    """
+
+    def __init__(self, items, k, radius, sentinel, sign):
+        t = np.full(1 << k, sentinel, dtype=np.int64)
+        for mask, v in items:
+            t[mask] = v
+        # axis c of the (2,) * k view is element c's bit
+        t = t.reshape((2,) * k).T
+        self.without0 = t[0, ...].copy()
+        self.with0 = t[1, ...].copy()
+        self.sign = sign
+        self.h = np.empty_like(self.without0)
+        m = 2 * radius + 1
+        steps = sign * np.arange(-radius, radius + 1, dtype=np.int64)
+        # each pass reads the previous pass's buffer through fixed views
+        self.passes = []
+        cur = self.h
+        for c in range(k - 1, 0, -1):  # coordinate c is axis c - 1
+            lead = (slice(None),) * (c - 1)
+            out = np.empty((2,) * (c - 1) + (m,) * (k - c), dtype=np.int64)
+            self.passes.append((
+                np.expand_dims(cur[lead + (0, ...)], c - 1),  # views, never scalars
+                np.expand_dims(cur[lead + (1, ...)], c - 1),
+                steps.reshape((m,) + (1,) * (k - 1 - c)),
+                out,
+            ))
+            cur = out
+        self.result = cur
+
+    def slab(self, a):
+        np.add(self.with0, self.sign * a, out=self.h)
+        np.maximum(self.h, self.without0, out=self.h)
+        for without_c, with_c, steps, out in self.passes:
+            np.add(with_c, steps, out=out)
+            np.maximum(out, without_c, out=out)
+        return self.result
 
 
 def _dual_sweep_py(items1, items2, k, radius, primal_int):
+    """The same sweep on Python integers, point by point in box order, with
+    the same first-slab exit."""
+    kk = max(k, 1)
+    lead = radius if k else 0
     best_val = None
     best_q: tuple[int, ...] = ()
-    for q in product(range(-radius, radius + 1), repeat=k):
-        g1 = max(v - sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items1)
-        g2 = max(v + sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items2)
-        total = g1 + g2
-        if primal_int is not None and total < primal_int:
-            raise InternalCheckError("weak duality failed during the dual sweep")
-        if best_val is None or total < best_val:
-            best_val, best_q = total, q
+    for a in range(-lead, lead + 1):
+        for rest in product(range(-radius, radius + 1), repeat=kk - 1):
+            q = ((a,) + rest)[:k]
+            g1 = max(v - sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items1)
+            g2 = max(v + sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items2)
+            total = g1 + g2
+            if primal_int is not None and total < primal_int:
+                raise InternalCheckError("weak duality failed during the dual sweep")
+            if best_val is None or total < best_val:
+                best_val, best_q = total, q
+        if best_val == primal_int:
+            break
     assert best_val is not None
     return best_val, best_q
+
+
+def _points_visited(k, radius, q, closed):
+    """Box points both sweeps evaluate: whole slabs of coordinate 0, up to
+    the one holding q when the dual reached the primal, else all of them."""
+    m = 2 * radius + 1
+    if k == 0:
+        return 1
+    slabs = q[0] + radius + 1 if closed else m
+    return slabs * m ** (k - 1)
 
 
 def fenchel_gap(
@@ -209,11 +281,16 @@ def fenchel_gap(
     """Compare both sides of the exchange duality on one instance.
 
     The primal side enumerates J over subsets of Y\\X; the dual side
-    exhaustively minimizes g1(q) + g2(-q) over integer q in a box, after
-    clearing denominators.  The default radius is twice the finite value
-    range plus one (in cleared units); a caller-supplied ``box_radius`` is
-    interpreted in original units and floored onto the integer grid.
-    Practical cap: |Y\\X| up to about 10.
+    minimizes g1(q) + g2(-q) over integer q in a box, after clearing
+    denominators, with the slab-by-slab subset DP described in the module
+    docstring.  It stops after the first slab whose minimum reaches the
+    primal, so a closing gap usually costs a fraction of the box (see
+    ``points_visited``), and ``q_star`` is the lexicographically first
+    minimizer of the box either way.  The default radius is twice the
+    finite value range plus one (in cleared units); a caller-supplied
+    ``box_radius`` is interpreted in original units and floored onto the
+    integer grid.  Cost grows as about 8 m^k for m = 2R + 1 values per
+    coordinate: k = 6 with m = 15 takes about 0.03 s, k = 7 about 1 s.
     """
     validate_exchange_args(f, X, Y, I)
     t = IntTable(f)
@@ -257,6 +334,7 @@ def fenchel_gap(
             primal_int = total
 
     dual_int, q_ints = _dual_sweep(items1, items2, k, radius, primal_int)
+    visited = _points_visited(k, radius, q_ints, dual_int == primal_int)
 
     dual = Fraction(dual_int, scale)
     if primal_int is None:
@@ -269,6 +347,7 @@ def fenchel_gap(
             box_radius=Fraction(radius, scale),
             scale=scale,
             note="primal is -inf (the slices have disjoint finite supports); gap is infinite",
+            points_visited=visited,
         )
 
     primal = Fraction(primal_int, scale)
@@ -294,6 +373,7 @@ def fenchel_gap(
         box_radius=Fraction(radius, scale),
         scale=scale,
         note=note,
+        points_visited=visited,
     )
 
 

@@ -271,6 +271,36 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def test_parser_reuse_keeps_output(files, capsys):
+    from excheck.cli import build_parser
+
+    calls = [
+        ("check", files["comp"], "--property", "local", "--format", "json", "--no-timing"),
+        (
+            "duality", files["rank2"], "--x", "1,2", "--y", "3", "--i", "1",
+            "--box-radius", "2", "--format", "json", "--no-timing",
+        ),
+        ("demand", files["rank2"], "--price", "1/2,1,0", "--no-timing"),
+        (
+            "exchange", files["rank2"], "--x", "1,2", "--y", "3", "--i", "1,2",
+            "--format", "json", "--no-timing", "--threads", "2",
+        ),
+        ("duality", files["rank2"], "--x", "1,2", "--y", "3", "--i", "1", "--no-timing"),
+        ("check", files["rank2"], "--property", "mnat-exc", "--no-timing"),
+    ]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert build_parser() is build_parser()
+    for argv, expected in zip(calls, first):
+        with pytest.raises(SystemExit) as exc:
+            main(["duality", files["rank2"], "--x"])  # --x without a value
+        assert exc.value.code == 1
+        capsys.readouterr()
+        assert run(capsys, *argv) == expected
+
+
 def test_timing_present_by_default(files, capsys):
     code, out, _ = run(capsys, "check", files["rank2"], "--property", "mnat-exc",
                        "--format", "json")

@@ -67,6 +67,25 @@ def test_fenchel_gap_empty_ground(rank2, comp):
     assert rep.primal == 2 and rep.dual == 2 and rep.gap == 0
 
 
+def _box_points(rep):
+    m = 2 * int(rep.box_radius * rep.scale) + 1
+    return m ** len(rep.y0_elements)
+
+
+def test_closing_gap_stops_at_the_first_slab():
+    f = SetFunction.from_callable(6, lambda m: Fraction(min(m.bit_count(), 3)))
+    rep = fenchel_gap(f, 0b000011, 0b011100, 0b000001)
+    assert rep.gap == 0 and len(rep.y0_elements) == 3
+    radius = int(rep.box_radius)
+    m = 2 * radius + 1
+    slabs = int(rep.q_star.entries[0]) + radius + 1
+    assert rep.points_visited == slabs * m**2 < _box_points(rep)
+
+    # a one-point box too small to close the gap
+    rep = fenchel_gap(f, 0b000011, 0b011100, 0b000001, box_radius=Fraction(0))
+    assert rep.gap == 1 and rep.points_visited == 1
+
+
 def test_fenchel_gap_positive():
     # values chosen so the averaged (fractional) pairing beats every common J
     f = SetFunction.from_entries(
@@ -88,6 +107,14 @@ def test_fenchel_gap_positive():
     assert rep.gap == 10
     assert rep.q_star is None
     assert rep.note is not None
+    assert rep.points_visited == _box_points(rep)  # a positive gap sweeps the whole box
+
+
+def test_infinite_gap_visits_the_whole_box():
+    # slices with disjoint finite supports: the primal is -inf
+    f = SetFunction.from_entries(3, [(0b011, 0), (0b100, 0), (0b010, 0), (0b001, 0)])
+    rep = fenchel_gap(f, 0b011, 0b100, 0b001)
+    assert rep.gap is None and rep.points_visited == _box_points(rep) == 3
 
 
 def test_fenchel_gap_degenerate_slice():
@@ -96,6 +123,7 @@ def test_fenchel_gap_degenerate_slice():
     assert rep.primal is NEG_INF and rep.dual is NEG_INF
     assert rep.gap == 0 and rep.q_star is None
     assert "degenerate" in rep.note
+    assert rep.points_visited == 0  # no sweep
 
 
 def test_fenchel_box_monotone(rank2):

@@ -1,11 +1,14 @@
-"""Differential tests of the exchange kernels and the demand kernel.
+"""Differential tests of the exchange kernels, the demand kernel and the
+dual box sweep.
 
 The vectorized int64 route and the exact loop route are called directly on
 the same sentinel table; the verdicts built from their hits, witnesses
 included, must be equal.  Family scans are compared against the plain
 membership scans kept below as the oracles.  The sampled GS/SI/NC sweeps
 are compared against per-price loops over the integer table, with the
-price streams drawn the way those loops drew them.
+price streams drawn the way those loops drew them.  The subset-DP dual
+sweep is compared against the per-item grid sweep kept below and against
+the big-integer point loop.
 """
 
 from dataclasses import replace
@@ -22,6 +25,7 @@ from hypothesis import given, settings
 from excheck import (
     NEG_INF,
     InternalCheckError,
+    MatroidSpec,
     PriceSampler,
     PriceVector,
     SetFamily,
@@ -42,6 +46,8 @@ from excheck import (
     demand,
     econ,
     find_exchange_set,
+    gen_weighted_matroid,
+    slice_pair,
     with_value,
 )
 from excheck._fast import IntTable
@@ -60,6 +66,7 @@ from excheck.checkers import (
     _single_exchange_verdict,
     _valuated_matroid_verdict,
 )
+from excheck.duality import _dual_sweep, _dual_sweep_py, _scaled_slice_items
 from excheck.econ import (
     _DemandKernel,
     _fixed_price_mask,
@@ -785,3 +792,159 @@ def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
     for simultaneous in (False, True):
         with pytest.raises(InternalCheckError):
             check_nc_sampled(rank2, sampler, simultaneous)
+
+
+# ----------------------------------------------------------------------
+# the dual box sweep
+
+
+def _grid_conjugate(items, a, axes, shape, sign):
+    """Max over items of v + sign * q(J) on the grid of the trailing axes,
+    one full pass per finite item; ``a`` is the leading coordinate."""
+    acc = None
+    for mask, v in items:
+        t0 = v + (sign * a if mask & 1 else 0)
+        expr = None
+        for d, ax in enumerate(axes):
+            if mask >> (d + 1) & 1:
+                expr = ax if expr is None else expr + ax
+        if expr is None:
+            if acc is None:
+                acc = np.full(shape, t0, dtype=np.int64)
+            else:
+                np.maximum(acc, t0, out=acc)
+        else:
+            arr = t0 + expr if sign > 0 else t0 - expr
+            if acc is None:
+                acc = np.broadcast_to(arr, shape).copy()
+            else:
+                np.maximum(acc, arr, out=acc)
+    assert acc is not None
+    return acc
+
+
+def _per_item_sweep(items1, items2, k, radius):
+    """The whole box, slab by slab, with the per-item grid conjugates."""
+    if k == 0:
+        return items1[0][1] + items2[0][1], ()
+    m = 2 * radius + 1
+    shape = (m,) * (k - 1)
+    axis_vals = np.arange(-radius, radius + 1, dtype=np.int64)
+    axes = []
+    for d in range(k - 1):
+        sh = [1] * (k - 1)
+        sh[d] = m
+        axes.append(axis_vals.reshape(sh))
+    best_val = None
+    best_q = ()
+    for a in range(-radius, radius + 1):
+        total = _grid_conjugate(items1, a, axes, shape, -1) + _grid_conjugate(
+            items2, a, axes, shape, +1
+        )
+        mn = int(total.min())
+        if best_val is None or mn < best_val:
+            idx = np.unravel_index(int(total.argmin()), shape)
+            best_val = mn
+            best_q = (a,) + tuple(int(i) - radius for i in idx)
+    return best_val, best_q
+
+
+def _slice_primal(items1, items2):
+    vals2 = dict(items2)
+    sums = [v + vals2[mask] for mask, v in items1 if mask in vals2]
+    return max(sums) if sums else None
+
+
+def _dual_value(items1, items2, q):
+    def price(mask):
+        return sum(q[i] for i in range(len(q)) if mask >> i & 1)
+
+    return max(v - price(mask) for mask, v in items1) + max(v + price(mask) for mask, v in items2)
+
+
+@st.composite
+def slice_tables(draw, max_k=5):
+    """Two scaled slice tables on k elements with -inf holes, each with at
+    least one finite entry."""
+    k = draw(st.integers(0, max_k))
+    top = draw(st.sampled_from([2, 6, 40]))
+
+    def side():
+        t = draw(st.lists(st.one_of(st.none(), st.integers(-top, top)),
+                          min_size=1 << k, max_size=1 << k))
+        if all(v is None for v in t):
+            t[draw(st.integers(0, (1 << k) - 1))] = draw(st.integers(-top, top))
+        return [(mask, v) for mask, v in enumerate(t) if v is not None]
+
+    return k, side(), side()
+
+
+@given(slice_tables(), st.integers(0, 4), st.sampled_from(["none", "primal", "below"]),
+       st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_dual_sweep_matches_the_oracles(tables, radius, mode, drop):
+    k, items1, items2 = tables
+    expected = _per_item_sweep(items1, items2, k, radius)
+    # "below" leaves a positive gap to the box minimum, so nothing stops early
+    primal_int = {"none": None, "primal": _slice_primal(items1, items2),
+                  "below": expected[0] - drop}[mode]
+    assert _dual_sweep(items1, items2, k, radius, primal_int) == expected
+    if (2 * radius + 1) ** k <= 729:
+        assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
+
+
+def _matroid_slices():
+    """(items1, items2, k) of U(3, 6) with weights 0, 1, 2, 0, 1, 2 at X = {1, 2, 3}:
+    every slice domain is equicardinal, so g1(q) + g2(-q) is constant along
+    (1, ..., 1) and the minimizers form lines across many slabs."""
+    f = gen_weighted_matroid(MatroidSpec.uniform(3, 6, weights=(0, 1, 2, 0, 1, 2)))
+    X = 0b000111
+    for Y in f.dom_masks:
+        xd = X & ~Y
+        if (Y & ~X).bit_count() < 2:
+            continue
+        for I in (xd & -xd, xd):
+            sp = slice_pair(f, X, Y, I)
+            yield (_scaled_slice_items(sp.f1, 1), _scaled_slice_items(sp.f2, 1),
+                   len(sp.elements))
+
+
+def test_dual_sweep_first_minimizer_on_matroid_slices():
+    cases = list(_matroid_slices())
+    assert len(cases) == 20
+    radius = 9  # the default radius: 2 * (value range) + 1
+    for items1, items2, k in cases:
+        primal_int = _slice_primal(items1, items2)
+        expected = _per_item_sweep(items1, items2, k, radius)
+        assert expected[0] == primal_int  # the gap closes, so the sweep stops early
+        got = _dual_sweep(items1, items2, k, radius, primal_int)
+        assert got == expected
+        if k <= 2:
+            assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
+        # the next point on the line of minimizers lies in a later slab
+        q = got[1]
+        assert min(q) == -radius
+        step = tuple(x + 1 for x in q)
+        assert _dual_value(items1, items2, step) == got[0]
+
+
+def test_dual_sweep_big_values_near_the_guard():
+    # 2 * bound just below 2^60 stays on int64 with the sentinel -2*bound-1
+    big = 2**59 - 64
+    items1 = [(0, -big), (0b011, big), (0b101, big - 3), (0b110, -big + 7)]
+    items2 = [(0, big - 1), (0b001, -big), (0b111, big - 5)]
+    for primal_int in (None, _slice_primal(items1, items2)):
+        expected = _dual_sweep_py(items1, items2, 3, 2, primal_int)
+        assert _dual_sweep(items1, items2, 3, 2, primal_int) == expected
+        assert expected == _per_item_sweep(items1, items2, 3, 2)
+
+
+def test_forged_primal_above_the_box_minimum_raises():
+    f = gen_weighted_matroid(MatroidSpec.uniform(2, 4, weights=(0, 1, 2, 0)))
+    sp = slice_pair(f, 0b0011, 0b1100, 0b0001)
+    items1, items2 = _scaled_slice_items(sp.f1, 1), _scaled_slice_items(sp.f2, 1)
+    # above the minimum of the first slab, which the sweep always visits
+    forged = min(_dual_value(items1, items2, (-2, b)) for b in range(-2, 3)) + 1
+    for sweep in (_dual_sweep, _dual_sweep_py):
+        with pytest.raises(InternalCheckError):
+            sweep(items1, items2, 2, 2, forged)
