@@ -4,17 +4,17 @@ Every checker returns a :class:`Verdict`; a failing verdict carries a
 :class:`Witness` naming the violated condition, the quantified tuple, and
 both sides of the inequality so the violation can be replayed exactly.
 Quantified tuples are scanned in lexicographic bitmask order (X outer, Y
-middle, elements or I inner), so witnesses are canonical.  The sweeps may
-be partitioned across threads; contiguous chunks reduce to the earliest
-hit, which keeps the reported witness identical for any thread count.
+middle, elements or I inner), so witnesses are canonical.
 
 One kernel runs every one-item scan: ``mnat-exc``, ``valuated-matroid``
 (which has no deletion branch), the family axiom ``b-exc`` and the domain
 check of ``local``.  A family F is scanned as its indicator table, 0 on F
 and -1 elsewhere, on which ``b-exc`` is exactly ``mnat-exc``.  The kernel
-reads the integer table of :class:`IntTable`.  When twice the largest
-magnitude among its entries and its ``-inf`` sentinel is below 2^62, every
-two-term sum is exact in int64 and the scan is vectorized with numpy:
+reads the function's cached :class:`IntTable` (``SetFunction.ints``) and
+its int64 arrays, so repeated checks of one function rescale it once.
+When twice the largest magnitude among its entries and its ``-inf``
+sentinel is below 2^62, every two-term sum is exact in int64 and the scan
+is vectorized with numpy:
 chunks of X rows, in order, against every Y, each element i on the grid of
 rows holding i and columns missing it.  Otherwise, and for domains of fewer
 than 32 sets, where numpy's call overhead loses, the same scan runs as
@@ -50,7 +50,6 @@ took 0.3 s, 1.3 s and 10 s up to n = 10); on the bases of U(6, 12),
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -163,24 +162,6 @@ class ExchangeCertificate:
             raise InputError("certificate violates lhs <= rhs")
 
 
-def _first_hit(items, scan, threads: int):
-    """Run ``scan`` over contiguous chunks of ``items``; earliest hit wins."""
-    if threads <= 1 or len(items) <= 8:
-        return scan(items)
-    nchunks = min(len(items), threads * 4)
-    step = (len(items) + nchunks - 1) // nchunks
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    hit = None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(scan, chunk) for chunk in chunks]
-        for fut in futures:
-            result = fut.result()
-            if result is not None:
-                hit = result
-                break
-    return hit
-
-
 # ----------------------------------------------------------------------
 # the one-item exchange kernel (see the module docstring for its routes)
 
@@ -202,21 +183,20 @@ def _fits_int64(neg: int, lo: int, hi: int) -> bool:
     return 2 * max(abs(neg), abs(lo), abs(hi)) < _INT64_SAFE
 
 
-def _exchange_scanner(s, dom, neg: int, lo: int, hi: int, deletion: bool):
-    """Return ``scan(xs)``: the earliest violating (X, Y, i-bit) with X in xs.
+def _exchange_hit(t: IntTable, deletion: bool):
+    """The earliest violating (X, Y, i-bit) of the one-item scan, or None.
 
-    ``s`` is a sentinel table (``-inf`` entries replaced by ``neg``, as in
-    :class:`IntTable`) and ``dom`` the ascending masks of its finite
-    entries.  With ``deletion`` the rhs includes s(X-i) + s(Y+i)
-    (mnat-exc); without it the empty swap maximum is the floor 2*neg - 1,
-    below every two-term sum (valuated matroids).
+    The scan reads the sentinel table ``t.sent`` (``-inf`` entries replaced
+    by ``t.neg``) over the ascending finite masks ``t.dom``.  With
+    ``deletion`` the rhs includes s(X-i) + s(Y+i) (mnat-exc); without it
+    the empty swap maximum is the floor 2*neg - 1, below every two-term sum
+    (valuated matroids).
     """
-    floor = None if deletion else 2 * neg - 1
-    if not _fits_int64(neg, lo, hi) or len(dom) ** 2 < _VECTOR_MIN_CELLS:
-        return lambda xs: _scan_exchange_py(s, dom, xs, floor)
-    sa = np.array(s, dtype=np.int64)
-    da = np.array(dom, dtype=np.int64)
-    return lambda xs: _scan_exchange_np(sa, da, xs, neg, floor)
+    floor = None if deletion else 2 * t.neg - 1
+    if not _fits_int64(t.neg, t.lo, t.hi) or len(t.dom) ** 2 < _VECTOR_MIN_CELLS:
+        return _scan_exchange_py(t.sent, t.dom, t.dom, floor)
+    sa, da = t.arrays()
+    return _scan_exchange_np(sa, da, da, t.neg, floor)
 
 
 def _scan_exchange_py(s, dom, xs, floor):
@@ -369,17 +349,16 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
 _MULTI_BLOCK = 1 << 13
 
 
-def _multi_scanner(s, dom, neg: int, lo: int, hi: int):
-    """Return ``scan(xs)``: the earliest (X, Y, I) with X in xs that no J repairs.
+def _multi_hit(t: IntTable):
+    """The earliest (X, Y, I) that no J repairs, or None.
 
-    ``s`` and ``dom`` are as for :func:`_exchange_scanner`; the tuple is
+    The scan reads ``t`` as :func:`_exchange_hit` does; the tuple is
     repaired by J inside Y\\X when s(X-I+J) + s(Y-J+I) >= s(X) + s(Y).
     """
-    if not _fits_int64(neg, lo, hi) or len(dom) ** 2 < _VECTOR_MIN_CELLS:
-        return lambda xs: _scan_multi_py(s, dom, xs)
-    sa = np.array(s, dtype=np.int64)
-    da = np.array(dom, dtype=np.int64)
-    return lambda xs: _scan_multi_np(sa, da, xs)
+    if not _fits_int64(t.neg, t.lo, t.hi) or len(t.dom) ** 2 < _VECTOR_MIN_CELLS:
+        return _scan_multi_py(t.sent, t.dom, t.dom)
+    sa, da = t.arrays()
+    return _scan_multi_np(sa, da, da)
 
 
 def _scan_multi_py(s, dom, xs):
@@ -549,21 +528,18 @@ def _pick(picks: dict, pc, k: int, size):
 # families on the kernels
 
 
-def _scan_indicator(size: int, members, threads: int, multi: bool = False):
+def _scan_indicator(n: int, members, multi: bool = False):
     """Earliest b-exc (or b-exc-m) violation of a family: the mnat-exc (or
     mnat-exc-m) scan of its indicator.
 
     The indicator is 0 on the ascending ``members`` and -1 elsewhere, which
-    is IntTable's sentinel table of the zero function on the family.
+    is the sentinel table of the zero function on the family.
     """
-    delta = [-1] * size
+    vals = [None] * (1 << n)
     for m in members:
-        delta[m] = 0
-    if multi:
-        scan = _multi_scanner(delta, members, -1, 0, 0)
-    else:
-        scan = _exchange_scanner(delta, members, -1, 0, 0, deletion=True)
-    return _first_hit(members, scan, threads)
+        vals[m] = 0
+    t = IntTable.from_parts(n, 1, vals, list(members), 0, 0)
+    return _multi_hit(t) if multi else _exchange_hit(t, deletion=True)
 
 
 def _scan_b_exc_pm(mem, da, xs, n: int):
@@ -661,7 +637,7 @@ def _family_pm_witness(members, X: int, Y: int, ib: int, clause: str) -> Witness
 # single-item exchange (discrete concavity)
 
 
-def check_single_exchange(f: SetFunction, threads: int = 1) -> Verdict:
+def check_single_exchange(f: SetFunction) -> Verdict:
     """Check the one-item exchange axiom of discrete concavity.
 
     For every X, Y in the effective domain and i in X\\Y the sum f(X)+f(Y)
@@ -669,9 +645,7 @@ def check_single_exchange(f: SetFunction, threads: int = 1) -> Verdict:
     swapping i against some j in Y\\X.  Tuples with an infinite left-hand
     side hold vacuously.
     """
-    t = IntTable(f)
-    scan = _exchange_scanner(t.sent, t.dom, t.neg, t.lo, t.hi, deletion=True)
-    return _single_exchange_verdict(f, _first_hit(t.dom, scan, threads))
+    return _single_exchange_verdict(f, _exchange_hit(f.ints, deletion=True))
 
 
 def _single_exchange_verdict(f: SetFunction, hit) -> Verdict:
@@ -719,15 +693,13 @@ def find_exchange_set(f: SetFunction, X: int, Y: int, I: int) -> ExchangeCertifi
     return None
 
 
-def check_multiple_exchange(f: SetFunction, threads: int = 1) -> Verdict:
+def check_multiple_exchange(f: SetFunction) -> Verdict:
     """Check the multi-item exchange axiom over every (X, Y, I).
 
     Worst-case cost grows as 4^n times the submask count of X\\Y, hence the
     documented exhaustive-scan cap.
     """
-    t = IntTable(f)
-    scan = _multi_scanner(t.sent, t.dom, t.neg, t.lo, t.hi)
-    return _multiple_exchange_verdict(f, _first_hit(t.dom, scan, threads))
+    return _multiple_exchange_verdict(f, _multi_hit(f.ints))
 
 
 def _multiple_exchange_verdict(f: SetFunction, hit) -> Verdict:
@@ -745,14 +717,14 @@ def _multiple_exchange_verdict(f: SetFunction, hit) -> Verdict:
 # valuated matroids
 
 
-def check_valuated_matroid(f: SetFunction, threads: int = 1) -> Verdict:
+def check_valuated_matroid(f: SetFunction) -> Verdict:
     """Check the valuated-matroid axioms.
 
     The effective domain must be equi-cardinal and every (X, Y, i) must
     admit a value-preserving swap against some j in Y\\X (no pure
     deletion branch here; the empty swap maximum counts as -inf).
     """
-    t = IntTable(f)
+    t = f.ints
     dom = t.dom
 
     card = dom[0].bit_count()
@@ -768,8 +740,7 @@ def check_valuated_matroid(f: SetFunction, threads: int = 1) -> Verdict:
                 ),
             )
 
-    scan = _exchange_scanner(t.sent, dom, t.neg, t.lo, t.hi, deletion=False)
-    return _valuated_matroid_verdict(f, _first_hit(dom, scan, threads))
+    return _valuated_matroid_verdict(f, _exchange_hit(t, deletion=False))
 
 
 def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
@@ -795,7 +766,7 @@ def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
 # local characterization
 
 
-def check_local(f: SetFunction, threads: int = 1) -> Verdict:
+def check_local(f: SetFunction) -> Verdict:
     """Check the local characterization of the one-item exchange axiom.
 
     The effective domain must satisfy the one-item family exchange
@@ -804,17 +775,14 @@ def check_local(f: SetFunction, threads: int = 1) -> Verdict:
     and (iii) the stated best-of-two swap bounds on triples and disjoint
     pairs.  The first failing family is reported.
     """
-    t = IntTable(f)
-    dom = t.dom
-
-    hit = _scan_indicator(t.size, dom, threads)
+    t = f.ints
+    hit = _scan_indicator(t.n, t.dom)
     if hit is not None:
-        return Verdict(False, _family_witness("local:domain", frozenset(dom), *hit))
+        return Verdict(False, _family_witness("local:domain", frozenset(t.dom), *hit))
 
-    xs_all = list(range(t.size))
     tab = f.table
 
-    hit = _first_hit(xs_all, lambda xs: _scan_local_pairs(t, xs), threads)
+    hit = _scan_local_pairs(t)
     if hit is not None:
         X, ib, jb = hit
         lhs = tab[X | ib | jb] + tab[X]
@@ -830,7 +798,7 @@ def check_local(f: SetFunction, threads: int = 1) -> Verdict:
             ),
         )
 
-    hit = _first_hit(xs_all, lambda xs: _scan_local_triples(t, xs), threads)
+    hit = _scan_local_triples(t)
     if hit is not None:
         X, ib, jb, kb = hit
         lhs = tab[X | ib | jb] + tab[X | kb]
@@ -850,7 +818,7 @@ def check_local(f: SetFunction, threads: int = 1) -> Verdict:
             ),
         )
 
-    hit = _first_hit(xs_all, lambda xs: _scan_local_quads(t, xs), threads)
+    hit = _scan_local_quads(t)
     if hit is not None:
         X, ib, jb, kb, lb = hit
         lhs = tab[X | ib | jb] + tab[X | kb | lb]
@@ -878,9 +846,9 @@ def _free_bits(t: IntTable, X: int) -> list[int]:
     return [1 << i for i in range(t.n) if not X >> i & 1]
 
 
-def _scan_local_pairs(t: IntTable, xs):
+def _scan_local_pairs(t: IntTable):
     vals, s = t.vals, t.sent
-    for X in xs:
+    for X in range(t.size):
         if vals[X] is None:
             continue
         free = _free_bits(t, X)
@@ -893,9 +861,9 @@ def _scan_local_pairs(t: IntTable, xs):
     return None
 
 
-def _scan_local_triples(t: IntTable, xs):
+def _scan_local_triples(t: IntTable):
     vals, s = t.vals, t.sent
-    for X in xs:
+    for X in range(t.size):
         free = _free_bits(t, X)
         for ib, jb in combinations(free, 2):
             top = vals[X | ib | jb]
@@ -913,9 +881,9 @@ def _scan_local_triples(t: IntTable, xs):
     return None
 
 
-def _scan_local_quads(t: IntTable, xs):
+def _scan_local_quads(t: IntTable):
     vals, s = t.vals, t.sent
-    for X in xs:
+    for X in range(t.size):
         free = _free_bits(t, X)
         pairs = list(combinations(free, 2))
         for a in range(len(pairs)):
@@ -965,7 +933,7 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 # family axioms
 
 
-def check_family(family: SetFamily, axiom: str, threads: int = 1) -> Verdict:
+def check_family(family: SetFamily, axiom: str) -> Verdict:
     """Check a set-family exchange axiom: one of ``b-exc``, ``b-exc-m``,
     ``b-exc-pm``.
 
@@ -980,30 +948,29 @@ def check_family(family: SetFamily, axiom: str, threads: int = 1) -> Verdict:
         raise InputError("the family has no members")
     members = family.members
     ms = family.sorted_members
-    size = 1 << family.n
 
     if ax == "b-exc":
-        hit = _scan_indicator(size, ms, threads)
+        hit = _scan_indicator(family.n, ms)
         if hit is None:
             return Verdict(True)
         return Verdict(False, _family_witness("bnat-exc", members, *hit))
     if ax == "b-exc-m":
-        hit = _scan_indicator(size, ms, threads, multi=True)
+        hit = _scan_indicator(family.n, ms, multi=True)
         if hit is None:
             return Verdict(True)
         return Verdict(False, _family_multi_witness(family, *hit))
     da = np.array(ms, dtype=np.int64)
-    mem = np.zeros(size, dtype=bool)
+    mem = np.zeros(1 << family.n, dtype=bool)
     mem[da] = True
-    hit = _first_hit(ms, lambda xs: _scan_b_exc_pm(mem, da, xs, family.n), threads)
+    hit = _scan_b_exc_pm(mem, da, da, family.n)
     if hit is None:
         return Verdict(True)
     return Verdict(False, _family_pm_witness(members, *hit))
 
 
-def is_generalized_matroid(family: SetFamily, threads: int = 1) -> bool:
+def is_generalized_matroid(family: SetFamily) -> bool:
     """A family is a generalized matroid exactly when it passes ``b-exc``."""
-    return check_family(family, "b-exc", threads).passed
+    return check_family(family, "b-exc").passed
 
 
 def find_base_exchange(family: SetFamily, X: int, Y: int, I: int) -> int | None:

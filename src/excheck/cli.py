@@ -5,8 +5,7 @@ Subcommands: ``check``, ``exchange``, ``duality``, ``demand``,
 holds (or the requested object was produced), 2 the property fails or no
 certificate exists, 1 for any usage or input error.  JSON reports are
 byte-identical across reruns when ``--no-timing`` is given.  Rational
-arguments use exact ``p/q`` strings; decimals are rejected.  The
-``EXCHECK_THREADS`` environment variable sets the default worker count.
+arguments use exact ``p/q`` strings; decimals are rejected.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -73,20 +71,6 @@ def _parse_rational_list(text: str, name: str) -> list[Fraction]:
         raise InputError(f"{name}: {e}") from None
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        if args.threads < 1:
-            raise InputError("--threads must be at least 1")
-        return args.threads
-    env = os.environ.get("EXCHECK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InputError(f"EXCHECK_THREADS is not an integer: {env!r}") from None
-    return 1
-
-
 def _verdict_obj(verdict) -> dict:
     return {
         "status": verdict.status,
@@ -127,7 +111,6 @@ def _require_scan_cap(n: int, force: bool) -> None:
 
 def _cmd_check(args) -> int:
     started = perf_counter()
-    threads = _threads(args)
     prop = args.property
     inst = load_instance(args.file)
     _require_scan_cap(inst.n, args.force)
@@ -143,12 +126,12 @@ def _cmd_check(args) -> int:
             "valuated-matroid": check_valuated_matroid,
             "local": check_local,
         }[prop]
-        verdict = runner(inst, threads)
+        verdict = runner(inst)
     else:
         if not isinstance(inst, SetFamily):
             raise InputError(f"property {prop} needs a set family, {args.file} holds a function")
         axiom = {"bnat-exc": "b-exc", "bnat-exc-m": "b-exc-m", "bnat-exc-pm": "b-exc-pm"}[prop]
-        verdict = check_family(inst, axiom, threads)
+        verdict = check_family(inst, axiom)
         if prop == "bnat-exc" and verdict.passed:
             note = "the family is a generalized matroid"
 
@@ -303,7 +286,6 @@ def _cmd_demand(args) -> int:
 
 def _cmd_equivalence(args) -> int:
     started = perf_counter()
-    threads = _threads(args)
     f = _load_function(args.file)
     _require_scan_cap(f.n, args.force)
     radius = parse_rational(args.radius) if args.radius is not None else None
@@ -313,7 +295,7 @@ def _cmd_equivalence(args) -> int:
         grid_step=parse_rational(args.step),
         radius=radius,
     )
-    rep = equivalence_report(f, sampler, threads)
+    rep = equivalence_report(f, sampler)
     exact = {
         "mnat-exc": _verdict_obj(rep.single_exchange),
         "mnat-exc-m": _verdict_obj(rep.multiple_exchange),
@@ -425,7 +407,6 @@ def _add_common(sp, caps: bool = True) -> None:
     sp.add_argument(
         "--no-timing", action="store_true", help="omit timing so reruns are byte-identical"
     )
-    sp.add_argument("--threads", type=int, default=None, help="worker threads")
     if caps:
         sp.add_argument("--force", action="store_true", help="override size caps")
 

@@ -1,8 +1,14 @@
 """Core types: set functions, set families, price vectors, and restrictions.
 
 A :class:`SetFunction` is a dense table of exact extended values over all
-2^n subsets of {1..n}, with at least one finite entry.  All types are
-immutable after construction and safe to share between threads.
+2^n subsets of {1..n}, with at least one finite entry.  Next to the
+rational table it keeps one integer table (:attr:`SetFunction.ints`, an
+:class:`~excheck._fast.IntTable`), built once on first use or handed over
+by the file loader; the checkers, ``fenchel_gap``, the demand kernel and
+``dom_masks``/``value_range`` all read it.  Functions derived from another
+one (``with_value``, ``shift_by_price``, ``slice_pair``) build their own.
+All types are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._fast import IntTable
 from .errors import EmptySliceError, InputError
 from .sets import elements_of, iter_bits, set_str
 from .values import NEG_INF, ExtValue, as_ext_value, is_finite
@@ -36,6 +43,11 @@ def _check_mask(mask: int, n: int, name: str = "subset") -> None:
         raise InputError(f"{name} out of range for ground set of size {n}: {mask!r}")
 
 
+def _check_ground_size(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > MAX_GROUND_SIZE:
+        raise InputError(f"ground-set size must be in 0..{MAX_GROUND_SIZE}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SetFunction:
     """Extended-rational set function given by its full value table.
@@ -51,14 +63,24 @@ class SetFunction:
     table: tuple[ExtValue, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0 or self.n > MAX_GROUND_SIZE:
-            raise InputError(f"ground-set size must be in 0..{MAX_GROUND_SIZE}, got {self.n!r}")
+        _check_ground_size(self.n)
         tab = tuple(as_ext_value(v) for v in self.table)
         if len(tab) != (1 << self.n):
             raise InputError(f"table must have exactly {1 << self.n} entries, got {len(tab)}")
         if not any(is_finite(v) for v in tab):
             raise InputError("effective domain is empty: every entry is -inf")
         object.__setattr__(self, "table", tab)
+
+    @classmethod
+    def _from_normalized(cls, n: int, table: tuple, ints: IntTable) -> "SetFunction":
+        """Wrap a table the caller has already normalized and validated
+        (0 <= n <= MAX_GROUND_SIZE, 2^n entries, each a Fraction or NEG_INF,
+        one finite), together with its integer table."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "table", table)
+        f.__dict__["ints"] = ints
+        return f
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "SetFunction":
@@ -83,15 +105,20 @@ class SetFunction:
         return self.table[subset]
 
     @cached_property
+    def ints(self) -> IntTable:
+        """The integer table of the function, built once."""
+        return IntTable(self)
+
+    @cached_property
     def dom_masks(self) -> tuple[int, ...]:
         """Masks with finite value, ascending."""
-        return tuple(m for m, v in enumerate(self.table) if is_finite(v))
+        return tuple(self.ints.dom)
 
     @cached_property
     def value_range(self) -> tuple[Fraction, Fraction]:
         """(min, max) over the finite entries."""
-        finite = [self.table[m] for m in self.dom_masks]
-        return (min(finite), max(finite))
+        t = self.ints
+        return (Fraction(t.lo, t.scale), Fraction(t.hi, t.scale))
 
     @cached_property
     def max_value(self) -> Fraction:
@@ -111,8 +138,7 @@ class SetFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0 or self.n > MAX_GROUND_SIZE:
-            raise InputError(f"ground-set size must be in 0..{MAX_GROUND_SIZE}, got {self.n!r}")
+        _check_ground_size(self.n)
         mem = frozenset(self.members)
         for m in mem:
             _check_mask(m, self.n, "member")

@@ -40,9 +40,10 @@ single-improvement and both no-complementarities checks on each chunk.
 Measured on 2 cores (CPython 3.11.7, numpy 2.4.6): the four sampled
 checks of the twelve reports of the benchmark's ``market`` workload take
 0.31-0.36 s as the report runs them (0.45 s as four separate calls;
-2.9-3.4 s as per-price loops), and exact demand at n = 12 takes 3-5 ms
-per call (23-29 ms as a loop over rationals), most of it the rescaling
-of the table.
+2.9-3.4 s as per-price loops), and exact demand at n = 12 takes about
+0.8 ms per call on a function whose integer table exists, as it does for
+every loaded file (23-29 ms as a loop over rationals); building the table
+from the rationals first adds 2-4 ms.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from random import Random
 
 import numpy as np
 
-from ._fast import IntTable
 from .checkers import Verdict, Witness, _fits_int64, check_multiple_exchange
 from .core import PriceVector, SetFamily, SetFunction
 from .errors import InputError, InternalCheckError
@@ -106,23 +106,25 @@ class _DemandKernel:
 
     Price entries are integers k standing for k/d, at most ``bound`` in
     magnitude.  Values and prices share the scale lcm(d, denominators of
-    f), and every shifted value lies strictly above ``sent``, the value
-    given to masks off the effective domain.  The arrays are int64 when
+    f): the cached integer table of f times lcm(scale, d) // scale.  Every
+    shifted value lies strictly above ``sent``, the value given to masks
+    off the effective domain.  The arrays are int64 when
     :func:`checkers._fits_int64` admits ``sent`` and the price unit, else
     Python integers.
     """
 
     def __init__(self, f: SetFunction, d: int, bound: int):
-        t = IntTable(f, extra_denominator=d)
+        t = f.ints
         self.n = f.n
-        self.scale = t.scale
-        self.unit = t.scale // d
-        self.sent = -(max(abs(t.lo), abs(t.hi)) + f.n * bound * self.unit + 1)
+        self.scale = lcm(t.scale, d)
+        self.unit = self.scale // d
+        mult = self.scale // t.scale
+        self.sent = -(max(abs(t.lo), abs(t.hi)) * mult + f.n * bound * self.unit + 1)
         # |sent| bounds every value, price sum and shifted value; the unit
         # must fit as well, since it scales the price rows
         self.dtype = np.int64 if _fits_int64(self.sent, self.unit, 0) else object
         self.vals = np.zeros(1 << f.n, dtype=self.dtype)
-        self.vals[t.dom] = [t.vals[m] for m in t.dom]
+        self.vals[t.dom] = [t.vals[m] * mult for m in t.dom]
         self.dom = np.zeros(1 << f.n, dtype=bool)
         self.dom[t.dom] = True
         self.masks = np.arange(1 << f.n)
@@ -581,9 +583,9 @@ def check_nc_sampled(
 # strong no complementarities and the combined report
 
 
-def check_snc(f: SetFunction, threads: int = 1) -> Verdict:
+def check_snc(f: SetFunction) -> Verdict:
     """Price-free strong condition; identical to the multi-item exchange check."""
-    return check_multiple_exchange(f, threads)
+    return check_multiple_exchange(f)
 
 
 @dataclass(frozen=True)
@@ -620,15 +622,13 @@ class EquivalenceReport:
         )
 
 
-def equivalence_report(
-    f: SetFunction, sampler: PriceSampler, threads: int = 1
-) -> EquivalenceReport:
+def equivalence_report(f: SetFunction, sampler: PriceSampler) -> EquivalenceReport:
     """Run all seven checks and cross-validate their consistency."""
     from .checkers import check_local, check_single_exchange
 
-    single = check_single_exchange(f, threads)
-    multiple = check_snc(f, threads)
-    local = check_local(f, threads)
+    single = check_single_exchange(f)
+    multiple = check_snc(f)
+    local = check_local(f)
     if not (single.passed == multiple.passed == local.passed):
         raise InternalCheckError(
             "exact checks disagree: "

@@ -6,17 +6,31 @@ integers or exact ``"p/q"`` strings.  Omitted subsets are -inf; duplicate
 sets are an input error; decimal numbers are rejected.
 
 Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
+
+A set function is loaded in one pass over its entries, which validates
+each entry and its element list, catches a repeated set with a byte per
+subset, and fills the rational table and the integer table of
+:class:`~excheck._fast.IntTable` together.  A JSON integer is its own
+numerator; each distinct ``"p/q"`` or ``"-inf"`` string is parsed once.
+Unusual input (a bool or out-of-range element, a bool or decimal value)
+goes through the general validators, so every error message is the one
+:func:`~excheck.sets.mask_from_elements` and
+:func:`~excheck.values.as_ext_value` give.  The function is then built
+without normalizing its values again, with the integer table in place.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
+from ._fast import IntTable
 from .core import MAX_GROUND_SIZE, SetFamily, SetFunction
 from .errors import InputError
-from .sets import elements_of, mask_from_elements
-from .values import as_ext_value, ext_to_json, is_finite
+from .sets import elements_of, mask_from_elements, set_str
+from .values import NEG_INF, ExtValue, as_ext_value, ext_to_json, is_finite
 
 __all__ = [
     "load_instance",
@@ -65,7 +79,14 @@ def obj_to_set_function(obj: dict) -> SetFunction:
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise InputError("'entries' must be a list")
-    pairs = []
+    size = 1 << n
+    table: list[ExtValue] = [NEG_INF] * size
+    nums: list = [None] * size  # JSON ints as they are, other values as Fractions
+    seen = bytearray(size)
+    parsed: dict = {}  # raw int or string -> its value; keyed only after a type test
+    dom: list[int] = []
+    dup = None
+    fractional = False
     for item in entries:
         if not isinstance(item, dict) or "set" not in item or "value" not in item:
             raise InputError(f"each entry needs 'set' and 'value', got {item!r}")
@@ -74,10 +95,56 @@ def obj_to_set_function(obj: dict) -> SetFunction:
             raise InputError(
                 f"decimal value {value!r} rejected; use an integer or a 'p/q' string"
             )
-        pairs.append((_element_list(item["set"], n), as_ext_value(value)))
-    if not pairs:
+        raw = item["set"]
+        mask = -1
+        if type(raw) is list:
+            mask = 0
+            for e in raw:
+                if type(e) is not int or not 0 < e <= n:
+                    mask = -1
+                    break
+                mask |= 1 << (e - 1)
+        if mask < 0 or mask.bit_count() != len(raw):  # a repeated element lowers the count
+            mask = _element_list(raw, n)  # unusual input: raises the usual error
+        if type(value) is int:
+            v = parsed.get(value)
+            if v is None:
+                v = parsed[value] = Fraction(value)
+            num = value
+        else:
+            if type(value) is str:
+                v = parsed.get(value)
+                if v is None:
+                    v = parsed[value] = as_ext_value(value)
+            else:
+                v = as_ext_value(value)
+            num = v  # rescaled below, once the scale is known
+            fractional = fractional or v is not NEG_INF
+        if seen[mask]:
+            if dup is None:
+                dup = mask  # reported once every value has been parsed
+            continue
+        seen[mask] = 1
+        if v is not NEG_INF:
+            table[mask] = v
+            nums[mask] = num
+            dom.append(mask)
+    if not entries:
         raise InputError("the function has no finite entries (empty effective domain)")
-    return SetFunction.from_entries(n, pairs)
+    if dup is not None:
+        raise InputError(f"duplicate subset {set_str(dup)}")
+    if not dom:
+        raise InputError("effective domain is empty: every entry is -inf")
+    dom.sort()
+    scale = 1
+    if fractional:
+        scale = lcm(*(nums[m].denominator for m in dom if type(nums[m]) is not int))
+        for m in dom:
+            v = nums[m]
+            nums[m] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+    finite = [nums[m] for m in dom]
+    ints = IntTable.from_parts(n, scale, nums, dom, min(finite), max(finite))
+    return SetFunction._from_normalized(n, tuple(table), ints)
 
 
 def obj_to_set_family(obj: dict) -> SetFamily:

@@ -241,21 +241,7 @@ def test_find_base_exchange_non_matroid():
 
 
 # ----------------------------------------------------------------------
-# determinism and threading
-
-
-def test_thread_count_does_not_change_witness(comp, rank2):
-    for f in (comp, rank2):
-        v1 = check_single_exchange(f, threads=1)
-        v4 = check_single_exchange(f, threads=4)
-        assert v1 == v4
-        assert check_local(f, threads=3) == check_local(f, threads=1)
-        assert check_multiple_exchange(f, threads=2) == check_multiple_exchange(f)
-
-
-def test_family_threading_deterministic(k4):
-    bases = k4.bases()
-    assert check_family(bases, "b-exc-m", threads=4) == check_family(bases, "b-exc-m")
+# determinism
 
 
 def test_repeat_runs_bit_identical(comp):

@@ -239,22 +239,6 @@ def test_json_reports_are_byte_identical(files, capsys):
     assert out1 == out2
 
 
-def test_threads_flag_keeps_output(files, capsys):
-    base = ("check", files["comp"], "--property", "mnat-exc", "--format", "json", "--no-timing")
-    _, out1, _ = run(capsys, *base, "--threads", "1")
-    _, out4, _ = run(capsys, *base, "--threads", "4")
-    assert out1 == out4
-
-
-def test_threads_env_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("EXCHECK_THREADS", "3")
-    code, out, _ = run(
-        capsys, "check", files["rank2"], "--property", "mnat-exc",
-        "--format", "json", "--no-timing",
-    )
-    assert code == 0
-
-
 def test_size_cap_and_force(tmp_path, capsys):
     fam = SetFamily(15, frozenset({0b1, 0b10}))
     p = tmp_path / "wide.json"
@@ -283,7 +267,7 @@ def test_parser_reuse_keeps_output(files, capsys):
         ("demand", files["rank2"], "--price", "1/2,1,0", "--no-timing"),
         (
             "exchange", files["rank2"], "--x", "1,2", "--y", "3", "--i", "1,2",
-            "--format", "json", "--no-timing", "--threads", "2",
+            "--format", "json", "--no-timing",
         ),
         ("duality", files["rank2"], "--x", "1,2", "--y", "3", "--i", "1", "--no-timing"),
         ("check", files["rank2"], "--property", "mnat-exc", "--no-timing"),

@@ -7,6 +7,7 @@ from excheck import (
     EmptySliceError,
     InputError,
     PriceVector,
+    SetFamily,
     SetFunction,
     effective_domain,
     mask_from_elements,
@@ -44,6 +45,15 @@ def test_table_invariants():
         SetFunction(21, (Fraction(0),) * (1 << 21))
     with pytest.raises(InputError):
         SetFunction(2, (0.5, 0, 0, 0))  # floats rejected
+
+
+def test_bool_ground_size_rejected():
+    with pytest.raises(InputError, match="ground-set size"):
+        SetFunction(True, (Fraction(0), Fraction(1)))
+    with pytest.raises(InputError, match="ground-set size"):
+        SetFamily(True, frozenset({0b1}))
+    with pytest.raises(InputError, match="ground-set size"):
+        SetFamily(False, frozenset())
 
 
 def test_from_entries_duplicate():

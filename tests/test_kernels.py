@@ -24,6 +24,7 @@ from hypothesis import given, settings
 
 from excheck import (
     NEG_INF,
+    EmptySliceError,
     InternalCheckError,
     MatroidSpec,
     PriceSampler,
@@ -43,10 +44,13 @@ from excheck import (
     check_si_sampled,
     check_single_exchange,
     check_valuated_matroid,
+    conjugate,
     demand,
     econ,
+    fenchel_gap,
     find_exchange_set,
     gen_weighted_matroid,
+    shift_by_price,
     slice_pair,
     with_value,
 )
@@ -54,6 +58,7 @@ from excheck._fast import IntTable
 from excheck.checkers import (
     _FIRST_CHUNK_CELLS,
     _VECTOR_MIN_CELLS,
+    _best_exchange_rhs,
     _family_multi_witness,
     _family_pm_witness,
     _family_witness,
@@ -74,6 +79,7 @@ from excheck.econ import (
     _nc_violation,
     _price_sweep,
 )
+from excheck.fileio import obj_to_set_function, set_function_to_obj
 from excheck.sets import iter_bits, iter_submasks
 from excheck.values import is_finite
 
@@ -377,7 +383,7 @@ def test_larger_families_against_oracle(n, data):
 
 
 # ----------------------------------------------------------------------
-# several chunks of X rows, and the thread split
+# several chunks of X rows
 
 
 @pytest.mark.parametrize("raised", [0b1, 0b11000000, 0b10110101, 0b11111110])
@@ -389,7 +395,6 @@ def test_chunked_scan_matches_loops(raised):
     hit = _assert_routes_agree(g)
     assert hit is not None
     assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
-    assert check_single_exchange(g, threads=3) == check_single_exchange(g)
 
 
 def test_multi_hit_in_a_later_chunk_after_deep_levels():
@@ -408,7 +413,6 @@ def test_multi_hit_in_a_later_chunk_after_deep_levels():
     assert find_exchange_set(g, 0b1100000, 0b1111, 0b1100000).j_set.bit_count() == 2
     v = check_multiple_exchange(g)
     assert v == _multiple_exchange_verdict(g, hit)
-    assert check_multiple_exchange(g, threads=3) == v
 
 
 # ----------------------------------------------------------------------
@@ -780,6 +784,15 @@ def test_route_guard_boundary():
         assert (d.members.members, d.value) == _oracle_demand(g, p)
 
 
+def test_demand_scale_set_by_the_price_alone():
+    # an all-zero table times a multiplier past int64 stays zero on int64
+    z = SetFunction(2, (Fraction(0),) * 4)
+    assert _DemandKernel(z, 3**50, 1).dtype is np.int64
+    for p in (PriceVector((Fraction(1, 3**50), 0)), PriceVector((1, Fraction(-2, 3**50)))):
+        d = demand(z, p)
+        assert (d.members.members, d.value) == _oracle_demand(z, p)
+
+
 def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
     sampler = PriceSampler(seed=1, count=20)
     monkeypatch.setattr(econ, "_gs_flags", lambda kern, pq: np.ones(len(pq), dtype=bool))
@@ -948,3 +961,79 @@ def test_forged_primal_above_the_box_minimum_raises():
     for sweep in (_dual_sweep, _dual_sweep_py):
         with pytest.raises(InternalCheckError):
             sweep(items1, items2, 2, 2, forged)
+
+
+# ----------------------------------------------------------------------
+# the integer table cached on each function
+
+
+def _int_fields(t: IntTable):
+    return (t.n, t.size, t.scale, t.lo, t.hi, t.neg, t.vals, t.sent, t.dom)
+
+
+def _loaded(f: SetFunction) -> SetFunction:
+    """f through the file loader, which hands over the integer table it fills."""
+    return obj_to_set_function(set_function_to_obj(f))
+
+
+# mixed denominators, -inf holes and an entry of size 2^70
+MIXED = SetFunction(3, (Fraction(1, 2), NEG_INF, Fraction(-2, 3), Fraction(2**70),
+                        Fraction(5, 6), NEG_INF, Fraction(7), Fraction(-1, 4)))
+
+
+@pytest.mark.parametrize("parent,X,Y,I", [
+    (MIXED, 0b011, 0b100, 0b011),
+    (_loaded(MIXED), 0b011, 0b100, 0b011),
+    (_scaled(with_value(_rank(4, 2), 0b0110, Fraction(1, 3)), C), 0b0011, 0b1100, 0b0001),
+])
+def test_derived_functions_build_their_own_table(parent, X, Y, I):
+    t = parent.ints
+    assert _int_fields(t) == _int_fields(IntTable(parent))
+    assert not _fits_int64(t.neg, t.lo, t.hi)  # the big-integer route
+    n = parent.n
+    sp = slice_pair(parent, X, Y, I)
+    derived = [
+        with_value(parent, 0b001, Fraction(3, 7)),
+        with_value(parent, 0b010, NEG_INF),
+        shift_by_price(parent, PriceVector(tuple(Fraction(k, 5) for k in range(n)))),
+        sp.f1,
+        sp.f2,
+        SetFunction.from_callable(n, parent.value),
+    ]
+    for g in derived:
+        assert "ints" not in vars(g)
+        assert g.ints is not t
+        assert _int_fields(g.ints) == _int_fields(IntTable(g))
+        assert g.dom_masks == tuple(m for m, v in enumerate(g.table) if is_finite(v))
+        finite = [v for v in g.table if is_finite(v)]
+        assert g.value_range == (min(finite), max(finite))
+
+
+@given(priced_tables(max_n=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_demand_and_gap_read_the_cached_table(fp, data):
+    f, p = fp
+    g = _loaded(f) if f.n else SetFunction(0, f.table)  # files need n >= 1
+    d = demand(f, p)
+    assert d == demand(g, p)
+    assert (d.members.members, d.value) == _oracle_demand(f, p)
+
+    dom = f.dom_masks
+    pairs = [(X, Y) for X in dom for Y in dom if (Y & ~X).bit_count() <= 3]
+    X, Y = data.draw(st.sampled_from(pairs))
+    I = data.draw(st.sampled_from(list(iter_submasks(X & ~Y))))
+    t = IntTable(f)
+    r = data.draw(st.integers(0, 2))
+    rep = fenchel_gap(f, X, Y, I, box_radius=Fraction(r, t.scale))
+    assert rep == fenchel_gap(g, X, Y, I, box_radius=Fraction(r, t.scale))
+    assert (rep.scale, rep.box_radius) == (t.scale, Fraction(r, t.scale))
+    assert fenchel_gap(f, X, X, 0).box_radius == Fraction(2 * (t.hi - t.lo) + 1, t.scale)
+    try:
+        sp = slice_pair(f, X, Y, I)
+    except EmptySliceError:
+        assert rep.primal is NEG_INF and rep.dual is NEG_INF
+        return
+    assert rep.primal == _best_exchange_rhs(f.table, X, Y, I)
+    box = product(range(-r, r + 1), repeat=len(sp.elements))
+    prices = [PriceVector(tuple(Fraction(v, t.scale) for v in q)) for q in box]
+    assert rep.dual == min(conjugate(sp.f1, q) + conjugate(sp.f2, -q) for q in prices)
