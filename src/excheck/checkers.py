@@ -8,10 +8,14 @@ middle, elements or I inner), so witnesses are canonical.
 
 One kernel runs every one-item scan: ``mnat-exc``, ``valuated-matroid``
 (which has no deletion branch), the family axiom ``b-exc`` and the domain
-check of ``local``.  A family F is scanned as its indicator table, 0 on F
-and -1 elsewhere, on which ``b-exc`` is exactly ``mnat-exc``.  The kernel
-reads the function's cached :class:`IntTable` (``SetFunction.ints``) and
-its int64 arrays, so repeated checks of one function rescale it once.
+check of ``local``.  A family F is read as its indicator function
+(``SetFamily.indicator``: 0 on F, -inf elsewhere, so -1 in its integer
+table), on which ``b-exc`` is exactly ``mnat-exc``; outside the kernels
+too, ``find_base_exchange`` is the J search of ``find_exchange_set`` on
+the indicator, and ``maximizer_exchange`` the same on the indicator of the
+argmax family.  The kernel reads the function's cached
+:class:`IntTable` (``SetFunction.ints``) and its int64 arrays, so
+repeated checks of one function rescale it once.
 When twice the largest magnitude among its entries and its ``-inf``
 sentinel is below 2^62, every two-term sum is exact in int64 and the scan
 is vectorized with numpy:
@@ -57,7 +61,13 @@ from itertools import combinations
 import numpy as np
 
 from ._fast import IntTable
-from .core import PriceVector, SetFamily, SetFunction, validate_exchange_args
+from .core import (
+    PriceVector,
+    SetFamily,
+    SetFunction,
+    effective_domain,
+    validate_exchange_args,
+)
 from .errors import InputError, InternalCheckError
 from .sets import elements_of, iter_bits, iter_submasks, set_str, submasks_smallest_first
 from .values import NEG_INF, ExtValue, ext_to_json, ext_to_str, is_finite
@@ -528,20 +538,6 @@ def _pick(picks: dict, pc, k: int, size):
 # families on the kernels
 
 
-def _scan_indicator(n: int, members, multi: bool = False):
-    """Earliest b-exc (or b-exc-m) violation of a family: the mnat-exc (or
-    mnat-exc-m) scan of its indicator.
-
-    The indicator is 0 on the ascending ``members`` and -1 elsewhere, which
-    is the sentinel table of the zero function on the family.
-    """
-    vals = [None] * (1 << n)
-    for m in members:
-        vals[m] = 0
-    t = IntTable.from_parts(n, 1, vals, list(members), 0, 0)
-    return _multi_hit(t) if multi else _exchange_hit(t, deletion=True)
-
-
 def _scan_b_exc_pm(mem, da, xs, n: int):
     """Earliest (X, Y, i-bit, clause) with X in xs that b-exc-pm fails.
 
@@ -649,26 +645,28 @@ def check_single_exchange(f: SetFunction) -> Verdict:
 
 
 def _single_exchange_verdict(f: SetFunction, hit) -> Verdict:
+    return _one_item_verdict(f, hit, "mnat-exc", deletion=True)
+
+
+def _one_item_verdict(f: SetFunction, hit, condition: str, deletion: bool) -> Verdict:
+    """The verdict of a one-item kernel hit, re-checked on the raw table;
+    without ``deletion`` the swap maximum starts at -inf (valuated matroids)."""
     if hit is None:
         return Verdict(True)
     X, Y, ib = hit
-    return Verdict(False, _single_exchange_witness(f, X, Y, ib))
-
-
-def _single_exchange_witness(f: SetFunction, X: int, Y: int, ib: int) -> Witness:
     tab = f.table
     lhs = tab[X] + tab[Y]
-    best: ExtValue = tab[X ^ ib] + tab[Y | ib]
+    best: ExtValue = tab[X ^ ib] + tab[Y | ib] if deletion else NEG_INF
     for jb in iter_bits(Y & ~X):
         best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
     w = Witness(
-        "mnat-exc",
+        condition,
         sets=(("X", X), ("Y", Y)),
         elements=(("i", ib.bit_length()),),
         lhs=lhs,
         rhs=best,
     )
-    return _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w)
+    return Verdict(False, _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w))
 
 
 # ----------------------------------------------------------------------
@@ -680,16 +678,27 @@ def find_exchange_set(f: SetFunction, X: int, Y: int, I: int) -> ExchangeCertifi
 
     Returns the certificate with minimum |J| (ties: smallest bitmask), or
     None when no J works.  Requires X, Y in the effective domain and I
-    inside X\\Y.
+    inside X\\Y.  The search compares integers of ``f.ints``; the
+    certificate's two sides are read from the rational table.
     """
     validate_exchange_args(f, X, Y, I)
+    J = _exchange_set(f.ints.sent, X, Y, I)
+    if J is None:
+        return None
     tab = f.table
-    lhs = tab[X] + tab[Y]
+    return ExchangeCertificate(
+        j_set=J, lhs=tab[X] + tab[Y], rhs=tab[(X ^ I) | J] + tab[(Y & ~J) | I]
+    )
+
+
+def _exchange_set(s, X: int, Y: int, I: int) -> int | None:
+    """The search of :func:`find_exchange_set` on a sentinel table ``s``,
+    where a sum holding the sentinel is below every finite lhs."""
+    lhs = s[X] + s[Y]
     xmi = X ^ I
     for J in submasks_smallest_first(Y & ~X):
-        rhs = tab[xmi | J] + tab[(Y & ~J) | I]
-        if lhs <= rhs:
-            return ExchangeCertificate(j_set=J, lhs=lhs, rhs=rhs)
+        if s[xmi | J] + s[(Y & ~J) | I] >= lhs:
+            return J
     return None
 
 
@@ -744,22 +753,7 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
 
 
 def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
-    if hit is None:
-        return Verdict(True)
-    X, Y, ib = hit
-    tab = f.table
-    lhs = tab[X] + tab[Y]
-    best: ExtValue = NEG_INF
-    for jb in iter_bits(Y & ~X):
-        best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
-    w = Witness(
-        "valuated-matroid:exchange",
-        sets=(("X", X), ("Y", Y)),
-        elements=(("i", ib.bit_length()),),
-        lhs=lhs,
-        rhs=best,
-    )
-    return Verdict(False, _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w))
+    return _one_item_verdict(f, hit, "valuated-matroid:exchange", deletion=False)
 
 
 # ----------------------------------------------------------------------
@@ -775,71 +769,45 @@ def check_local(f: SetFunction) -> Verdict:
     and (iii) the stated best-of-two swap bounds on triples and disjoint
     pairs.  The first failing family is reported.
     """
-    t = f.ints
-    hit = _scan_indicator(t.n, t.dom)
+    dom = effective_domain(f)
+    hit = _exchange_hit(dom.indicator.ints, deletion=True)
     if hit is not None:
-        return Verdict(False, _family_witness("local:domain", frozenset(t.dom), *hit))
+        return Verdict(False, _family_witness("local:domain", dom.members, *hit))
 
     tab = f.table
+    t = f.ints
 
     hit = _scan_local_pairs(t)
     if hit is not None:
         X, ib, jb = hit
         lhs = tab[X | ib | jb] + tab[X]
         rhs = tab[X | ib] + tab[X | jb]
-        return Verdict(
-            False,
-            Witness(
-                "local:i",
-                sets=(("X", X),),
-                elements=(("i", ib.bit_length()), ("j", jb.bit_length())),
-                lhs=lhs,
-                rhs=rhs,
-            ),
-        )
+        return Verdict(False, _local_witness("local:i", X, (ib, jb), lhs, rhs))
 
     hit = _scan_local_triples(t)
     if hit is not None:
         X, ib, jb, kb = hit
         lhs = tab[X | ib | jb] + tab[X | kb]
         rhs = max(tab[X | ib | kb] + tab[X | jb], tab[X | jb | kb] + tab[X | ib])
-        return Verdict(
-            False,
-            Witness(
-                "local:ii",
-                sets=(("X", X),),
-                elements=(
-                    ("i", ib.bit_length()),
-                    ("j", jb.bit_length()),
-                    ("k", kb.bit_length()),
-                ),
-                lhs=lhs,
-                rhs=rhs,
-            ),
-        )
+        return Verdict(False, _local_witness("local:ii", X, (ib, jb, kb), lhs, rhs))
 
     hit = _scan_local_quads(t)
     if hit is not None:
         X, ib, jb, kb, lb = hit
         lhs = tab[X | ib | jb] + tab[X | kb | lb]
         rhs = max(tab[X | ib | kb] + tab[X | jb | lb], tab[X | jb | kb] + tab[X | ib | lb])
-        return Verdict(
-            False,
-            Witness(
-                "local:iii",
-                sets=(("X", X),),
-                elements=(
-                    ("i", ib.bit_length()),
-                    ("j", jb.bit_length()),
-                    ("k", kb.bit_length()),
-                    ("l", lb.bit_length()),
-                ),
-                lhs=lhs,
-                rhs=rhs,
-            ),
-        )
+        return Verdict(False, _local_witness("local:iii", X, (ib, jb, kb, lb), lhs, rhs))
 
     return Verdict(True)
+
+
+def _local_witness(condition: str, X: int, bits, lhs: ExtValue, rhs: ExtValue) -> Witness:
+    """The witness of a local hit, re-checked on the raw table: the element
+    bits are distinct and outside X, and lhs > rhs with lhs finite."""
+    elements = tuple(zip("ijkl", (b.bit_length() for b in bits)))
+    w = Witness(condition, sets=(("X", X),), elements=elements, lhs=lhs, rhs=rhs)
+    fresh = {b for b in bits if b.bit_count() == 1 and not b & X}
+    return _recheck(len(fresh) == len(bits) and is_finite(lhs) and lhs > rhs, w)
 
 
 def _free_bits(t: IntTable, X: int) -> list[int]:
@@ -915,18 +883,18 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
     (cardinality, bitmask), or None when none exists; existence is
     guaranteed for discrete-concave functions.
     """
-    amax = frozenset(f.argmax_masks)
-    if X not in amax:
-        raise InputError(f"X={set_str(X)} does not maximize the function")
-    if Y not in amax:
-        raise InputError(f"Y={set_str(Y)} does not maximize the function")
+    return _family_exchange(f.argmax_family, X, Y, I, "does not maximize the function")
+
+
+def _family_exchange(family: SetFamily, X: int, Y: int, I: int, not_member: str) -> int | None:
+    """The J that :func:`find_exchange_set` finds on the family's indicator,
+    after the membership checks (``not_member`` ends their message)."""
+    for name, S in (("X", X), ("Y", Y)):
+        if S not in family.members:
+            raise InputError(f"{name}={set_str(S)} {not_member}")
     if I & ~(X & ~Y):
         raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
-    xmi = X ^ I
-    for J in submasks_smallest_first(Y & ~X):
-        if (xmi | J) in amax and ((Y & ~J) | I) in amax:
-            return J
-    return None
+    return _exchange_set(family.indicator.ints.sent, X, Y, I)
 
 
 # ----------------------------------------------------------------------
@@ -947,19 +915,18 @@ def check_family(family: SetFamily, axiom: str) -> Verdict:
     if not family.members:
         raise InputError("the family has no members")
     members = family.members
-    ms = family.sorted_members
 
     if ax == "b-exc":
-        hit = _scan_indicator(family.n, ms)
+        hit = _exchange_hit(family.indicator.ints, deletion=True)
         if hit is None:
             return Verdict(True)
         return Verdict(False, _family_witness("bnat-exc", members, *hit))
     if ax == "b-exc-m":
-        hit = _scan_indicator(family.n, ms, multi=True)
+        hit = _multi_hit(family.indicator.ints)
         if hit is None:
             return Verdict(True)
         return Verdict(False, _family_multi_witness(family, *hit))
-    da = np.array(ms, dtype=np.int64)
+    da = np.array(family.sorted_members, dtype=np.int64)
     mem = np.zeros(1 << family.n, dtype=bool)
     mem[da] = True
     hit = _scan_b_exc_pm(mem, da, da, family.n)
@@ -979,14 +946,4 @@ def find_base_exchange(family: SetFamily, X: int, Y: int, I: int) -> int | None:
     Minimum |J| first, ties by bitmask.  Returns None when no J exists
     (impossible for matroid basis families).
     """
-    if X not in family.members:
-        raise InputError(f"X={set_str(X)} is not a member of the family")
-    if Y not in family.members:
-        raise InputError(f"Y={set_str(Y)} is not a member of the family")
-    if I & ~(X & ~Y):
-        raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
-    xmi = X ^ I
-    for J in submasks_smallest_first(Y & ~X):
-        if (xmi | J) in family.members and ((Y & ~J) | I) in family.members:
-            return J
-    return None
+    return _family_exchange(family, X, Y, I, "is not a member of the family")

@@ -7,6 +7,9 @@ rational table it keeps one integer table (:attr:`SetFunction.ints`, an
 by the file loader; the checkers, ``fenchel_gap``, the demand kernel and
 ``dom_masks``/``value_range`` all read it.  Functions derived from another
 one (``with_value``, ``shift_by_price``, ``slice_pair``) build their own.
+A :class:`SetFamily` is read as its indicator function (0 on the members,
+-inf elsewhere), built once per family.  :func:`shifted_argmax` is the one
+exact argmax of f - p on the rational table, for conjugates and demand.
 All types are immutable after construction and safe to share between
 threads.
 """
@@ -37,6 +40,8 @@ __all__ = [
 # Dense tables get large fast; one million entries is the ceiling.
 MAX_GROUND_SIZE = 20
 
+_ZERO = Fraction(0)
+
 
 def _check_mask(mask: int, n: int, name: str = "subset") -> None:
     if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >= (1 << n):
@@ -46,6 +51,11 @@ def _check_mask(mask: int, n: int, name: str = "subset") -> None:
 def _check_ground_size(n) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0 or n > MAX_GROUND_SIZE:
         raise InputError(f"ground-set size must be in 0..{MAX_GROUND_SIZE}, got {n!r}")
+
+
+def _check_some_finite(tab) -> None:
+    if not any(is_finite(v) for v in tab):
+        raise InputError("effective domain is empty: every entry is -inf")
 
 
 @dataclass(frozen=True)
@@ -67,24 +77,25 @@ class SetFunction:
         tab = tuple(as_ext_value(v) for v in self.table)
         if len(tab) != (1 << self.n):
             raise InputError(f"table must have exactly {1 << self.n} entries, got {len(tab)}")
-        if not any(is_finite(v) for v in tab):
-            raise InputError("effective domain is empty: every entry is -inf")
+        _check_some_finite(tab)
         object.__setattr__(self, "table", tab)
 
     @classmethod
-    def _from_normalized(cls, n: int, table: tuple, ints: IntTable) -> "SetFunction":
+    def _from_normalized(cls, n: int, table: tuple, ints: IntTable | None = None) -> "SetFunction":
         """Wrap a table the caller has already normalized and validated
         (0 <= n <= MAX_GROUND_SIZE, 2^n entries, each a Fraction or NEG_INF,
-        one finite), together with its integer table."""
+        one finite), together with its integer table when there is one."""
         f = cls.__new__(cls)
         object.__setattr__(f, "n", n)
         object.__setattr__(f, "table", table)
-        f.__dict__["ints"] = ints
+        if ints is not None:
+            f.__dict__["ints"] = ints
         return f
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "SetFunction":
         """Build from (mask, value) pairs; unmentioned subsets are -inf."""
+        _check_ground_size(n)
         tab: list[ExtValue] = [NEG_INF] * (1 << n)
         seen = set()
         for mask, value in entries:
@@ -93,10 +104,12 @@ class SetFunction:
                 raise InputError(f"duplicate subset {set_str(mask)}")
             seen.add(mask)
             tab[mask] = as_ext_value(value)
-        return cls(n, tuple(tab))
+        _check_some_finite(tab)
+        return cls._from_normalized(n, tuple(tab))
 
     @classmethod
     def from_callable(cls, n: int, fn) -> "SetFunction":
+        _check_ground_size(n)
         return cls(n, tuple(fn(mask) for mask in range(1 << n)))
 
     def value(self, subset: int) -> ExtValue:
@@ -129,6 +142,11 @@ class SetFunction:
         top = self.max_value
         return tuple(m for m in self.dom_masks if self.table[m] == top)
 
+    @cached_property
+    def argmax_family(self) -> "SetFamily":
+        """The maximizers as a family (its indicator serves ``maximizer_exchange``)."""
+        return SetFamily._from_sorted(self.n, self.argmax_masks)
+
 
 @dataclass(frozen=True)
 class SetFamily:
@@ -144,9 +162,34 @@ class SetFamily:
             _check_mask(m, self.n, "member")
         object.__setattr__(self, "members", mem)
 
+    @classmethod
+    def _from_sorted(cls, n: int, masks: tuple[int, ...]) -> "SetFamily":
+        """Wrap ascending, distinct, in-range masks without validating them again."""
+        fam = cls.__new__(cls)
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "members", frozenset(masks))
+        fam.__dict__["sorted_members"] = masks
+        return fam
+
     @cached_property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    @cached_property
+    def indicator(self) -> SetFunction:
+        """0 on the members, -inf elsewhere (integer table: scale 1, sentinel
+        -1): the function whose exchange axioms are the family's."""
+        if not self.members:
+            raise InputError("the family has no members")
+        size = 1 << self.n
+        vals: list[int | None] = [None] * size
+        tab: list[ExtValue] = [NEG_INF] * size
+        dom = self.sorted_members
+        for m in dom:
+            vals[m] = 0
+            tab[m] = _ZERO
+        ints = IntTable.from_parts(self.n, 1, vals, list(dom), 0, 0)
+        return SetFunction._from_normalized(self.n, tuple(tab), ints)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.members
@@ -244,16 +287,30 @@ class SlicePair:
     f1: SetFunction
     f2: SetFunction
 
-    def to_parent_mask(self, local_mask: int) -> int:
-        out = 0
-        for bit in iter_bits(local_mask):
-            out |= 1 << (self.elements[bit.bit_length() - 1] - 1)
-        return out
-
 
 def effective_domain(f: SetFunction) -> SetFamily:
     """The family of subsets where the function is finite."""
-    return SetFamily(f.n, frozenset(f.dom_masks))
+    return SetFamily._from_sorted(f.n, f.dom_masks)
+
+
+def shifted_argmax(f: SetFunction, p: PriceVector) -> tuple[list[int], Fraction]:
+    """The maximizers of f(Z) - p(Z), ascending, and the maximum, computed
+    exactly on the rational table."""
+    if len(p) != f.n:
+        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
+    sums = p.subset_sums
+    tab = f.table
+    best = None
+    members: list[int] = []
+    for m in f.dom_masks:
+        v = tab[m] - sums[m]
+        if best is None or v > best:
+            best = v
+            members = [m]
+        elif v == best:
+            members.append(m)
+    assert best is not None
+    return members, best
 
 
 def shift_by_price(f: SetFunction, p: PriceVector) -> SetFunction:
@@ -278,6 +335,38 @@ def validate_exchange_args(f: SetFunction, X: int, Y: int, I: int) -> None:
         raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
 
 
+def slice_masks(
+    f: SetFunction, X: int, Y: int, I: int
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The relabelling behind both exchange slices of (X, Y, I).
+
+    Returns the elements of y0 = Y\\X, ascending, and, for every local mask
+    J of the slices (bit i standing for the i-th of those elements), the
+    parent masks (X\\I) u J and (Y\\J) u I.  Raises
+    :class:`EmptySliceError` when f is -inf on every mask of a slice.  The
+    caller validates (X, Y, I).
+    """
+    c = X & Y
+    y0 = Y & ~X
+    elems = elements_of(y0)
+    js = [0]
+    for e in elems:
+        bit = 1 << (e - 1)
+        js += [j | bit for j in js]
+    base1 = (X & ~Y & ~I) | c
+    base2 = I | c
+    masks1 = [base1 | j for j in js]
+    masks2 = [base2 | (y0 ^ j) for j in js]
+    tab = f.table
+    for through, masks in (("(X\\I) u J", masks1), ("(Y\\J) u I", masks2)):
+        if not any(is_finite(tab[m]) for m in masks):
+            raise EmptySliceError(
+                f"slice through {through} has empty effective domain for "
+                f"X={set_str(X)}, Y={set_str(Y)}, I={set_str(I)}"
+            )
+    return elems, masks1, masks2
+
+
 def slice_pair(f: SetFunction, X: int, Y: int, I: int) -> SlicePair:
     """Restrict f to the two exchange slices determined by (X, Y, I).
 
@@ -287,40 +376,12 @@ def slice_pair(f: SetFunction, X: int, Y: int, I: int) -> SlicePair:
     general.
     """
     validate_exchange_args(f, X, Y, I)
-    c = X & Y
-    x0 = X & ~Y
-    y0 = Y & ~X
-    elems = elements_of(y0)
+    elems, masks1, masks2 = slice_masks(f, X, Y, I)
     k = len(elems)
-    parent_bits = [1 << (e - 1) for e in elems]
-    base1 = (x0 & ~I) | c
-    base2 = I | c
-
-    t1: list[ExtValue] = []
-    t2: list[ExtValue] = []
-    for local in range(1 << k):
-        jp = 0
-        for i in range(k):
-            if local >> i & 1:
-                jp |= parent_bits[i]
-        t1.append(f.table[base1 | jp])
-        t2.append(f.table[base2 | (y0 & ~jp)])
-
-    try:
-        f1 = SetFunction(k, tuple(t1))
-    except InputError:
-        raise EmptySliceError(
-            f"slice through (X\\I) u J has empty effective domain for "
-            f"X={set_str(X)}, Y={set_str(Y)}, I={set_str(I)}"
-        ) from None
-    try:
-        f2 = SetFunction(k, tuple(t2))
-    except InputError:
-        raise EmptySliceError(
-            f"slice through (Y\\J) u I has empty effective domain for "
-            f"X={set_str(X)}, Y={set_str(Y)}, I={set_str(I)}"
-        ) from None
-    return SlicePair(y0=y0, elements=elems, f1=f1, f2=f2)
+    tab = f.table
+    f1 = SetFunction._from_normalized(k, tuple(tab[m] for m in masks1))
+    f2 = SetFunction._from_normalized(k, tuple(tab[m] for m in masks2))
+    return SlicePair(y0=Y & ~X, elements=elems, f1=f1, f2=f2)
 
 
 def with_value(f: SetFunction, subset: int, value) -> SetFunction:

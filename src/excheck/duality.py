@@ -5,10 +5,12 @@ The dual side of the gap report minimizes g1(q) + g2(-q) exactly over the
 integer points of the box [-R, R]^k (m = 2R + 1 values per coordinate),
 after all values are rescaled to integers, so every number that enters a
 comparison is exact.  Here g1(q) = max_J f1(J) - q(J) and g2(-q) =
-max_J f2(J) + q(J) over subsets J of the k elements of Y\\X.
+max_J f2(J) + q(J) over subsets J of the k elements of Y\\X.  Both slice
+tables are read straight from the function's integer table
+(``SetFunction.ints``) at the slice masks.
 
 The sweep runs slab by slab over coordinate 0 in increasing order.  On
-slab q_0 = a, each conjugate is a subset dynamic program on int64 arrays:
+slab q_0 = a, each conjugate is a subset dynamic program on arrays:
 coordinate 0 is folded into the dense 2^(k-1)-entry slice table,
 h(J) = max(f(J), f(J + e_0) -/+ a), and every further coordinate c turns
 the table's {0, 1} axis into the grid axis q_c with one max-plus pass,
@@ -18,9 +20,11 @@ fewer, so a slab costs about 2 m^(k-1) element operations per conjugate
 plus the sum and its minimum: under 8 m^k for the whole box, where one
 pass per finite slice entry cost 2 (|dom f1| + |dom f2|) m^k.  Entries
 off the domain hold the sentinel -2*bound - 1, below every finite entry
-at every grid point; int64 is used only while 2*bound (bound = max
-|value| + R*k) stays below 2^60, and the same sweep runs point by point
-on Python integers otherwise.
+at every grid point (bound = max |value| + R*k).  The same program runs on
+int64 arrays while 2*bound stays below 2^60 and on numpy object arrays of
+Python integers above that, so both routes are exact.  A box whose slab
+holds more than 2 * 10^8 entries is refused with :class:`InputError`
+before any array is allocated, as is one of more than 10^10 points.
 
 By weak duality no point of the box lies below the primal value, and
 every visited point is checked against it (a violation raises
@@ -39,14 +43,15 @@ Measured on a 2-core host with CPython 3.11 and numpy 2.4, one
 there 1.0 s at a peak RSS of 0.23 GB; the k = 5 weighted-matroid
 instance of the benchmark's dual corpus (31^5 points, closed in the first
 slab) 7 ms, from 0.69 s, and its k = 5 positive-gap instance (full box)
-4 ms, from 62 ms.
+4 ms, from 62 ms.  On the object route a full 15^5 box with values near
+2^70 takes 0.15-0.3 s, where the point-by-point loop it replaced took
+50-68 s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import floor
 
 import numpy as np
@@ -55,11 +60,13 @@ from .checkers import Verdict, Witness
 from .core import (
     PriceVector,
     SetFunction,
+    shifted_argmax,
+    slice_masks,
     slice_pair,
     validate_exchange_args,
 )
 from .errors import EmptySliceError, InputError, InternalCheckError
-from .sets import elements_of, iter_bits
+from .sets import elements_of
 from .values import NEG_INF, ExtValue, ext_to_str
 
 __all__ = [
@@ -87,18 +94,8 @@ def conjugate(f: SetFunction, p: PriceVector) -> Fraction:
 
 def conjugate_argmax(f: SetFunction, p: PriceVector) -> tuple[Fraction, int]:
     """Conjugate value together with the smallest maximizing subset."""
-    if len(p) != f.n:
-        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
-    sums = p.subset_sums
-    best = None
-    best_mask = 0
-    for m in f.dom_masks:
-        v = f.table[m] - sums[m]
-        if best is None or v > best:
-            best = v
-            best_mask = m
-    assert best is not None
-    return best, best_mask
+    members, value = shifted_argmax(f, p)
+    return value, members[0]
 
 
 def check_submodular_pair(f: SetFunction, p: PriceVector, p2: PriceVector) -> Verdict:
@@ -143,22 +140,14 @@ class DualityReport:
     points_visited: int = 0
 
 
-def _scaled_slice_items(g: SetFunction, scale: int) -> list[tuple[int, int]]:
-    """(mask, value times ``scale``) over the finite entries of g, read from
-    its integer table; ``scale`` is a multiple of that table's scale."""
-    t = g.ints
-    mult = scale // t.scale
-    vals = t.vals
-    return [(m, vals[m] * mult) for m in t.dom]
-
-
 def _dual_sweep(items1, items2, k, radius, primal_int):
     """Exact min of g1(q) + g2(-q) over integer q in [-R, R]^k.
 
-    Returns (minimum, q as int tuple), taking the lexicographically first
-    minimizer.  Every visited point is checked against the primal value,
-    and the sweep stops after the first slab of coordinate 0 whose minimum
-    equals it (see the module docstring).
+    ``items1`` and ``items2`` are the (local mask, scaled value) entries of
+    the two slices.  Returns (minimum, q as int tuple), taking the
+    lexicographically first minimizer.  Every visited point is checked
+    against the primal value, and the sweep stops after the first slab of
+    coordinate 0 whose minimum equals it (see the module docstring).
     """
     m = 2 * radius + 1
     if m**k > _MAX_BOX_POINTS:
@@ -167,12 +156,15 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
         )
     # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
     kk = max(k, 1)
+    if m ** (kk - 1) > _MAX_SLAB_ENTRIES:
+        raise InputError(
+            f"dual box slab has {m}^{kk - 1} entries, more than {_MAX_SLAB_ENTRIES}; "
+            "shrink box_radius or the instance"
+        )
     bound = max(abs(v) for _, v in items1 + items2) + radius * k
-    if 2 * bound >= _INT64_SAFE or m ** (kk - 1) > _MAX_SLAB_ENTRIES:
-        return _dual_sweep_py(items1, items2, k, radius, primal_int)
-
-    sides = [_SlabConjugate(items, kk, radius, -2 * bound - 1, sign) for items, sign in
-             ((items1, -1), (items2, +1))]
+    dtype = np.int64 if 2 * bound < _INT64_SAFE else object
+    sides = [_SlabConjugate(items, kk, radius, -2 * bound - 1, sign, dtype)
+             for items, sign in ((items1, -1), (items2, +1))]
     shape = (m,) * (kk - 1)
     lead = radius if k else 0
     best_val = None
@@ -198,7 +190,8 @@ class _SlabConjugate:
     """max over J of t(J) + sign * q(J) on one slab q_0 = a of the box.
 
     The scaled slice table is dense over the 2^k subsets, with ``sentinel``
-    off the domain.  Per slab, coordinate 0 is folded into the table,
+    off the domain, in arrays of ``dtype`` (int64, or object for Python
+    integers).  Per slab, coordinate 0 is folded into the table,
     h_a(J) = max(t(J), t(J + e_0) + sign * a) over J without element 0;
     then each further coordinate c, last first, replaces the table's
     {0, 1} axis by the grid axis q_c: max(h(J), h(J + e_c) + sign * q_c).
@@ -206,8 +199,8 @@ class _SlabConjugate:
     enumerates the slab lexicographically.  All arrays are reused.
     """
 
-    def __init__(self, items, k, radius, sentinel, sign):
-        t = np.full(1 << k, sentinel, dtype=np.int64)
+    def __init__(self, items, k, radius, sentinel, sign, dtype):
+        t = np.full(1 << k, sentinel, dtype=dtype)
         for mask, v in items:
             t[mask] = v
         # axis c of the (2,) * k view is element c's bit
@@ -217,13 +210,15 @@ class _SlabConjugate:
         self.sign = sign
         self.h = np.empty_like(self.without0)
         m = 2 * radius + 1
-        steps = sign * np.arange(-radius, radius + 1, dtype=np.int64)
+        # the grid axis exists only for k >= 2, where the slab cap bounds m
+        steps = np.array([sign * v for v in range(-radius, radius + 1)] if k > 1 else [],
+                         dtype=dtype)
         # each pass reads the previous pass's buffer through fixed views
         self.passes = []
         cur = self.h
         for c in range(k - 1, 0, -1):  # coordinate c is axis c - 1
             lead = (slice(None),) * (c - 1)
-            out = np.empty((2,) * (c - 1) + (m,) * (k - c), dtype=np.int64)
+            out = np.empty((2,) * (c - 1) + (m,) * (k - c), dtype=dtype)
             self.passes.append((
                 np.expand_dims(cur[lead + (0, ...)], c - 1),  # views, never scalars
                 np.expand_dims(cur[lead + (1, ...)], c - 1),
@@ -242,31 +237,8 @@ class _SlabConjugate:
         return self.result
 
 
-def _dual_sweep_py(items1, items2, k, radius, primal_int):
-    """The same sweep on Python integers, point by point in box order, with
-    the same first-slab exit."""
-    kk = max(k, 1)
-    lead = radius if k else 0
-    best_val = None
-    best_q: tuple[int, ...] = ()
-    for a in range(-lead, lead + 1):
-        for rest in product(range(-radius, radius + 1), repeat=kk - 1):
-            q = ((a,) + rest)[:k]
-            g1 = max(v - sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items1)
-            g2 = max(v + sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items2)
-            total = g1 + g2
-            if primal_int is not None and total < primal_int:
-                raise InternalCheckError("weak duality failed during the dual sweep")
-            if best_val is None or total < best_val:
-                best_val, best_q = total, q
-        if best_val == primal_int:
-            break
-    assert best_val is not None
-    return best_val, best_q
-
-
 def _points_visited(k, radius, q, closed):
-    """Box points both sweeps evaluate: whole slabs of coordinate 0, up to
+    """Box points the sweep evaluates: whole slabs of coordinate 0, up to
     the one holding q when the dual reached the primal, else all of them."""
     m = 2 * radius + 1
     if k == 0:
@@ -280,17 +252,22 @@ def fenchel_gap(
 ) -> DualityReport:
     """Compare both sides of the exchange duality on one instance.
 
-    The primal side enumerates J over subsets of Y\\X; the dual side
+    Both slices are read from ``f.ints`` at their parent masks.  The
+    primal side enumerates J over subsets of Y\\X; the dual side
     minimizes g1(q) + g2(-q) over integer q in a box, after clearing
     denominators, with the slab-by-slab subset DP described in the module
-    docstring.  It stops after the first slab whose minimum reaches the
-    primal, so a closing gap usually costs a fraction of the box (see
-    ``points_visited``), and ``q_star`` is the lexicographically first
-    minimizer of the box either way.  The default radius is twice the
-    finite value range plus one (in cleared units); a caller-supplied
-    ``box_radius`` is interpreted in original units and floored onto the
-    integer grid.  Cost grows as about 8 m^k for m = 2R + 1 values per
-    coordinate: k = 6 with m = 15 takes about 0.03 s, k = 7 about 1 s.
+    docstring, on int64 arrays or, for values of 2^60 and beyond, on
+    object arrays of Python integers.  It stops after the first slab whose
+    minimum reaches the primal, so a closing gap usually costs a fraction
+    of the box (see ``points_visited``), and ``q_star`` is the
+    lexicographically first minimizer of the box either way.  The default
+    radius is twice the finite value range plus one (in cleared units); a
+    caller-supplied ``box_radius`` is interpreted in original units and
+    floored onto the integer grid.  Cost grows as about 8 m^k for
+    m = 2R + 1 values per coordinate: k = 6 with m = 15 takes about
+    0.03 s, k = 7 about 1 s, and a full 15^5 box on the object route
+    0.15-0.3 s.  A box whose slab (m^(k-1) entries) exceeds 2 * 10^8
+    raises :class:`InputError` before anything is allocated.
     """
     validate_exchange_args(f, X, Y, I)
     t = f.ints
@@ -304,34 +281,29 @@ def fenchel_gap(
             raise InputError("box_radius must be nonnegative")
         radius = floor(br * scale)
 
-    y0 = Y & ~X
     try:
-        sp = slice_pair(f, X, Y, I)
+        elems, masks1, masks2 = slice_masks(f, X, Y, I)
     except EmptySliceError as e:
         return DualityReport(
             primal=NEG_INF,
             dual=NEG_INF,
             q_star=None,
             gap=Fraction(0),
-            y0_elements=elements_of(y0),
+            y0_elements=elements_of(Y & ~X),
             box_radius=Fraction(radius, scale),
             scale=scale,
             note=f"degenerate instance: {e}; both sides are -inf",
         )
 
-    k = len(sp.elements)
-    items1 = _scaled_slice_items(sp.f1, scale)
-    items2 = _scaled_slice_items(sp.f2, scale)
-
-    primal_int = None
-    vals2 = dict(items2)
-    for mask, v1 in items1:
-        v2 = vals2.get(mask)
-        if v2 is None:
-            continue
-        total = v1 + v2
-        if primal_int is None or total > primal_int:
-            primal_int = total
+    k = len(elems)
+    vals = t.vals
+    items1 = [(j, vals[m]) for j, m in enumerate(masks1) if vals[m] is not None]
+    items2 = [(j, vals[m]) for j, m in enumerate(masks2) if vals[m] is not None]
+    primal_int = max(
+        (vals[a] + vals[b] for a, b in zip(masks1, masks2)
+         if vals[a] is not None and vals[b] is not None),
+        default=None,
+    )
 
     dual_int, q_ints = _dual_sweep(items1, items2, k, radius, primal_int)
     visited = _points_visited(k, radius, q_ints, dual_int == primal_int)
@@ -343,7 +315,7 @@ def fenchel_gap(
             dual=dual,
             q_star=None,
             gap=None,
-            y0_elements=sp.elements,
+            y0_elements=elems,
             box_radius=Fraction(radius, scale),
             scale=scale,
             note="primal is -inf (the slices have disjoint finite supports); gap is infinite",
@@ -369,7 +341,7 @@ def fenchel_gap(
         dual=dual,
         q_star=q_star,
         gap=gap,
-        y0_elements=sp.elements,
+        y0_elements=elems,
         box_radius=Fraction(radius, scale),
         scale=scale,
         note=note,

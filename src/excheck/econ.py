@@ -58,7 +58,7 @@ from random import Random
 import numpy as np
 
 from .checkers import Verdict, Witness, _fits_int64, check_multiple_exchange
-from .core import PriceVector, SetFamily, SetFunction
+from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
 from .sets import iter_bits, iter_submasks
 from .values import ExtValue
@@ -168,24 +168,6 @@ def demand(f: SetFunction, p: PriceVector) -> DemandSet:
     return DemandSet(
         price=p, members=SetFamily(f.n, frozenset(members)), value=Fraction(int(best[0]), kern.scale)
     )
-
-
-def _fraction_demand(f: SetFunction, p: PriceVector) -> tuple[list[int], ExtValue]:
-    """Demand members, ascending, and value, computed on the raw rational table."""
-    if len(p) != f.n:
-        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
-    sums = p.subset_sums
-    best = None
-    members: list[int] = []
-    for m in f.dom_masks:
-        v = f.table[m] - sums[m]
-        if best is None or v > best:
-            best = v
-            members = [m]
-        elif v == best:
-            members.append(m)
-    assert best is not None
-    return members, best
 
 
 # ----------------------------------------------------------------------
@@ -448,8 +430,8 @@ def check_gs_at(f: SetFunction, p: PriceVector, q: PriceVector) -> Verdict:
     """
     if not p.leq(q):
         raise InputError("gross-substitutes checks need p <= q componentwise")
-    dp, _ = _fraction_demand(f, p)
-    dq, _ = _fraction_demand(f, q)
+    dp, _ = shifted_argmax(f, p)
+    dq, _ = shifted_argmax(f, q)
     bad = _gs_violating_bundle(dp, dq, _fixed_price_mask(p, q))
     if bad is None:
         return Verdict(True)
@@ -484,7 +466,7 @@ def check_gs_sampled(f: SetFunction, sampler: PriceSampler) -> Verdict:
 def check_si_at(f: SetFunction, p: PriceVector) -> Verdict:
     """At price p, every suboptimal bundle in the domain must improve by
     adding, dropping, or swapping a single good."""
-    _, best = _fraction_demand(f, p)
+    _, best = shifted_argmax(f, p)
     sums = p.subset_sums
     tab = f.table
     full = (1 << f.n) - 1
@@ -560,7 +542,7 @@ def check_nc_at(f: SetFunction, p: PriceVector, simultaneous: bool = False) -> V
     (X\\I) u J demanded; with ``simultaneous`` the counterpart (Y\\J) u I
     must stay demanded too.
     """
-    members, _ = _fraction_demand(f, p)
+    members, _ = shifted_argmax(f, p)
     hit = _nc_violation(members, simultaneous)
     if hit is None:
         return Verdict(True)

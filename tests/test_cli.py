@@ -156,6 +156,26 @@ def test_duality_gap_exit_code(tmp_path, capsys):
     assert "box_radius" in report
 
 
+def test_duality_oversized_slab_exits_1(tmp_path, capsys, monkeypatch):
+    # |Y\X| = 10 is within the CLI cap and 9^10 points within the box cap,
+    # but one slab holds 9^9 entries: refused before any slab buffer exists
+    from excheck import duality
+
+    def no_buffers(*args):
+        raise AssertionError("a slab buffer was allocated")
+
+    monkeypatch.setattr(duality, "_SlabConjugate", no_buffers)
+    p = tmp_path / "rank5.json"
+    save_set_function(SetFunction.from_callable(10, lambda m: min(m.bit_count(), 5)), p)
+    code, out, err = run(
+        capsys, "duality", str(p), "--x", "", "--y", "1,2,3,4,5,6,7,8,9,10",
+        "--box-radius", "4", "--no-timing",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: dual box slab has 9^9 entries, more than 200000000; " \
+        "shrink box_radius or the instance\n"
+
+
 def test_demand_output(files, capsys):
     code, out, _ = run(
         capsys, "demand", files["comp"], "--price", "3/2,3/2", "--format", "json", "--no-timing"

@@ -55,6 +55,17 @@ def test_bool_ground_size_rejected():
     with pytest.raises(InputError, match="ground-set size"):
         SetFamily(False, frozenset())
 
+    def fn(mask):
+        raise AssertionError("the function was called before n was checked")
+
+    # n is checked before 1 << n: no shift error, no 2^21 table, no call of fn
+    for n in (-1, 2.0, 21, True):
+        for entries in ([], [(0, 1)]):
+            with pytest.raises(InputError, match="ground-set size"):
+                SetFunction.from_entries(n, entries)
+        with pytest.raises(InputError, match="ground-set size"):
+            SetFunction.from_callable(n, fn)
+
 
 def test_from_entries_duplicate():
     with pytest.raises(InputError):

@@ -188,20 +188,6 @@ def test_default_box_attains_global_integer_min():
     assert finite_cases == 120
 
 
-def test_dual_sweep_fallback_agrees(rank2, wmat):
-    from excheck.duality import _dual_sweep, _dual_sweep_py, _scaled_slice_items
-
-    cases = [(rank2, 0b011, 0b101, 0b010), (rank2, 0b001, 0b110, 0b001), (wmat, 0b011, 0b110, 0b001)]
-    for f, X, Y, I in cases:
-        sp = slice_pair(f, X, Y, I)
-        items1 = _scaled_slice_items(sp.f1, 1)
-        items2 = _scaled_slice_items(sp.f2, 1)
-        k = len(sp.elements)
-        fast = _dual_sweep(items1, items2, k, 5, None)
-        slow = _dual_sweep_py(items1, items2, k, 5, None)
-        assert fast == slow
-
-
 def test_weak_duality_every_q(rank2, wmat):
     for f, X, Y, I in ((rank2, 0b011, 0b100, 0b001), (wmat, 0b011, 0b110, 0b001)):
         sp = slice_pair(f, X, Y, I)

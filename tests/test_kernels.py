@@ -7,8 +7,9 @@ included, must be equal.  Family scans are compared against the plain
 membership scans kept below as the oracles.  The sampled GS/SI/NC sweeps
 are compared against per-price loops over the integer table, with the
 price streams drawn the way those loops drew them.  The subset-DP dual
-sweep is compared against the per-item grid sweep kept below and against
-the big-integer point loop.
+sweep, on int64 and on object arrays, is compared against the per-item
+grid sweep and the point-by-point loop kept below.  The rational exchange
+searches on family indicators are compared against membership searches.
 """
 
 from dataclasses import replace
@@ -25,6 +26,7 @@ from hypothesis import given, settings
 from excheck import (
     NEG_INF,
     EmptySliceError,
+    InputError,
     InternalCheckError,
     MatroidSpec,
     PriceSampler,
@@ -48,8 +50,10 @@ from excheck import (
     demand,
     econ,
     fenchel_gap,
+    find_base_exchange,
     find_exchange_set,
     gen_weighted_matroid,
+    maximizer_exchange,
     shift_by_price,
     slice_pair,
     with_value,
@@ -71,7 +75,8 @@ from excheck.checkers import (
     _single_exchange_verdict,
     _valuated_matroid_verdict,
 )
-from excheck.duality import _dual_sweep, _dual_sweep_py, _scaled_slice_items
+from excheck import checkers, duality
+from excheck.duality import _dual_sweep
 from excheck.econ import (
     _DemandKernel,
     _fixed_price_mask,
@@ -382,6 +387,42 @@ def test_larger_families_against_oracle(n, data):
     assert check_family(fam, "b-exc-pm") == _oracle_family_verdict(fam, "bnat-exc-pm")
 
 
+def _oracle_exchange_j(members, X, Y, I):
+    """The least J inside Y\\X by (|J|, mask) with (X\\I)uJ and (Y\\J)uI members."""
+    yd = Y & ~X
+    for J in sorted((J for J in range(yd + 1) if not J & ~yd), key=lambda J: (J.bit_count(), J)):
+        if ((X ^ I) | J) in members and ((Y & ~J) | I) in members:
+            return J
+    return None
+
+
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_indicator_exchange_search_against_membership(n, data):
+    members = data.draw(st.frozensets(st.integers(0, (1 << n) - 1), min_size=1))
+    fam = SetFamily(n, members)
+    # a function whose maximizers are exactly the members
+    top = data.draw(st.fractions(-5, 5, max_denominator=4))
+    below = st.one_of(st.just(NEG_INF), st.integers(-9, -1).map(top.__add__))
+    rest = data.draw(st.lists(below, min_size=1 << n, max_size=1 << n))
+    f = SetFunction(n, tuple(top if m in members else rest[m] for m in range(1 << n)))
+    assert f.argmax_family.members == members
+    ms = sorted(members)
+    for _ in range(6):
+        X = data.draw(st.sampled_from(ms))
+        Y = data.draw(st.sampled_from(ms))
+        I = data.draw(st.sampled_from(list(iter_submasks(X & ~Y))))
+        expected = _oracle_exchange_j(members, X, Y, I)
+        assert find_base_exchange(fam, X, Y, I) == expected
+        assert maximizer_exchange(f, X, Y, I) == expected
+    outside = [m for m in range(1 << n) if m not in members]
+    if outside:
+        with pytest.raises(InputError, match="is not a member of the family"):
+            find_base_exchange(fam, ms[0], outside[0], 0)
+        with pytest.raises(InputError, match="does not maximize the function"):
+            maximizer_exchange(f, outside[0], ms[0], 0)
+
+
 # ----------------------------------------------------------------------
 # several chunks of X rows
 
@@ -486,6 +527,23 @@ def test_recheck_rejects_a_non_violation(rank2):
     for clause in "ab":
         with pytest.raises(InternalCheckError):
             _family_pm_witness(bases.members, 0b011, 0b110, 0b001, clause)
+
+
+@pytest.mark.parametrize("scan,hit", [
+    ("_scan_local_pairs", (0, 0b0001, 0b0010)),
+    ("_scan_local_triples", (0, 0b0001, 0b0010, 0b0100)),
+    ("_scan_local_quads", (0, 0b0001, 0b0010, 0b0100, 0b1000)),
+])
+def test_local_witnesses_are_rechecked(scan, hit, monkeypatch):
+    # min(|S|, 2) on 4 elements holds every local inequality with equality
+    # at these tuples, so a scan reporting one of them is wrong
+    f = _rank(4, 2)
+    assert check_local(f).passed
+    monkeypatch.setattr(checkers, "_scan_local_pairs", lambda t: None)
+    monkeypatch.setattr(checkers, "_scan_local_triples", lambda t: None)
+    monkeypatch.setattr(checkers, scan, lambda t: hit)
+    with pytest.raises(InternalCheckError, match="local:"):
+        check_local(f)
 
 
 def test_recheck_accepts_a_violation(comp):
@@ -811,7 +869,7 @@ def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
 # the dual box sweep
 
 
-def _grid_conjugate(items, a, axes, shape, sign):
+def _grid_conjugate(items, a, axes, shape, sign, dtype):
     """Max over items of v + sign * q(J) on the grid of the trailing axes,
     one full pass per finite item; ``a`` is the leading coordinate."""
     acc = None
@@ -823,7 +881,7 @@ def _grid_conjugate(items, a, axes, shape, sign):
                 expr = ax if expr is None else expr + ax
         if expr is None:
             if acc is None:
-                acc = np.full(shape, t0, dtype=np.int64)
+                acc = np.full(shape, t0, dtype=dtype)
             else:
                 np.maximum(acc, t0, out=acc)
         else:
@@ -837,12 +895,15 @@ def _grid_conjugate(items, a, axes, shape, sign):
 
 
 def _per_item_sweep(items1, items2, k, radius):
-    """The whole box, slab by slab, with the per-item grid conjugates."""
+    """The whole box, slab by slab, with the per-item grid conjugates, on
+    object arrays when a value leaves int64's comfortable range."""
     if k == 0:
         return items1[0][1] + items2[0][1], ()
+    big = max(abs(v) for _, v in items1 + items2) >= 1 << 60
+    dtype = object if big else np.int64
     m = 2 * radius + 1
     shape = (m,) * (k - 1)
-    axis_vals = np.arange(-radius, radius + 1, dtype=np.int64)
+    axis_vals = np.arange(-radius, radius + 1).astype(dtype)
     axes = []
     for d in range(k - 1):
         sh = [1] * (k - 1)
@@ -851,15 +912,46 @@ def _per_item_sweep(items1, items2, k, radius):
     best_val = None
     best_q = ()
     for a in range(-radius, radius + 1):
-        total = _grid_conjugate(items1, a, axes, shape, -1) + _grid_conjugate(
-            items2, a, axes, shape, +1
-        )
+        total = np.asarray(_grid_conjugate(items1, a, axes, shape, -1, dtype)
+                           + _grid_conjugate(items2, a, axes, shape, +1, dtype))
         mn = int(total.min())
         if best_val is None or mn < best_val:
             idx = np.unravel_index(int(total.argmin()), shape)
             best_val = mn
             best_q = (a,) + tuple(int(i) - radius for i in idx)
     return best_val, best_q
+
+
+def _dual_sweep_py(items1, items2, k, radius, primal_int):
+    """The sweep on Python integers, point by point in box order, with the
+    same weak-duality check and first-slab exit as the library's sweep."""
+    kk = max(k, 1)
+    lead = radius if k else 0
+    best_val = None
+    best_q: tuple[int, ...] = ()
+    for a in range(-lead, lead + 1):
+        for rest in product(range(-radius, radius + 1), repeat=kk - 1):
+            q = ((a,) + rest)[:k]
+            g1 = max(v - sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items1)
+            g2 = max(v + sum(q[b.bit_length() - 1] for b in iter_bits(mask)) for mask, v in items2)
+            total = g1 + g2
+            if primal_int is not None and total < primal_int:
+                raise InternalCheckError("weak duality failed during the dual sweep")
+            if best_val is None or total < best_val:
+                best_val, best_q = total, q
+        if best_val == primal_int:
+            break
+    assert best_val is not None
+    return best_val, best_q
+
+
+def _slice_items(f: SetFunction, X: int, Y: int, I: int):
+    """(items1, items2, k) of an integer-valued f: the finite (local mask,
+    value) entries of both slices, read from the slice functions' own tables."""
+    sp = slice_pair(f, X, Y, I)
+    items = [[(m, int(v)) for m, v in enumerate(g.table) if is_finite(v)] for g in (sp.f1, sp.f2)]
+    assert all(v == int(v) for g in (sp.f1, sp.f2) for v in g.table if is_finite(v))
+    return items[0], items[1], len(sp.elements)
 
 
 def _slice_primal(items1, items2):
@@ -906,6 +998,32 @@ def test_dual_sweep_matches_the_oracles(tables, radius, mode, drop):
         assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
 
 
+@given(slice_tables(max_k=4), st.integers(0, 3), st.sampled_from(["scale", "shift"]),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_dual_sweep_object_route_matches_the_oracles(tables, radius, how, with_primal):
+    # values of 2^70 and more: 2 * bound passes the int64 guard, so the DP runs on object arrays
+    k, items1, items2 = tables
+    big = 1 << 70
+    lift = (lambda v: v * big) if how == "scale" else (lambda v: v + big)
+    items1 = [(mask, lift(v)) for mask, v in items1]
+    items2 = [(mask, lift(v)) for mask, v in items2]
+    primal_int = _slice_primal(items1, items2) if with_primal else None
+    expected = _per_item_sweep(items1, items2, k, radius)
+    assert _dual_sweep(items1, items2, k, radius, primal_int) == expected
+    if (2 * radius + 1) ** k <= 729:
+        assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
+
+
+def test_dual_sweep_fallback_agrees(rank2, wmat):
+    cases = [(rank2, 0b011, 0b101, 0b010), (rank2, 0b001, 0b110, 0b001), (wmat, 0b011, 0b110, 0b001)]
+    for f, X, Y, I in cases:
+        items1, items2, k = _slice_items(f, X, Y, I)
+        fast = _dual_sweep(items1, items2, k, 5, None)
+        slow = _dual_sweep_py(items1, items2, k, 5, None)
+        assert fast == slow
+
+
 def _matroid_slices():
     """(items1, items2, k) of U(3, 6) with weights 0, 1, 2, 0, 1, 2 at X = {1, 2, 3}:
     every slice domain is equicardinal, so g1(q) + g2(-q) is constant along
@@ -917,9 +1035,7 @@ def _matroid_slices():
         if (Y & ~X).bit_count() < 2:
             continue
         for I in (xd & -xd, xd):
-            sp = slice_pair(f, X, Y, I)
-            yield (_scaled_slice_items(sp.f1, 1), _scaled_slice_items(sp.f2, 1),
-                   len(sp.elements))
+            yield _slice_items(f, X, Y, I)
 
 
 def test_dual_sweep_first_minimizer_on_matroid_slices():
@@ -952,15 +1068,54 @@ def test_dual_sweep_big_values_near_the_guard():
         assert expected == _per_item_sweep(items1, items2, 3, 2)
 
 
+@pytest.mark.parametrize("top", [2**59 - 7, 2**59 - 6, 2**59 - 5, 2**60 + 3])
+def test_dual_sweep_values_straddling_the_guard(top, monkeypatch):
+    # with radius 2 and k = 3, 2 * bound = 2 * (top + 6) crosses 2^60 between
+    # the first two cases; record which route each one takes
+    routes = []
+    real = duality._SlabConjugate
+
+    def spy(items, k, radius, sentinel, sign, dtype):
+        routes.append(dtype)
+        return real(items, k, radius, sentinel, sign, dtype)
+
+    monkeypatch.setattr(duality, "_SlabConjugate", spy)
+    items1 = [(0, -top), (0b011, top), (0b101, top - 3), (0b110, -top + 7), (0b111, 5)]
+    items2 = [(0, top - 1), (0b001, -top), (0b010, 2**40), (0b111, top - 5)]
+    for primal_int in (None, _slice_primal(items1, items2)):
+        expected = _dual_sweep_py(items1, items2, 3, 2, primal_int)
+        assert _dual_sweep(items1, items2, 3, 2, primal_int) == expected
+        assert expected == _per_item_sweep(items1, items2, 3, 2)
+    assert set(routes) == {np.int64 if 2 * (top + 6) < 2**60 else object}
+
+
 def test_forged_primal_above_the_box_minimum_raises():
     f = gen_weighted_matroid(MatroidSpec.uniform(2, 4, weights=(0, 1, 2, 0)))
-    sp = slice_pair(f, 0b0011, 0b1100, 0b0001)
-    items1, items2 = _scaled_slice_items(sp.f1, 1), _scaled_slice_items(sp.f2, 1)
+    items1, items2, _ = _slice_items(f, 0b0011, 0b1100, 0b0001)
     # above the minimum of the first slab, which the sweep always visits
     forged = min(_dual_value(items1, items2, (-2, b)) for b in range(-2, 3)) + 1
     for sweep in (_dual_sweep, _dual_sweep_py):
         with pytest.raises(InternalCheckError):
             sweep(items1, items2, 2, 2, forged)
+    # the same slices lifted by 2^70 take the object route
+    lift = 1 << 70
+    big1 = [(mask, v + lift) for mask, v in items1]
+    big2 = [(mask, v + lift) for mask, v in items2]
+    for sweep in (_dual_sweep, _dual_sweep_py):
+        with pytest.raises(InternalCheckError):
+            sweep(big1, big2, 2, 2, forged + 2 * lift)
+
+
+def test_oversized_slab_is_refused_before_allocating(monkeypatch):
+    # k = 10 at radius 4: 9^10 points pass the box cap, but one slab holds
+    # 9^9 entries, over _MAX_SLAB_ENTRIES
+    def no_buffers(*args):
+        raise AssertionError("a slab buffer was allocated")
+
+    monkeypatch.setattr(duality, "_SlabConjugate", no_buffers)
+    assert 9**10 <= duality._MAX_BOX_POINTS and 9**9 > duality._MAX_SLAB_ENTRIES
+    with pytest.raises(InputError, match="slab"):
+        _dual_sweep([(0, 0)], [(0, 0)], 10, 4, None)
 
 
 # ----------------------------------------------------------------------
