@@ -23,8 +23,10 @@ off the domain hold the sentinel -2*bound - 1, below every finite entry
 at every grid point (bound = max |value| + R*k).  The same program runs on
 int64 arrays while 2*bound stays below 2^60 and on numpy object arrays of
 Python integers above that, so both routes are exact.  A box whose slab
-holds more than 2 * 10^8 entries is refused with :class:`InputError`
-before any array is allocated, as is one of more than 10^10 points.
+holds more than 2 * 10^8 entries on the int64 route, or 2.5 * 10^7 on the
+object route, where an entry takes about seven times the memory, is
+refused with :class:`InputError` before any array is allocated, as is one
+of more than 10^10 points.
 
 By weak duality no point of the box lies below the primal value, and
 every visited point is checked against it (a violation raises
@@ -81,6 +83,9 @@ __all__ = [
 
 _MAX_BOX_POINTS = 10**10
 _MAX_SLAB_ENTRIES = 2 * 10**8
+# an object slab entry (a pointer and a Python integer) takes about seven
+# times the memory of an int64 one, so that route admits smaller slabs
+_MAX_OBJECT_SLAB_ENTRIES = _MAX_SLAB_ENTRIES // 8
 _INT64_SAFE = 1 << 60
 
 
@@ -156,13 +161,14 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
         )
     # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
     kk = max(k, 1)
-    if m ** (kk - 1) > _MAX_SLAB_ENTRIES:
-        raise InputError(
-            f"dual box slab has {m}^{kk - 1} entries, more than {_MAX_SLAB_ENTRIES}; "
-            "shrink box_radius or the instance"
-        )
     bound = max(abs(v) for _, v in items1 + items2) + radius * k
     dtype = np.int64 if 2 * bound < _INT64_SAFE else object
+    cap = _MAX_SLAB_ENTRIES if dtype is np.int64 else _MAX_OBJECT_SLAB_ENTRIES
+    if m ** (kk - 1) > cap:
+        raise InputError(
+            f"dual box slab has {m}^{kk - 1} entries, more than {cap}; "
+            "shrink box_radius or the instance"
+        )
     sides = [_SlabConjugate(items, kk, radius, -2 * bound - 1, sign, dtype)
              for items, sign in ((items1, -1), (items2, +1))]
     shape = (m,) * (kk - 1)

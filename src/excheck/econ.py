@@ -26,37 +26,50 @@ violate.  When |values| + n * |price bound| stays below 2^61 every value
 is exact in int64; otherwise the same kernel runs on numpy object arrays
 of Python integers, so both routes are exact.
 
-A sampled sweep draws its prices with the same calls on the same seeded
-``Random`` as :meth:`PriceSampler.iter_prices`, as integers on the grid,
-in chunks that start small and double up to about 2^15 entries per work
-array.  The first hit is the least sample index of the first chunk that
-holds one, which is the loop's first hit.  Before a hit becomes a
-witness it is re-checked by the at-price check (:func:`check_gs_at`,
-:func:`check_si_at`, :func:`check_nc_at`), which computes demand from the
-raw rational table; a disagreement raises :class:`InternalCheckError`.
-The equivalence report draws the price stream once and runs the
-single-improvement and both no-complementarities checks on each chunk.
+A sampled sweep reads its price stream as blocks of grid integers, int64
+or Python integers as the kernel's route needs, in chunks that start small
+and double up to about 2^15 entries per work array; random rows are drawn
+a chunk ahead, and only when a chunk needs them, so an early exit draws
+little.  The integer sweep's rows are computed from their index in
+``product`` order.  The random rows hold what the per-call loops of
+``Random.randint`` and ``random()`` return, drawn from the same 32-bit
+words of the same seeded ``Random`` (:mod:`excheck._draws`): the words
+come in bulk from ``getrandbits``, a randint keeps the first word that
+falls below its width once shifted to the width's bit length, exactly the
+rejection loop of ``randint``, and ``random() < 0.5`` holds when the first
+of its two words is below 2^31.  Widths of more than 32 bits, where this
+reading would not apply, keep the per-call loop, which is exact for
+integers of any size.  So the streams, and every sample index, are those
+of :meth:`PriceSampler.iter_prices`.  The first hit is the least sample
+index of the first chunk that holds one, which is the loop's first hit.
+Before a hit becomes a witness it is re-checked by the at-price check
+(:func:`check_gs_at`, :func:`check_si_at`, :func:`check_nc_at`), which
+computes demand from the raw rational table; a disagreement raises
+:class:`InternalCheckError`.  The equivalence report draws the price
+stream once and runs the single-improvement and both no-complementarities
+checks on each chunk.
 
-Measured on 2 cores (CPython 3.11.7, numpy 2.4.6): the four sampled
-checks of the twelve reports of the benchmark's ``market`` workload take
-0.31-0.36 s as the report runs them (0.45 s as four separate calls;
-2.9-3.4 s as per-price loops), and exact demand at n = 12 takes about
-0.8 ms per call on a function whose integer table exists, as it does for
-every loaded file (23-29 ms as a loop over rationals); building the table
-from the rationals first adds 2-4 ms.
+Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), in process: the four
+sampled checks of the twelve reports of the benchmark's ``market``
+workload take 0.14-0.18 s as the report runs them, from 0.32-0.36 s when
+every price was drawn by a per-call loop (2.9-3.4 s as per-price loops),
+and the whole twelve reports 0.19-0.29 s, from 0.42-0.47 s.  Exact demand
+at n = 12 takes about 0.8 ms per call on a function whose integer table
+exists, as it does for every loaded file (23-29 ms as a loop over
+rationals); building the table from the rationals first adds 2-4 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice, product
 from math import floor, lcm
 from numbers import Rational
 from random import Random
 
 import numpy as np
 
+from ._draws import pair_draws, price_draws
 from .checkers import Verdict, Witness, _fits_int64, check_multiple_exchange
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
@@ -129,10 +142,6 @@ class _DemandKernel:
         self.dom[t.dom] = True
         self.masks = np.arange(1 << f.n)
 
-    def grid(self, rows) -> np.ndarray:
-        """Price rows (lists of grid integers) as a 2-D array of the route's dtype."""
-        return np.array(rows, dtype=self.dtype).reshape(len(rows), -1)
-
     def __call__(self, p: np.ndarray):
         """(U, best, demanded) per row of p: U = f - p on every mask (``sent``
         off the domain), its row maximum, and the mask U == best."""
@@ -163,7 +172,7 @@ def demand(f: SetFunction, p: PriceVector) -> DemandSet:
     d = lcm(*(v.denominator for v in p.entries))
     row = [v.numerator * (d // v.denominator) for v in p.entries]
     kern = _DemandKernel(f, d, max(map(abs, row), default=0))
-    _, best, demanded = kern(kern.grid([row]))
+    _, best, demanded = kern(np.array([row], dtype=kern.dtype))
     members = np.flatnonzero(demanded[0]).tolist()
     return DemandSet(
         price=p, members=SetFamily(f.n, frozenset(members)), value=Fraction(int(best[0]), kern.scale)
@@ -238,41 +247,50 @@ class PriceSampler:
             bound = max(bound, (ri + 1) * d)
         return _DemandKernel(f, d, bound)
 
-    def _grid_prices(self, f: SetFunction):
-        """:meth:`iter_prices` as rows of integers k for the prices k/d."""
-        d, a = self.grid_step.denominator, self.grid_step.numerator
-        ri = self._phase1_radius(f)
-        if ri is not None:
-            for combo in product(range(-ri, ri + 1), repeat=f.n):
-                yield [c * d for c in combo]
-        rng = Random(2 * self.seed)
-        kmax = self._kmax(f)
-        for _ in range(self.count):
-            yield [a * rng.randint(-kmax, kmax) for _ in range(f.n)]
+    def _blocks(self, f: SetFunction, dtype, row_cells: int, pairs: bool):
+        """The price stream (or, with ``pairs``, the pair stream) as 2-D
+        arrays of ``dtype`` holding integers k for the prices k/d.
 
-    def _grid_pairs(self, f: SetFunction):
-        """:meth:`iter_price_pairs` as rows p + q of integers k for k/d."""
+        A row is a price, or a pair p + q.  Blocks follow the sweeps' chunk
+        schedule for rows of ``row_cells`` work entries: about _FIRST_CELLS
+        entries at first, doubling up to _MAX_CELLS entries or one row.
+        The integer sweep's rows are computed per block from their index in
+        ``product`` order; random rows are drawn up to a chunk ahead, and
+        only when a block needs them, so an early exit draws little.
+        """
         d, a = self.grid_step.denominator, self.grid_step.numerator
+        n = f.n
+        size = max(1, _FIRST_CELLS // row_cells)
+        cap = max(1, _MAX_CELLS // row_cells)
         ri = self._phase1_radius(f)
-        if ri is not None:
-            for combo in product(range(-ri, ri + 1), repeat=f.n):
-                p = [c * d for c in combo]
-                for c in range(f.n):
-                    q = list(p)
-                    q[c] += d
-                    yield p + q
-        rng = Random(2 * self.seed + 1)
-        kmax = self._kmax(f)
-        kup = max(1, kmax)
-        for _ in range(self.count):
-            p = [a * rng.randint(-kmax, kmax) for _ in range(f.n)]
-            raised = [rng.random() < 0.5 for _ in range(f.n)]
-            yield p + [v + a * rng.randint(1, kup) if r else v for v, r in zip(p, raised)]
+        n1 = (self.pair_count if pairs else self.price_count)(f) - self.count
+        grid = _phase1_pairs if pairs else _phase1_prices
+        rng = Random(2 * self.seed + int(pairs))
+        draw = (pair_draws if pairs else price_draws)(rng, n, self._kmax(f), a, dtype)
+        ahead = np.empty((0, 2 * n if pairs else n), dtype=dtype)  # drawn, not handed out
+        done, total = 0, n1 + self.count
+        while done < total:
+            hi = min(done + size, total)
+            parts = []
+            if done < n1:
+                parts.append(grid(n, ri, np.arange(done, min(hi, n1))).astype(dtype) * d)
+            if hi > n1:
+                k = hi - max(done, n1)
+                if len(ahead) < k:
+                    left = total - max(done, n1) - len(ahead)
+                    ahead = np.concatenate((ahead, draw(min(cap, left))))
+                parts.append(ahead[:k])
+                ahead = ahead[k:]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+            done = hi
+            size = min(2 * size, cap)
 
     def iter_prices(self, f: SetFunction):
         """Integer sweep (when small), then ``count`` random grid prices."""
-        for row in self._grid_prices(f):
-            yield _grid_price(row, self.grid_step.denominator)
+        d = self.grid_step.denominator
+        for block in self._blocks(f, object, 1 << f.n, pairs=False):
+            for row in block.tolist():
+                yield _grid_price(row, d)
 
     def iter_price_pairs(self, f: SetFunction):
         """Pairs p <= q; q raises a coordinate subset of p.
@@ -282,8 +300,9 @@ class PriceSampler:
         grid increments.
         """
         d = self.grid_step.denominator
-        for row in self._grid_pairs(f):
-            yield _grid_price(row[: f.n], d), _grid_price(row[f.n :], d)
+        for block in self._blocks(f, object, 2 << f.n, pairs=True):
+            for row in block.tolist():
+                yield _grid_price(row[: f.n], d), _grid_price(row[f.n :], d)
 
     def price_count(self, f: SetFunction) -> int:
         ri = self._phase1_radius(f)
@@ -297,31 +316,44 @@ class PriceSampler:
 
 
 # ----------------------------------------------------------------------
+# price streams as integer blocks
+
+
+def _phase1_prices(n: int, ri: int, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of product(range(-ri, ri + 1), repeat=n), as int64."""
+    m = 2 * ri + 1
+    return idx[:, None] // m ** np.arange(n - 1, -1, -1, dtype=np.int64) % m - ri
+
+
+def _phase1_pairs(n: int, ri: int, idx: np.ndarray) -> np.ndarray:
+    """Pair rows ``idx`` of the integer sweep: each grid point p, in order,
+    followed by its n unit raises p + e_c, as int64 rows p + q."""
+    p = _phase1_prices(n, ri, idx // n)
+    return np.concatenate((p, p + ((idx % n)[:, None] == np.arange(n))), axis=1)
+
+
+# ----------------------------------------------------------------------
 # batched sweeps
 
 
-def _first_hits(stream, row_cells: int, names, evaluate) -> dict:
-    """{name: (sample index, row)} of the first hit of each named test.
+def _first_hits(blocks, names, evaluate) -> dict:
+    """{name: (sample index, row as a list of ints)} of the first hit of
+    each named test.
 
     ``evaluate(rows, open_names)`` returns, for each open name, the index
-    of the first hit within ``rows`` or None.  Rows go in chunks, in
-    order, so the first chunk holding a hit holds the stream's first hit.
+    of the first hit within the block ``rows`` or None.  Blocks go in
+    order, so the first block holding a hit holds the stream's first hit.
     """
     hits: dict = {}
-    size = max(1, _FIRST_CELLS // row_cells)
-    cap = max(1, _MAX_CELLS // row_cells)
     start = 0
-    stream = iter(stream)
-    while len(hits) < len(names):
-        rows = list(islice(stream, size))
-        if not rows:
-            break
+    for rows in blocks:
         found = evaluate(rows, [name for name in names if name not in hits])
         for name, k in found.items():
             if k is not None:
-                hits[name] = (start + k, rows[k])
+                hits[name] = (start + k, rows[k].tolist())
+        if len(hits) == len(names):
+            break
         start += len(rows)
-        size = min(2 * size, cap)
     return hits
 
 
@@ -382,7 +414,7 @@ def _price_sweep(f: SetFunction, sampler: PriceSampler, names) -> dict:
     kern = sampler._kernel(f)
 
     def evaluate(rows, open_names):
-        u, _, demanded = kern(kern.grid(rows))
+        u, _, demanded = kern(rows)
         out = {}
         for name in open_names:
             if name == "si":
@@ -391,7 +423,7 @@ def _price_sweep(f: SetFunction, sampler: PriceSampler, names) -> dict:
                 out[name] = _nc_first(demanded, name == "ncsim")
         return out
 
-    hits = _first_hits(sampler._grid_prices(f), 1 << f.n, names, evaluate)
+    hits = _first_hits(sampler._blocks(f, kern.dtype, 1 << f.n, pairs=False), names, evaluate)
     verdicts = {name: Verdict(True) for name in names}
     for name, (idx, row) in hits.items():
         p = _grid_price(row, sampler.grid_step.denominator)
@@ -447,10 +479,9 @@ def check_gs_sampled(f: SetFunction, sampler: PriceSampler) -> Verdict:
     """
     kern = sampler._kernel(f)
     hits = _first_hits(
-        sampler._grid_pairs(f),
-        2 << f.n,
+        sampler._blocks(f, kern.dtype, 2 << f.n, pairs=True),
         ("gs",),
-        lambda rows, _: {"gs": _first(_gs_flags(kern, kern.grid(rows)))},
+        lambda rows, _: {"gs": _first(_gs_flags(kern, rows))},
     )
     if not hits:
         return Verdict(True)

@@ -6,22 +6,26 @@ the same sentinel table; the verdicts built from their hits, witnesses
 included, must be equal.  Family scans are compared against the plain
 membership scans kept below as the oracles.  The sampled GS/SI/NC sweeps
 are compared against per-price loops over the integer table, with the
-price streams drawn the way those loops drew them.  The subset-DP dual
-sweep, on int64 and on object arrays, is compared against the per-item
-grid sweep and the point-by-point loop kept below.  The rational exchange
-searches on family indicators are compared against membership searches.
+price streams drawn the way those loops drew them, one ``randint`` or
+``random()`` call at a time; the sweeps' price blocks are compared
+against those streams.  The subset-DP dual sweep, on int64 and on object
+arrays, is compared against the per-item grid sweep and the
+point-by-point loop kept below.  The rational exchange searches on family
+indicators are compared against membership searches.
 """
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import floor
+from operator import and_, or_
 from random import Random
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from excheck import (
     NEG_INF,
@@ -372,6 +376,35 @@ def test_local_domain_check_against_oracle(f):
     assert check_family(dom, "b-exc") == _oracle_family_verdict(dom)
 
 
+@st.composite
+def near_box(draw, max_n=5):
+    """Values on every set between A and B, then a few sets toggled in or
+    out of the domain; with none toggled the domain is a box."""
+    n = draw(st.integers(1, max_n))
+    low = draw(st.integers(0, (1 << n) - 1))
+    high = low | draw(st.integers(0, (1 << n) - 1))
+    dom = {m for m in range(1 << n) if m & low == low and m | high == high}
+    for _ in range(draw(st.integers(0, 2))):
+        dom ^= {draw(st.integers(0, (1 << n) - 1))}
+    dom = dom or {low}
+    return SetFunction(n, tuple(draw(RATIONALS) if m in dom else NEG_INF for m in range(1 << n)))
+
+
+@given(near_box())
+@settings(max_examples=150, deadline=None)
+def test_local_domain_on_boxes_against_oracle(f):
+    dom = SetFamily(f.n, frozenset(f.dom_masks))
+    oracle = _oracle_family_verdict(dom, "local:domain")
+    low, high = reduce(and_, dom.members), reduce(or_, dom.members)
+    if len(dom.members) == 1 << (high & ~low).bit_count():
+        assert oracle.passed
+    v = check_local(f)
+    if oracle.passed:
+        assert v.passed or v.witness.condition != "local:domain"
+    else:
+        assert v == oracle
+
+
 @given(st.integers(4, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_larger_families_against_oracle(n, data):
@@ -711,6 +744,82 @@ def test_price_streams_match_the_loops():
     ]:
         assert list(sampler.iter_prices(f)) == list(_oracle_prices(sampler, f))
         assert list(sampler.iter_price_pairs(f)) == list(_oracle_pairs(sampler, f))
+
+
+# kmax at the edges of the draw widths 2*kmax + 1 and kmax: 2^k - 1, 2^k,
+# 2^k + 1, the widest word draw (2^32 - 1) and the first ones past it
+KMAX_EDGES = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 2**15 - 1, 2**15, 2**15 + 1,
+              2**31 - 1, 2**31, 2**32]
+
+
+@st.composite
+def stream_cases(draw):
+    """A cardinality table (values near 2^70 or small) and a sampler whose
+    random prices run over |k| <= kmax, or the table's default radius."""
+    n = draw(st.integers(0, 5))
+    unit = draw(st.sampled_from([1, 1 << 70]))
+    f = SetFunction(n, tuple(Fraction(m.bit_count() * unit) for m in range(1 << n)))
+    step = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+    kmax = draw(st.one_of(st.none(), st.sampled_from(KMAX_EDGES)))
+    radius = None if kmax is None else step * kmax + draw(st.sampled_from([0, step / 2]))
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 40) | st.integers(300, 700))
+    seed = draw(st.integers(0, 2**40))
+    sampler = PriceSampler(seed=seed, count=count, grid_step=step, radius=radius)
+    # integer sweeps of up to 10^5 prices would make this test slow; the
+    # parametrized test below runs sweeps of a few thousand
+    assume(sampler.pair_count(f) <= 4000)
+    return f, sampler
+
+
+def _assert_streams_match(f, sampler):
+    prices = list(sampler.iter_prices(f))
+    pairs = list(sampler.iter_price_pairs(f))
+    assert prices == list(_oracle_prices(sampler, f))
+    assert pairs == list(_oracle_pairs(sampler, f))
+    assert (len(prices), len(pairs)) == (sampler.price_count(f), sampler.pair_count(f))
+    # the sweeps' blocks, in the kernel's dtype, hold the same integers
+    dtype = sampler._kernel(f).dtype
+    for cells, is_pairs in ((1 << f.n, False), (2 << f.n, True)):
+        got = [b.tolist() for b in sampler._blocks(f, dtype, cells, is_pairs)]
+        want = [b.tolist() for b in sampler._blocks(f, object, cells, is_pairs)]
+        assert got == want
+
+
+@given(stream_cases())
+@settings(max_examples=60, deadline=None)
+def test_price_blocks_match_the_loops(case):
+    _assert_streams_match(*case)
+
+
+@pytest.mark.parametrize("kmax", KMAX_EDGES)
+def test_price_blocks_at_the_width_edges(kmax):
+    f = _rank(3, 2)
+    step = Fraction(1, 2)
+    sampler = PriceSampler(seed=kmax, count=300, grid_step=step, radius=step * kmax)
+    _assert_streams_match(f, sampler)
+
+
+def test_price_blocks_on_a_2_70_table():
+    # the default radius makes the draws 73 bits wide: the per-call route
+    f = SetFunction(3, tuple(Fraction(m.bit_count() << 70) for m in range(8)))
+    _assert_streams_match(f, PriceSampler(seed=4, count=300))
+    # a small radius draws from the words and runs the integer sweep first
+    _assert_streams_match(f, PriceSampler(seed=4, count=300, radius=Fraction(3)))
+
+
+def test_first_hit_in_a_later_block_keeps_its_index():
+    f = _rank(5, 2)
+    sampler = PriceSampler(seed=3, count=400)
+    d = sampler.grid_step.denominator
+    rows = [[int(v * d) for v in p.entries] for p in _oracle_prices(sampler, f)]
+    target = rows[300]  # past the blocks of 32, 64 and 128 rows
+    idx = rows.index(target)
+    assert idx > 224
+    blocks = sampler._blocks(f, np.int64, 1 << f.n, pairs=False)
+    hits = econ._first_hits(
+        blocks, ("t",), lambda b, _: {"t": econ._first((b == target).all(axis=1))}
+    )
+    assert hits == {"t": (idx, target)}
 
 
 def test_n2_universe_sweeps_match_the_loops():
@@ -1116,6 +1225,25 @@ def test_oversized_slab_is_refused_before_allocating(monkeypatch):
     assert 9**10 <= duality._MAX_BOX_POINTS and 9**9 > duality._MAX_SLAB_ENTRIES
     with pytest.raises(InputError, match="slab"):
         _dual_sweep([(0, 0)], [(0, 0)], 10, 4, None)
+
+
+def test_object_route_slab_cap_is_smaller(monkeypatch):
+    # k = 6 at radius 15: one slab holds 31^5 entries, between the object
+    # route's cap and the int64 route's
+    class Reached(Exception):
+        pass
+
+    def no_buffers(*args):
+        raise Reached
+
+    monkeypatch.setattr(duality, "_SlabConjugate", no_buffers)
+    assert duality._MAX_OBJECT_SLAB_ENTRIES < 31**5 <= duality._MAX_SLAB_ENTRIES
+    big = [(0, 1 << 70)]
+    with pytest.raises(InputError, match="slab"):
+        _dual_sweep(big, big, 6, 15, None)
+    # the same shape on int64 values passes the cap and goes on to allocate
+    with pytest.raises(Reached):
+        _dual_sweep([(0, 0)], [(0, 0)], 6, 15, None)
 
 
 # ----------------------------------------------------------------------
