@@ -41,24 +41,42 @@ smaller J repaired.  Tuples left after the last level are violations, and
 the least (row-major cell, I) of the first chunk holding one is again the
 loop scan's first hit.  Levels keep early exits cheap: most tuples are
 repaired by a small J, and trying every J at once made the early exits
-of n = 14 scans several times slower.  ``b-exc-pm`` runs on the per-i grid
-of the one-item kernel, where both clauses become bitmask tests (see
-:func:`_scan_b_exc_pm`).
+of n = 14 scans several times slower.  On an equicardinal domain (matroid
+bases, weighted matroids) X-I+J lies in the domain only when |J| = |I|,
+so level 0 is skipped and level l runs only on the tuples with |I| = l.
+``b-exc-pm`` runs on the per-i grid of the one-item kernel, where both
+clauses become bitmask tests (see :func:`_scan_b_exc_pm`).
+
+A third kernel runs ``local``'s three inequality families.  Each reads
+s(X+i+j) + s(X+k+l) > max(s(X+i+k) + s(X+j+l), s(X+j+k) + s(X+i+l)),
+with k = l = 0 in family (i) and l = 0 in (ii), so the tuples on one
+element set E share their entries, and each E is tested, on arrays, on
+the 2^(n-|E|) masks X outside it and nowhere else.  X runs in
+ascending aligned blocks, the first of about _FIRST_CHUNK_CELLS (X, E)
+cells and then doubling up to _LOCAL_BLOCK_CELLS, each a slice of one
+table per family and n; the least (X, tuple) of the first block holding a
+violation is the loop scan's first hit, and a table failing at X = 0
+reads one small block.  The kernel runs on the int64 table under the
+guard above and on an object array of its Python integers above it.
 
 Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), a full ``mnat-exc``
 scan of min(|S|, n/2) takes about 0.06 s at n = 10, 1.4 s at n = 12 and
-12-14 s at n = 14; ``local`` takes 0.26 s at n = 12, whose domain is a
-box (1.4 s with the domain scan).  A full ``mnat-exc-m`` scan of the same
-function takes about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and
-5.6 s at n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10); on
-the bases of U(6, 12), ``b-exc-m`` takes 2.0 s and ``b-exc-pm`` 0.03 s.
+12-14 s at n = 14.  A full ``mnat-exc-m`` scan of the same function takes
+about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at
+n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10); on the bases
+of U(6, 12), ``b-exc-pm`` takes 0.03 s.  Timed later, back to back with
+the code they replaced, while the host ran about half as fast: ``local``
+on min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
+and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
+18 ms; ``b-exc-m`` on the bases of U(6, 12) takes 0.83 s, from 1.7 s
+before the level skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 
@@ -409,17 +427,19 @@ def _scan_multi_np(sa, da, xs):
     xa = np.array(xs, dtype=np.int64)
     ncols = len(da)
     pc = _popcounts(len(sa).bit_length() - 1)
+    sizes = pc[da]
+    equi = bool((sizes == sizes[0]).all())
     picks: dict = {}
     for start, stop in _row_chunks(len(xa), ncols, max(1, _MULTI_BLOCK // ncols)):
         chunk = xa[start:stop]
-        hit = _multi_chunk(sa, da, chunk, pc, picks)
+        hit = _multi_chunk(sa, da, chunk, pc, picks, equi)
         if hit is not None:
             r, c, I = hit
             return int(chunk[r]), int(da[c]), I
     return None
 
 
-def _multi_chunk(sa, da, xa, pc, picks):
+def _multi_chunk(sa, da, xa, pc, picks, equi: bool):
     """Least (row, column, I) of one chunk that no J repairs, or None.
 
     Cells with X\\Y nonempty are grouped by (|X\\Y|, |Y\\X|) and stay in
@@ -448,7 +468,7 @@ def _multi_chunk(sa, da, xa, pc, picks):
             if not g.size:
                 continue
         a, b = divmod(int(key[g0]), width)
-        hit = _multi_group(sa, X[g], Y[g], xd[g], yd[g], a, b, pc, picks)
+        hit = _multi_group(sa, X[g], Y[g], xd[g], yd[g], a, b, pc, picks, equi)
         if hit is not None:
             c, I = hit
             found = (int(flat[g[c]]), I)
@@ -458,14 +478,16 @@ def _multi_chunk(sa, da, xa, pc, picks):
     return flat0 // ncols, flat0 % ncols, I
 
 
-def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks):
+def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
 
     The group's cells go in blocks of whole cells.  Level l tries every J
     of size l, only on the (X, Y, I) tuples that no smaller J repaired, so
     a tuple repaired early costs little; the tuples left after level b are
-    violations.  Work arrays put the I or J index first, so the test over
-    all J of a level is a reduction across rows.
+    violations.  On an ``equi``-cardinal domain X-I+J is in the domain only
+    when |J| = |I|, so level 0 repairs nothing and level l tries only the
+    tuples with |I| = l.  Work arrays put the I or J index first, so the
+    test over all J of a level is a reduction across rows.
     """
     lhs = sa[X] + sa[Y]
     per_cell = (1 << a) - 1
@@ -473,18 +495,26 @@ def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks):
     for lo in range(0, X.size, step):
         hi = lo + step
         I = _pick(picks, pc, a, None) @ _low_bits(xd[lo:hi], a)  # row t: the t-th I of each cell
+        cells = I.shape[1]
         xi = X[lo:hi] ^ I
         yi = Y[lo:hi] | I
-        open_ = np.flatnonzero(sa[xi] + sa[yi] < lhs[lo:hi])
-        xi, yi = xi.ravel(), yi.ravel()
         ybits = _low_bits(yd[lo:hi], b)
-        for size in range(1, b + 1):
-            if not open_.size:
-                break
-            pick_j = _pick(picks, pc, b, size)
-            open_ = _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, open_, pick_j)
+        if equi:
+            i_size = np.repeat(pc[1 : per_cell + 1], cells)  # |I| of each entry
+            xi, yi = xi.ravel(), yi.ravel()
+            open_ = np.concatenate([
+                _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
+                            _pick(picks, pc, b, size))
+                for size in range(1, b + 1)
+            ])
+        else:
+            open_ = np.flatnonzero(sa[xi] + sa[yi] < lhs[lo:hi])
+            xi, yi = xi.ravel(), yi.ravel()
+            for size in range(1, b + 1):
+                if not open_.size:
+                    break
+                open_ = _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, open_, _pick(picks, pc, b, size))
         if open_.size:
-            cells = I.shape[1]
             c, t = open_ % cells, open_ // cells
             k = int(np.argmin(c * per_cell + t))
             return lo + int(c[k]), int(I[t[k], c[k]])
@@ -784,31 +814,15 @@ def check_local(f: SetFunction) -> Verdict:
         if hit is not None:
             return Verdict(False, _family_witness("local:domain", dom.members, *hit))
 
+    hit = _local_hit(f.ints)
+    if hit is None:
+        return Verdict(True)
+    condition, X, bits = hit
+    ib, jb, kb, lb = bits + (0,) * (4 - len(bits))
     tab = f.table
-    t = f.ints
-
-    hit = _scan_local_pairs(t)
-    if hit is not None:
-        X, ib, jb = hit
-        lhs = tab[X | ib | jb] + tab[X]
-        rhs = tab[X | ib] + tab[X | jb]
-        return Verdict(False, _local_witness("local:i", X, (ib, jb), lhs, rhs))
-
-    hit = _scan_local_triples(t)
-    if hit is not None:
-        X, ib, jb, kb = hit
-        lhs = tab[X | ib | jb] + tab[X | kb]
-        rhs = max(tab[X | ib | kb] + tab[X | jb], tab[X | jb | kb] + tab[X | ib])
-        return Verdict(False, _local_witness("local:ii", X, (ib, jb, kb), lhs, rhs))
-
-    hit = _scan_local_quads(t)
-    if hit is not None:
-        X, ib, jb, kb, lb = hit
-        lhs = tab[X | ib | jb] + tab[X | kb | lb]
-        rhs = max(tab[X | ib | kb] + tab[X | jb | lb], tab[X | jb | kb] + tab[X | ib | lb])
-        return Verdict(False, _local_witness("local:iii", X, (ib, jb, kb, lb), lhs, rhs))
-
-    return Verdict(True)
+    lhs = tab[X | ib | jb] + tab[X | kb | lb]
+    rhs = max(tab[X | ib | kb] + tab[X | jb | lb], tab[X | jb | kb] + tab[X | ib | lb])
+    return Verdict(False, _local_witness(condition, X, bits, lhs, rhs))
 
 
 def _local_witness(condition: str, X: int, bits, lhs: ExtValue, rhs: ExtValue) -> Witness:
@@ -820,66 +834,154 @@ def _local_witness(condition: str, X: int, bits, lhs: ExtValue, rhs: ExtValue) -
     return _recheck(len(fresh) == len(bits) and is_finite(lhs) and lhs > rhs, w)
 
 
-def _free_bits(t: IntTable, X: int) -> list[int]:
-    return [1 << i for i in range(t.n) if not X >> i & 1]
+# ----------------------------------------------------------------------
+# the local inequality kernel (see the module docstring)
+
+# A block of X masks holds at most this many (X, E) cells; each cell reads
+# four or six table entries, and a scan at n = 12 peaks about 3 MB above
+# its table (2^16 cells: 5 MB, for 10% less time).
+_LOCAL_BLOCK_CELLS = 1 << 15
 
 
-def _scan_local_pairs(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
-        if vals[X] is None:
-            continue
-        free = _free_bits(t, X)
-        for ib, jb in combinations(free, 2):
-            top = vals[X | ib | jb]
-            if top is None:
-                continue
-            if top + vals[X] > s[X | ib] + s[X | jb]:
-                return (X, ib, jb)
+def _local_hit(t: IntTable):
+    """The first violating (condition, X, element bits) of local's three
+    inequality families, or None.
+
+    Family (i) comes first, then (ii), then (iii); within a family X
+    ascends, then the element tuple in the loop order of the exhaustive
+    scan.  A tuple whose lhs holds an entry off the domain is vacuous.
+    """
+    if _fits_int64(t.neg, t.lo, t.hi):
+        s = t.arrays()[0]
+    else:
+        s = np.array(t.sent, dtype=object)
+    # a lhs holding the sentinel is at most neg + hi < 2 lo, so
+    # lhs > floor is the test that both of its entries are finite
+    floor = 2 * t.lo - 1
+    for condition, fam in zip(("local:i", "local:ii", "local:iii"), _local_families(t.n)):
+        hit = fam.first_hit(s, floor)
+        if hit is not None:
+            X, tup = hit
+            return condition, X, tuple(1 << e for e in tup)
     return None
 
 
-def _scan_local_triples(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
-        free = _free_bits(t, X)
-        for ib, jb in combinations(free, 2):
-            top = vals[X | ib | jb]
-            if top is None:
-                continue
-            for kb in free:
-                if kb == ib or kb == jb:
-                    continue
-                side = vals[X | kb]
-                if side is None:
-                    continue
-                lhs = top + side
-                if lhs > s[X | ib | kb] + s[X | jb] and lhs > s[X | jb | kb] + s[X | ib]:
-                    return (X, ib, jb, kb)
-    return None
+@lru_cache(maxsize=None)
+def _local_families(n: int) -> tuple["_LocalFamily", ...]:
+    return tuple(_LocalFamily(n, size) for size in (2, 3, 4))
 
 
-def _scan_local_quads(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
-        free = _free_bits(t, X)
-        pairs = list(combinations(free, 2))
-        for a in range(len(pairs)):
-            ib, jb = pairs[a]
-            top = vals[X | ib | jb]
-            if top is None:
-                continue
-            for b in range(a + 1, len(pairs)):
-                kb, lb = pairs[b]
-                if (ib | jb) & (kb | lb):
-                    continue
-                side = vals[X | kb | lb]
-                if side is None:
-                    continue
-                lhs = top + side
-                if lhs > s[X | ib | kb] + s[X | jb | lb] and lhs > s[X | jb | kb] + s[X | ib | lb]:
-                    return (X, ib, jb, kb, lb)
-    return None
+def _tuples_on(E):
+    """The element tuples (i, j[, k[, l]]) of one family on the element set E.
+
+    Family (i) has the pair itself; (ii) one tuple per k in E, with i < j
+    the rest; (iii) one per pairing of E, with i the least element and
+    i < j, k < l.  The exhaustive scan visits a family's tuples in
+    lexicographic order, for each X.
+    """
+    if len(E) == 2:
+        return [E]
+    if len(E) == 3:
+        return [(*(e for e in E if e != k), k) for k in E]
+    i, *rest = E
+    return [(i, j, *(e for e in rest if e != j)) for j in rest]
+
+
+class _LocalFamily:
+    """One family's inequalities at one n, grouped by their element set E.
+
+    A tuple compares its sum s(X+i+j) + s(X+k+l) with the others on its E:
+    on E = {i, j}, family (i) compares s(X+i+j) + s(X) with
+    s(X+i) + s(X+j); on three or four elements, the three tuples of
+    families (ii) and (iii) are the three sums, and a tuple fails when
+    its sum, both terms finite, exceeds the other two.  So the tuples on
+    one E share their entries, and each E is tested on the 2^(n-|E|)
+    masks X outside it and nowhere else.
+
+    X runs in ascending aligned blocks [H, H + 2^w): the first holds about
+    _FIRST_CHUNK_CELLS (X, E) cells, so early exits stay cheap; then the
+    blocks double up to the width ``wmax`` of about _LOCAL_BLOCK_CELLS cells.
+    One table, built on the first scan, lists every (low part L of X, E)
+    with L below 2^wmax and outside E, sorted by L; a block is one slice
+    of it, with the E meeting the block's fixed high bits dropped.  So the
+    first block holding a violation holds the least violating X, and the
+    least tuple there is the loop scan's first hit.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.n = n
+        sets = list(combinations(range(n), size))
+        self.tuples = [_tuples_on(E) for E in sets]
+        # sum c on E is s(X+i+j) + s(X+k+l) of the c-th tuple on E
+        rows = [[(t[:2], t[2:]) for t in tuples] for tuples in self.tuples]
+        if size == 2:  # family (i) has one more, s(X+i) + s(X+j), its rhs
+            for (i, j), row in zip(sets, rows):
+                row.append(((i,), (j,)))
+        nsums, nslots = (2, 1) if size == 2 else (3, 3)
+        self.sides = [
+            tuple(np.array([sum(1 << e for e in row[c][h]) for row in rows], dtype=np.int64)
+                  for h in (0, 1))
+            for c in range(nsums)
+        ]
+        # the tuple in slot c fails when sum c, both terms finite, exceeds the others
+        self.others = [[d for d in range(nsums) if d != c] for c in range(nslots)]
+        self.union = np.array([sum(1 << e for e in E) for E in sets], dtype=np.int64)
+        # cells of the block [0, 2^w): 2^(w - |E below w|) per E
+        below = np.zeros(len(sets), dtype=np.int64)
+        cells = []
+        for w in range(n + 1):
+            cells.append(int((1 << (w - below)).sum()))
+            below += (self.union >> w) & 1
+        self.w0 = max([w for w, c in enumerate(cells) if c <= _FIRST_CHUNK_CELLS], default=0)
+        self.wmax = max([w for w, c in enumerate(cells) if c <= _LOCAL_BLOCK_CELLS], default=0)
+        self._table = None
+
+    def _build(self):
+        """(offsets, L, E index) of the cells with L below 2^wmax, sorted
+        by (L, E); offsets[L] is where L's run starts."""
+        width = 1 << self.wmax
+        low = self.union & (width - 1)
+        step = max(1, _LOCAL_BLOCK_CELLS // low.size)
+        ls, es = [], []
+        for start in range(0, width, step):
+            L = np.arange(start, min(start + step, width), dtype=np.int32)
+            r, e = np.nonzero((L[:, None] & low) == 0)
+            ls.append(L[r])
+            es.append(e.astype(np.int32))
+        L, e = np.concatenate(ls), np.concatenate(es)
+        self._table = np.searchsorted(L, np.arange(width + 1)), L, e
+        return self._table
+
+    def first_hit(self, s, floor):
+        """The least violating (X, element tuple), or None."""
+        if not self.union.size:
+            return None
+        offsets, Ls, es = self._table or self._build()
+        low_mask = (1 << self.wmax) - 1
+        start, w = 0, self.w0
+        while start < 1 << self.n:
+            low, high = start & low_mask, start & ~low_mask
+            first, stop = offsets[low], offsets[low + (1 << w)]
+            X, e = Ls[first:stop], es[first:stop]
+            if high:
+                keep = (self.union[e] & high) == 0
+                X, e = X[keep] | high, e[keep]
+            sums = [s[X | side0[e]] + s[X | side1[e]] for side0, side1 in self.sides]
+            bad = np.empty((len(self.others), X.size), dtype=bool)
+            for c, others in enumerate(self.others):
+                np.greater(sums[c], reduce(np.maximum, [sums[d] for d in others], floor),
+                           out=bad[c])
+            hit = bad.any(axis=0)
+            if hit.size:
+                f = int(hit.argmax())
+                if hit[f]:
+                    # the entries of the same X follow in E order
+                    end = f + int(np.searchsorted(X[f:], X[f], side="right"))
+                    c, j = np.nonzero(bad[:, f:end])
+                    return int(X[f]), min(self.tuples[e[f + jj]][cc] for cc, jj in zip(c, j))
+            start += 1 << w
+            w = min(start.bit_length() - 1, self.wmax)
+        return None
 
 
 # ----------------------------------------------------------------------

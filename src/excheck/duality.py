@@ -26,7 +26,9 @@ Python integers above that, so both routes are exact.  A box whose slab
 holds more than 2 * 10^8 entries on the int64 route, or 2.5 * 10^7 on the
 object route, where an entry takes about seven times the memory, is
 refused with :class:`InputError` before any array is allocated, as is one
-of more than 10^10 points.
+of more than 10^10 points, or whose points plus 1000 per slab (a slab's
+fixed cost of a few numpy calls) exceed 10^10: a box of k = 1 at radius
+10^9 has 2 * 10^9 + 1 one-point slabs, hours of sweeping.
 
 By weak duality no point of the box lies below the primal value, and
 every visited point is checked against it (a violation raises
@@ -82,6 +84,9 @@ __all__ = [
 ]
 
 _MAX_BOX_POINTS = 10**10
+# a slab's fixed cost, a few numpy calls (about 10 us on a 2-core host),
+# in box points (about 6 ns each on the int64 route)
+_SLAB_POINTS = 1000
 _MAX_SLAB_ENTRIES = 2 * 10**8
 # an object slab entry (a pointer and a Python integer) takes about seven
 # times the memory of an int64 one, so that route admits smaller slabs
@@ -158,6 +163,15 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
     if m**k > _MAX_BOX_POINTS:
         raise InputError(
             f"dual box has {m}^{k} integer points; shrink box_radius or the instance"
+        )
+    # k = 0 sweeps one slab; otherwise every slab can be visited
+    slabs = m if k else 1
+    cost = m**k + _SLAB_POINTS * slabs
+    if cost > _MAX_BOX_POINTS:
+        raise InputError(
+            f"dual box has {slabs} slabs of coordinate 0, about {cost} point evaluations "
+            f"at {_SLAB_POINTS} per slab, more than {_MAX_BOX_POINTS}; "
+            "shrink box_radius or the instance"
         )
     # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
     kk = max(k, 1)

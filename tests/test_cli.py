@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -173,6 +174,27 @@ def test_duality_oversized_slab_exits_1(tmp_path, capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert err == "error: dual box slab has 9^9 entries, more than 200000000; " \
+        "shrink box_radius or the instance\n"
+
+
+def test_duality_long_box_of_one_coordinate_exits_1(files, capsys, monkeypatch):
+    # |Y\X| = 1 at radius 10^9 passes the point cap with 2 * 10^9 + 1
+    # one-entry slabs; refused before any slab is swept
+    from excheck import duality
+
+    def no_sweep(*args):
+        raise AssertionError("a slab was swept")
+
+    monkeypatch.setattr(duality._SlabConjugate, "slab", no_sweep)
+    start = perf_counter()
+    code, out, err = run(
+        capsys, "duality", files["rank2"], "--x", "1", "--y", "2",
+        "--box-radius", "1000000000", "--no-timing",
+    )
+    assert perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err == "error: dual box has 2000000001 slabs of coordinate 0, about 2002000001001 " \
+        "point evaluations at 1000 per slab, more than 10000000000; " \
         "shrink box_radius or the instance\n"
 
 

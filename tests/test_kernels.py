@@ -17,10 +17,11 @@ indicators are compared against membership searches.
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import floor
 from operator import and_, or_
 from random import Random
+from time import perf_counter
 
 import hypothesis.strategies as st
 import numpy as np
@@ -71,6 +72,9 @@ from excheck.checkers import (
     _family_pm_witness,
     _family_witness,
     _fits_int64,
+    _local_families,
+    _local_hit,
+    _LocalFamily,
     _multiple_exchange_verdict,
     _scan_exchange_np,
     _scan_exchange_py,
@@ -489,6 +493,40 @@ def test_multi_hit_in_a_later_chunk_after_deep_levels():
     assert v == _multiple_exchange_verdict(g, hit)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_level_skip_on_weighted_uniform_matroids(n, monkeypatch):
+    # the bases of U(k, n) are equicardinal, so the multi-item kernel
+    # skips level 0 and tries level l only on the tuples with |I| = l
+    flags = []
+    group = checkers._multi_group
+
+    def spy(*args):
+        flags.append(args[-1])
+        return group(*args)
+
+    monkeypatch.setattr(checkers, "_multi_group", spy)
+    rng = Random(n)
+    failing = 0
+    for k in range(1, n):
+        f = _uniform_weighted(n, k, [rng.randint(-3, 3) for _ in range(n)])
+        bases = [m for m in range(1 << n) if m.bit_count() == k]
+        some = bases[:: max(1, len(bases) // 5)]
+        for raised in [None, *some]:
+            g = f if raised is None else with_value(f, raised, f.table[raised] + rng.randint(1, 2))
+            py = _assert_multi_routes_agree(g)
+            assert raised is not None or py is None
+            failing += py is not None
+        for dropped in [None, *some]:
+            members = frozenset(bases) - {dropped}
+            if not members:
+                continue
+            ms = sorted(members)
+            py, vec = _multi_routes([0 if m in members else -1 for m in range(1 << n)], ms)
+            assert py == vec == _scan_b_exc_m(members, ms)
+            failing += py is not None
+    assert (failing > 0) == (n >= 4) and flags and all(flags)
+
+
 # ----------------------------------------------------------------------
 # the big-integer route
 
@@ -562,20 +600,18 @@ def test_recheck_rejects_a_non_violation(rank2):
             _family_pm_witness(bases.members, 0b011, 0b110, 0b001, clause)
 
 
-@pytest.mark.parametrize("scan,hit", [
-    ("_scan_local_pairs", (0, 0b0001, 0b0010)),
-    ("_scan_local_triples", (0, 0b0001, 0b0010, 0b0100)),
-    ("_scan_local_quads", (0, 0b0001, 0b0010, 0b0100, 0b1000)),
-])
-def test_local_witnesses_are_rechecked(scan, hit, monkeypatch):
+@pytest.mark.parametrize("hit", [
+    ("local:i", 0, (0b0001, 0b0010)),
+    ("local:ii", 0, (0b0001, 0b0010, 0b0100)),
+    ("local:iii", 0, (0b0001, 0b0010, 0b0100, 0b1000)),
+], ids=["pairs", "triples", "quads"])
+def test_local_witnesses_are_rechecked(hit, monkeypatch):
     # min(|S|, 2) on 4 elements holds every local inequality with equality
-    # at these tuples, so a scan reporting one of them is wrong
+    # at these tuples, so a kernel reporting one of them is wrong
     f = _rank(4, 2)
     assert check_local(f).passed
-    monkeypatch.setattr(checkers, "_scan_local_pairs", lambda t: None)
-    monkeypatch.setattr(checkers, "_scan_local_triples", lambda t: None)
-    monkeypatch.setattr(checkers, scan, lambda t: hit)
-    with pytest.raises(InternalCheckError, match="local:"):
+    monkeypatch.setattr(checkers, "_local_hit", lambda t: hit)
+    with pytest.raises(InternalCheckError, match=hit[0]):
         check_local(f)
 
 
@@ -585,6 +621,232 @@ def test_recheck_accepts_a_violation(comp):
     fam = SetFamily(3, frozenset({0b011, 0b100}))
     assert _family_multi_witness(fam, 0b011, 0b100, 0b001).condition == "bnat-exc-m"
     assert _family_pm_witness(fam.members, 0b011, 0b100, 0b001, "a").condition == "bnat-exc-pm:a"
+
+
+# ----------------------------------------------------------------------
+# local's inequality families against the loops
+
+
+def _free_bits(t: IntTable, X: int) -> list[int]:
+    return [1 << i for i in range(t.n) if not X >> i & 1]
+
+
+def _scan_local_pairs(t: IntTable):
+    vals, s = t.vals, t.sent
+    for X in range(t.size):
+        if vals[X] is None:
+            continue
+        free = _free_bits(t, X)
+        for ib, jb in combinations(free, 2):
+            top = vals[X | ib | jb]
+            if top is None:
+                continue
+            if top + vals[X] > s[X | ib] + s[X | jb]:
+                return (X, ib, jb)
+    return None
+
+
+def _scan_local_triples(t: IntTable):
+    vals, s = t.vals, t.sent
+    for X in range(t.size):
+        free = _free_bits(t, X)
+        for ib, jb in combinations(free, 2):
+            top = vals[X | ib | jb]
+            if top is None:
+                continue
+            for kb in free:
+                if kb == ib or kb == jb:
+                    continue
+                side = vals[X | kb]
+                if side is None:
+                    continue
+                lhs = top + side
+                if lhs > s[X | ib | kb] + s[X | jb] and lhs > s[X | jb | kb] + s[X | ib]:
+                    return (X, ib, jb, kb)
+    return None
+
+
+def _scan_local_quads(t: IntTable):
+    vals, s = t.vals, t.sent
+    for X in range(t.size):
+        free = _free_bits(t, X)
+        pairs = list(combinations(free, 2))
+        for a in range(len(pairs)):
+            ib, jb = pairs[a]
+            top = vals[X | ib | jb]
+            if top is None:
+                continue
+            for b in range(a + 1, len(pairs)):
+                kb, lb = pairs[b]
+                if (ib | jb) & (kb | lb):
+                    continue
+                side = vals[X | kb | lb]
+                if side is None:
+                    continue
+                lhs = top + side
+                if lhs > s[X | ib | kb] + s[X | jb | lb] and lhs > s[X | jb | kb] + s[X | ib | lb]:
+                    return (X, ib, jb, kb, lb)
+    return None
+
+
+LOCAL_SCANS = (("local:i", _scan_local_pairs), ("local:ii", _scan_local_triples),
+               ("local:iii", _scan_local_quads))
+
+
+def _local_oracle(t: IntTable):
+    """The first (condition, X, element bits) of the three loop scans, or None."""
+    for condition, scan in LOCAL_SCANS:
+        hit = scan(t)
+        if hit is not None:
+            return condition, hit[0], hit[1:]
+    return None
+
+
+def test_n3_universe_local_against_the_loops():
+    levels = (NEG_INF, Fraction(0), Fraction(1))
+    seen = {}
+    for tab in product(levels, repeat=8):
+        if all(v is NEG_INF for v in tab):
+            continue
+        t = SetFunction(3, tab).ints
+        hit = _local_hit(t)
+        assert hit == _local_oracle(t)
+        seen[hit and hit[0]] = seen.get(hit and hit[0], 0) + 1
+    assert sum(seen.values()) == 6560
+    assert set(seen) == {None, "local:i", "local:ii"}  # (iii) needs four elements
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_local_on_ground_sets_without_some_families(n):
+    # below two elements no family has a tuple, below four (iii) has none
+    assert [fam.union.size for fam in _local_families(n)] == [
+        len(list(combinations(range(n), size))) for size in (2, 3, 4)
+    ]
+    rng = Random(n)
+    for _ in range(200):
+        tab = [rng.choice((NEG_INF, Fraction(0), Fraction(1), Fraction(3))) for _ in range(1 << n)]
+        tab[rng.randrange(1 << n)] = Fraction(rng.randint(-2, 2))
+        t = SetFunction(n, tuple(tab)).ints
+        assert _local_hit(t) == _local_oracle(t)
+
+
+@st.composite
+def near_local(draw, max_n=7):
+    """g(|S|) plus weights on a band of at most three cardinalities, with a
+    few entries changed or made -inf.  Narrow bands make family (i), and
+    often (ii), vacuous, so the scans reach (ii) and (iii); on a band of
+    one cardinality only (iii) has tuples with a finite lhs."""
+    n = draw(st.integers(2, max_n))
+    lo = draw(st.integers(0, n))
+    hi = min(n, lo + draw(st.integers(0, 2)))
+    incs = sorted(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), reverse=True)
+    g = [0]
+    for d in incs:
+        g.append(g[-1] + d)
+    w = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    tab = [
+        Fraction(g[m.bit_count()] + sum(w[e] for e in range(n) if m >> e & 1))
+        if lo <= m.bit_count() <= hi else NEG_INF
+        for m in range(1 << n)
+    ]
+    band = [m for m in range(1 << n) if lo <= m.bit_count() <= hi]
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.one_of(st.sampled_from(band), st.integers(0, (1 << n) - 1)))
+        delta = draw(st.one_of(st.just(NEG_INF), RATIONALS))
+        tab[m] = delta if not is_finite(tab[m]) or not is_finite(delta) else tab[m] + delta
+    if not any(is_finite(v) for v in tab):
+        tab[0] = Fraction(0)
+    return SetFunction(n, tuple(tab))
+
+
+@given(st.one_of(near_local(), near_concave(max_n=7), near_valuated_matroid(max_n=7)),
+       st.sampled_from([0, C]))
+@settings(max_examples=200, deadline=None)
+def test_local_kernel_matches_the_loops(f, c):
+    # every inequality has two terms a side, so a shift by c keeps each verdict
+    f = SetFunction(f.n, tuple(v + c if is_finite(v) else NEG_INF for v in f.table))
+    t = f.ints
+    assert _fits_int64(t.neg, t.lo, t.hi) == (c == 0)  # values near 2^70 take the object route
+    hit = _local_hit(t)
+    assert hit == _local_oracle(t)
+    v = check_local(f)
+    if not v.passed and v.witness.condition != "local:domain":
+        X, bits = hit[1], hit[2]
+        assert v.witness.condition == hit[0] and v.witness.set_mask("X") == X
+        assert v.witness.elements == tuple(zip("ijkl", (b.bit_length() for b in bits)))
+
+
+def test_local_kernel_reaches_family_iii():
+    # the weights of U(2, 6) with one 2-set raised: only (iii) has a
+    # finite lhs, and the raised pairing exceeds both others at X = 0
+    f = _uniform_weighted(6, 2, (0, 1, 2, 3, 5, 8))
+    g = with_value(f, 0b000011, f.table[0b000011] + 1)
+    for h in (f, g, _scaled(g, C)):
+        assert _local_hit(h.ints) == _local_oracle(h.ints)
+    assert _local_hit(f.ints) is None
+    assert _local_hit(g.ints) == ("local:iii", 0, (0b0001, 0b0010, 0b0100, 0b1000))
+
+
+@pytest.mark.parametrize("first,cap", [(1, 1), (4, 16), (16, 64)])
+@given(f=st.one_of(near_local(max_n=6), near_concave(max_n=6)))
+@settings(max_examples=40, deadline=None)
+def test_local_blocks_match_the_loops(first, cap, f):
+    # tiny block sizes split every family into many blocks, most with
+    # fixed high bits, so each table slice and high-bit filter is used
+    t = f.ints
+    s = np.array(t.sent, dtype=np.int64)
+    old = checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS
+    checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS = first, cap
+    try:
+        fams = [_LocalFamily(f.n, size) for size in (2, 3, 4)]
+    finally:
+        checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS = old
+    for fam, (condition, scan) in zip(fams, LOCAL_SCANS):
+        hit = fam.first_hit(s, 2 * t.lo - 1)
+        want = scan(t)
+        assert (hit and (hit[0], tuple(1 << e for e in hit[1]))) == (
+            want and (want[0], want[1:]))
+
+
+def test_local_hit_in_a_later_block():
+    # min(|S|, 6) on the sets holding element 12, with one raised: every X
+    # with a finite lhs in family (i) holds element 12, so the hit lies in
+    # a block whose high bits are fixed
+    n = 12
+    top = 1 << 11
+    f = SetFunction.from_callable(n, lambda m: Fraction(min(m.bit_count(), 6)) if m & top
+                                  else NEG_INF)
+    g = with_value(f, top | 0b1011001, Fraction(7))
+    hit = _local_hit(g.ints)
+    assert hit == _local_oracle(g.ints)
+    assert hit[0] == "local:i"
+    assert hit[1] >= 1 << _local_families(n)[0].wmax
+    assert _local_hit(f.ints) is None
+
+
+class _CountingTable(np.ndarray):
+    """An int64 table that counts the entries read through fancy indexing."""
+
+    def __getitem__(self, idx):
+        if isinstance(idx, np.ndarray):
+            self.reads[0] += idx.size
+        return np.asarray(self)[idx]
+
+
+def test_local_failure_at_x_0_reads_only_the_first_block():
+    n = 14
+    f = SetFunction.from_callable(n, lambda m: Fraction(min(m.bit_count(), 7)))
+    g = with_value(f, 0b11, Fraction(3))
+    t = g.ints
+    fam = _local_families(n)[0]
+    s = np.array(t.sent, dtype=np.int64).view(_CountingTable)
+    s.reads = [0]
+    start = perf_counter()
+    assert fam.first_hit(s, 2 * t.lo - 1) == (0, (0, 1))
+    assert perf_counter() - start < 0.25
+    # four entries per (X, E) cell of the first block, a small part of the family
+    assert s.reads[0] <= 4 * _FIRST_CHUNK_CELLS < 4 * fam.union.size << (n - 2)
+    assert _local_hit(t) == ("local:i", 0, (0b01, 0b10)) == _local_oracle(t)
 
 
 # ----------------------------------------------------------------------
@@ -1225,6 +1487,22 @@ def test_oversized_slab_is_refused_before_allocating(monkeypatch):
     assert 9**10 <= duality._MAX_BOX_POINTS and 9**9 > duality._MAX_SLAB_ENTRIES
     with pytest.raises(InputError, match="slab"):
         _dual_sweep([(0, 0)], [(0, 0)], 10, 4, None)
+
+
+def test_long_box_of_one_coordinate_is_refused(monkeypatch):
+    # k = 1 at radius 10^9: 2 * 10^9 + 1 points pass the box cap, but each
+    # of as many slabs costs a few numpy calls
+    # k = 0 sweeps a single slab at any radius
+    assert _dual_sweep([(0, 0)], [(0, 0)], 0, 10**12, 0) == (0, ())
+
+    def no_buffers(*args):
+        raise AssertionError("a slab buffer was allocated")
+
+    monkeypatch.setattr(duality, "_SlabConjugate", no_buffers)
+    m = 2 * 10**9 + 1
+    assert m <= duality._MAX_BOX_POINTS < m * duality._SLAB_POINTS
+    with pytest.raises(InputError, match=f"dual box has {m} slabs"):
+        _dual_sweep([(0, 0), (1, 1)], [(0, 0), (1, 0)], 1, 10**9, None)
 
 
 def test_object_route_slab_cap_is_smaller(monkeypatch):
