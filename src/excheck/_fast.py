@@ -7,17 +7,20 @@ containing the sentinel compares strictly below any two-term sum of finite
 entries; loops must still skip tuples whose left-hand side would contain a
 sentinel (those are vacuous by convention).
 
-Each :class:`~excheck.core.SetFunction` keeps one table, built on first use
-or handed over by the file loader, which fills it while it parses the
-entries (see :attr:`SetFunction.ints`).  The checkers, the dual sweep of
-``fenchel_gap`` and the demand kernel all read that table, and the
-scanners also read its int64 arrays, built once.  ``IntTable(f)`` builds a
-fresh table from the rational entries; ``extra_denominator`` adds one more
-denominator to the scale.
+The table is one numpy array over all 2^n masks: int64 when
+:func:`fits_int64` admits the sentinel and the finite range, else an
+object array of the same Python integers, which every kernel runs on
+unchanged as its exact fallback.  Each :class:`~excheck.core.SetFunction`
+keeps one table, built on first use or handed over by the file loader,
+which fills it while it parses the entries (see :attr:`SetFunction.ints`).
+The checkers, the dual sweep of ``fenchel_gap`` and the demand kernel all
+read that array.  ``IntTable(f)`` builds a fresh table from the rational
+entries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -28,63 +31,57 @@ from .values import is_finite
 if TYPE_CHECKING:
     from .core import SetFunction
 
-__all__ = ["IntTable"]
+__all__ = ["IntTable", "fits_int64"]
+
+# A two-term sum of values that pass fits_int64 stays below this, a bit
+# inside int64.
+_INT64_SAFE = 1 << 62
+
+
+def fits_int64(*values: int) -> bool:
+    """Whether twice the largest magnitude among ``values`` is below 2^62,
+    so every sum of two values that large is exact in int64 with room to
+    spare.  Each kernel passes bounds on the terms its own arithmetic adds."""
+    return 2 * max(abs(v) for v in values) < _INT64_SAFE
 
 
 class IntTable:
     """Scaled numerators of a set function over all 2^n masks.
 
-    ``vals[m]`` is the value on m times ``scale`` (None off the effective
-    domain), ``sent`` the same table with ``neg`` off the domain, ``dom``
-    the ascending finite masks, and ``lo``/``hi`` the range of the finite
-    entries.
+    ``sent[m]`` is the value on m times ``scale``, or ``neg`` off the
+    effective domain; ``dom`` holds the ascending finite masks (int64), and
+    ``lo``/``hi`` the range of the finite entries.  ``sent`` is int64 when
+    ``fits_int64(neg, lo, hi)``, else an object array of Python integers.
     """
 
-    __slots__ = ("n", "size", "scale", "lo", "hi", "neg", "vals", "sent", "dom", "_arrays")
+    __slots__ = ("n", "scale", "lo", "hi", "neg", "sent", "dom")
 
-    def __init__(self, f: SetFunction, extra_denominator: int = 1):
-        scale = extra_denominator
+    def __init__(self, f: SetFunction):
+        scale = 1
         for v in f.table:
             if is_finite(v):
                 scale = lcm(scale, v.denominator)
-        vals: list[int | None] = []
-        dom: list[int] = []
-        for mask, v in enumerate(f.table):
-            if is_finite(v):
-                vals.append(v.numerator * (scale // v.denominator))
-                dom.append(mask)
-            else:
-                vals.append(None)
-        finite = [vals[m] for m in dom]
-        self._fill(f.n, scale, vals, dom, min(finite), max(finite))
+        tab = f.table
+        dom = [m for m, v in enumerate(tab) if is_finite(v)]
+        self._fill(f.n, scale, dom, [tab[m].numerator * (scale // tab[m].denominator) for m in dom])
 
     @classmethod
-    def from_parts(cls, n: int, scale: int, vals: list, dom: list, lo: int, hi: int) -> "IntTable":
-        """A table from already scaled numerators (``dom`` ascending, nonempty)."""
+    def from_parts(cls, n: int, scale: int, dom: Sequence[int], vals: Sequence[int]) -> "IntTable":
+        """A table from already scaled numerators ``vals`` on the ascending,
+        nonempty masks ``dom``."""
         t = cls.__new__(cls)
-        t._fill(n, scale, vals, dom, lo, hi)
+        t._fill(n, scale, dom, vals)
         return t
 
-    def _fill(self, n, scale, vals, dom, lo, hi) -> None:
+    def _fill(self, n, scale, dom, vals) -> None:
+        lo, hi = min(vals), max(vals)
         # sentinel + any finite value < 2*lo, so sentinel sums lose every comparison
         neg = lo - 2 * (hi - lo) - 1
         self.n = n
-        self.size = 1 << n
         self.scale = scale
         self.lo = lo
         self.hi = hi
         self.neg = neg
-        self.vals = vals
-        self.sent = [neg if v is None else v for v in vals]
-        self.dom = dom
-        self._arrays = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``sent`` and ``dom`` as int64 arrays, built on the first call.
-
-        Only for tables whose sentinel and range fit in int64; the scanners
-        test that first.
-        """
-        if self._arrays is None:
-            self._arrays = (np.array(self.sent, dtype=np.int64), np.array(self.dom, dtype=np.int64))
-        return self._arrays
+        self.dom = np.array(dom, dtype=np.int64)
+        self.sent = np.full(1 << n, neg, dtype=np.int64 if fits_int64(neg, lo, hi) else object)
+        self.sent[self.dom] = vals

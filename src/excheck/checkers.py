@@ -16,28 +16,27 @@ elsewhere, so -1 in its integer table), on which ``b-exc`` is exactly
 search of ``find_exchange_set`` on the indicator, and
 ``maximizer_exchange`` the same on the indicator of the argmax family.
 The kernel reads the function's cached :class:`IntTable`
-(``SetFunction.ints``) and its int64 arrays, so repeated checks of one
-function rescale it once.
-When twice the largest magnitude among its entries and its ``-inf``
-sentinel is below 2^62, every two-term sum is exact in int64 and the scan
-is vectorized with numpy:
-chunks of X rows, in order, against every Y, each element i on the grid of
-rows holding i and columns missing it.  Otherwise, and for domains of fewer
-than 32 sets, where numpy's call overhead loses, the same scan runs as
-loops over Python integers of any size.  Both routes return the same
-first violation: the least (row-major (X, Y) cell, i) of the first chunk
-holding one is the first tuple of the lexicographic order.  Every hit is
-re-checked on the raw rational table, or the family's members, before it
-becomes a witness; a mismatch raises :class:`InternalCheckError`.
+(``SetFunction.ints``), so repeated checks of one function rescale it
+once, and runs on its one array: chunks of X rows, in order, against every
+Y, each element i on the grid of rows holding i and columns missing it.
+The array is int64 when twice the largest magnitude among its entries and
+its ``-inf`` sentinel is below 2^62, so every two-term sum is exact, and
+an object array of Python integers otherwise; the same kernel on that
+dtype is the exact fallback.  The least (row-major (X, Y) cell, i) of the
+first chunk holding a violation is the first tuple of the lexicographic
+order, the first hit of the loop scan that the tests keep as the oracle.
+Every hit is re-checked on the raw rational table, or the family's
+members, before it becomes a witness; a mismatch raises
+:class:`InternalCheckError`.
 
 A second kernel runs the multi-item scans, ``mnat-exc-m`` (and so ``snc``)
-and, on the indicator table, ``b-exc-m``, with the same two routes chosen
-by the same rule.  The numpy route takes chunks of X rows in order, drops
-the cells with X\\Y empty and groups the rest by (|X\\Y|, |Y\\X|).  Each
-cell expands to its (X, Y, I) tuples, I over the nonzero submasks of X\\Y
-in ascending order, and the J inside Y\\X are tried level by level: every
-J with |J| = 0, then 1, and so on, each level only on the tuples that no
-smaller J repaired.  Tuples left after the last level are violations, and
+and, on the indicator table, ``b-exc-m``, on the same array of either
+dtype.  It takes chunks of X rows in order, drops the cells with X\\Y
+empty and groups the rest by (|X\\Y|, |Y\\X|).  Each cell expands to
+its (X, Y, I) tuples, I over the nonzero submasks of X\\Y in ascending
+order, and the J inside Y\\X are tried level by level: every J with
+|J| = 0, then 1, and so on, each level only on the tuples that no smaller
+J repaired.  Tuples left after the last level are violations, and
 the least (row-major cell, I) of the first chunk holding one is again the
 loop scan's first hit.  Levels keep early exits cheap: most tuples are
 repaired by a small J, and trying every J at once made the early exits
@@ -56,8 +55,8 @@ ascending aligned blocks, the first of about _FIRST_CHUNK_CELLS (X, E)
 cells and then doubling up to _LOCAL_BLOCK_CELLS, each a slice of one
 table per family and n; the least (X, tuple) of the first block holding a
 violation is the loop scan's first hit, and a table failing at X = 0
-reads one small block.  The kernel runs on the int64 table under the
-guard above and on an object array of its Python integers above it.
+reads one small block.  Like the others, the kernel reads the table's
+array, int64 or object.
 
 Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), a full ``mnat-exc``
 scan of min(|S|, n/2) takes about 0.06 s at n = 10, 1.4 s at n = 12 and
@@ -69,7 +68,12 @@ the code they replaced, while the host ran about half as fast: ``local``
 on min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
 and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
 18 ms; ``b-exc-m`` on the bases of U(6, 12) takes 0.83 s, from 1.7 s
-before the level skip.
+before the level skip.  On object arrays (min(|S|, n/2) times 2^70) a
+full ``mnat-exc`` scan at n = 9 takes 0.32 s and ``mnat-exc-m`` at n = 7
+0.016 s, where the loops took 0.19 s and 0.057 s.  Each scan costs at
+least the fixed overhead of its numpy calls: ``b-exc`` on a family at
+n = 4 takes about 0.2 ms and ``b-exc-m`` 0.45 ms (0.02 and 0.04 ms as
+loops).
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
-from operator import and_, or_
 
 import numpy as np
 
@@ -195,12 +198,8 @@ class ExchangeCertificate:
 
 
 # ----------------------------------------------------------------------
-# the one-item exchange kernel (see the module docstring for its routes)
+# the one-item exchange kernel (see the module docstring)
 
-# Two-term sums are exact in int64 while twice the largest magnitude is below this.
-_INT64_SAFE = 1 << 62
-# Below this many (X, Y) cells numpy's per-call overhead loses to the loops.
-_VECTOR_MIN_CELLS = 1 << 10
 # X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
 # (X, Y) cells, so early exits stay cheap, then doubling up to
 # _BLOCK_CELLS cells or _MIN_CAP_ROWS rows, whichever is more.  Column
@@ -209,10 +208,6 @@ _VECTOR_MIN_CELLS = 1 << 10
 _FIRST_CHUNK_CELLS = 1 << 12
 _BLOCK_CELLS = 1 << 16
 _MIN_CAP_ROWS = 32
-
-
-def _fits_int64(neg: int, lo: int, hi: int) -> bool:
-    return 2 * max(abs(neg), abs(lo), abs(hi)) < _INT64_SAFE
 
 
 def _exchange_hit(t: IntTable, deletion: bool):
@@ -225,38 +220,7 @@ def _exchange_hit(t: IntTable, deletion: bool):
     (valuated matroids).
     """
     floor = None if deletion else 2 * t.neg - 1
-    if not _fits_int64(t.neg, t.lo, t.hi) or len(t.dom) ** 2 < _VECTOR_MIN_CELLS:
-        return _scan_exchange_py(t.sent, t.dom, t.dom, floor)
-    sa, da = t.arrays()
-    return _scan_exchange_np(sa, da, da, t.neg, floor)
-
-
-def _scan_exchange_py(s, dom, xs, floor):
-    """Loop form of the kernel: exact for integers of any size."""
-    for X in xs:
-        fx = s[X]
-        for Y in dom:
-            lhs = fx + s[Y]
-            xd = X & ~Y
-            while xd:
-                ib = xd & -xd
-                xd ^= ib
-                xi = X ^ ib
-                yi = Y | ib
-                best = s[xi] + s[yi] if floor is None else floor
-                if lhs > best:
-                    yd = Y & ~X
-                    while yd:
-                        jb = yd & -yd
-                        yd ^= jb
-                        cand = s[xi | jb] + s[yi ^ jb]
-                        if cand > best:
-                            best = cand
-                            if lhs <= best:
-                                break
-                    if lhs > best:
-                        return (X, Y, ib)
-    return None
+    return _scan_exchange_np(t.sent, t.dom, t.dom, t.neg, floor)
 
 
 def _row_chunks(nrows: int, ncols: int, cap: int):
@@ -361,7 +325,7 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
     if floor is None:
         best = sa[xi][:, None] + sa[yi]
     else:
-        best = np.full((xi.size, yi.size), floor, dtype=np.int64)
+        best = np.full((xi.size, yi.size), floor, dtype=sa.dtype)
     tmp = np.empty_like(best)
     x_has = (xi & bits) != 0
     rv = np.where(x_has, neg, sa[xi | bits])
@@ -374,7 +338,7 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
 
 
 # ----------------------------------------------------------------------
-# the multi-item exchange kernel (see the module docstring for its routes)
+# the multi-item exchange kernel (see the module docstring)
 
 # Chunks of X rows stop at this many (X, Y) cells (or one row), and one
 # block of a level of the J search holds at most this many (X, Y, I, J).
@@ -387,33 +351,7 @@ def _multi_hit(t: IntTable):
     The scan reads ``t`` as :func:`_exchange_hit` does; the tuple is
     repaired by J inside Y\\X when s(X-I+J) + s(Y-J+I) >= s(X) + s(Y).
     """
-    if not _fits_int64(t.neg, t.lo, t.hi) or len(t.dom) ** 2 < _VECTOR_MIN_CELLS:
-        return _scan_multi_py(t.sent, t.dom, t.dom)
-    sa, da = t.arrays()
-    return _scan_multi_np(sa, da, da)
-
-
-def _scan_multi_py(s, dom, xs):
-    """Loop form of the multi-item kernel: exact for integers of any size."""
-    for X in xs:
-        fx = s[X]
-        for Y in dom:
-            xd = X & ~Y
-            if not xd:
-                continue
-            lhs = fx + s[Y]
-            yd = Y & ~X
-            for I in iter_submasks(xd):
-                if not I:
-                    continue  # J = empty reproduces (X, Y)
-                xmi = X ^ I
-                yi = Y | I
-                for J in iter_submasks(yd):
-                    if s[xmi | J] + s[yi ^ J] >= lhs:
-                        break
-                else:
-                    return (X, Y, I)
-    return None
+    return _scan_multi_np(t.sent, t.dom, t.dom)
 
 
 def _scan_multi_np(sa, da, xs):
@@ -767,9 +705,7 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
     admit a value-preserving swap against some j in Y\\X (no pure
     deletion branch here; the empty swap maximum counts as -inf).
     """
-    t = f.ints
-    dom = t.dom
-
+    dom = f.dom_masks
     card = dom[0].bit_count()
     for m in dom[1:]:
         if m.bit_count() != card:
@@ -783,7 +719,7 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
                 ),
             )
 
-    return _valuated_matroid_verdict(f, _exchange_hit(t, deletion=False))
+    return _valuated_matroid_verdict(f, _exchange_hit(f.ints, deletion=False))
 
 
 def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
@@ -803,18 +739,18 @@ def check_local(f: SetFunction) -> Verdict:
     and (iii) the stated best-of-two swap bounds on triples and disjoint
     pairs.  The first failing family is reported.
     """
-    masks = f.dom_masks
-    low, high = reduce(and_, masks), reduce(or_, masks)
+    t = f.ints
+    low, high = int(np.bitwise_and.reduce(t.dom)), int(np.bitwise_or.reduce(t.dom))
     # a domain holding every set between the common part and the union
     # passes without a scan: for i in X\Y, X - i still holds the common
     # part (i is not in Y) and Y + i stays inside the union (i is in X)
-    if len(masks) != 1 << (high & ~low).bit_count():
+    if t.dom.size != 1 << (high & ~low).bit_count():
         dom = effective_domain(f)
         hit = _exchange_hit(dom.indicator.ints, deletion=True)
         if hit is not None:
             return Verdict(False, _family_witness("local:domain", dom.members, *hit))
 
-    hit = _local_hit(f.ints)
+    hit = _local_hit(t)
     if hit is None:
         return Verdict(True)
     condition, X, bits = hit
@@ -851,15 +787,11 @@ def _local_hit(t: IntTable):
     ascends, then the element tuple in the loop order of the exhaustive
     scan.  A tuple whose lhs holds an entry off the domain is vacuous.
     """
-    if _fits_int64(t.neg, t.lo, t.hi):
-        s = t.arrays()[0]
-    else:
-        s = np.array(t.sent, dtype=object)
     # a lhs holding the sentinel is at most neg + hi < 2 lo, so
     # lhs > floor is the test that both of its entries are finite
     floor = 2 * t.lo - 1
     for condition, fam in zip(("local:i", "local:ii", "local:iii"), _local_families(t.n)):
-        hit = fam.first_hit(s, floor)
+        hit = fam.first_hit(t.sent, floor)
         if hit is not None:
             X, tup = hit
             return condition, X, tuple(1 << e for e in tup)

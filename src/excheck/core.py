@@ -3,8 +3,9 @@
 A :class:`SetFunction` is a dense table of exact extended values over all
 2^n subsets of {1..n}, with at least one finite entry.  Next to the
 rational table it keeps one integer table (:attr:`SetFunction.ints`, an
-:class:`~excheck._fast.IntTable`), built once on first use or handed over
-by the file loader; the checkers, ``fenchel_gap``, the demand kernel and
+:class:`~excheck._fast.IntTable`: one array, int64 or, past the int64
+guard, Python integers), built once on first use or handed over by the
+file loader; the checkers, ``fenchel_gap``, the demand kernel and
 ``dom_masks``/``value_range`` all read it.  Functions derived from another
 one (``with_value``, ``shift_by_price``, ``slice_pair``) build their own.
 A :class:`SetFamily` is read as its indicator function (0 on the members,
@@ -124,8 +125,8 @@ class SetFunction:
 
     @cached_property
     def dom_masks(self) -> tuple[int, ...]:
-        """Masks with finite value, ascending."""
-        return tuple(self.ints.dom)
+        """Masks with finite value, ascending, as Python integers."""
+        return tuple(self.ints.dom.tolist())
 
     @cached_property
     def value_range(self) -> tuple[Fraction, Fraction]:
@@ -181,14 +182,11 @@ class SetFamily:
         -1): the function whose exchange axioms are the family's."""
         if not self.members:
             raise InputError("the family has no members")
-        size = 1 << self.n
-        vals: list[int | None] = [None] * size
-        tab: list[ExtValue] = [NEG_INF] * size
+        tab: list[ExtValue] = [NEG_INF] * (1 << self.n)
         dom = self.sorted_members
         for m in dom:
-            vals[m] = 0
             tab[m] = _ZERO
-        ints = IntTable.from_parts(self.n, 1, vals, list(dom), 0, 0)
+        ints = IntTable.from_parts(self.n, 1, dom, [0] * len(dom))
         return SetFunction._from_normalized(self.n, tuple(tab), ints)
 
     def __contains__(self, mask: int) -> bool:

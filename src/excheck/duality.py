@@ -60,6 +60,7 @@ from math import floor
 
 import numpy as np
 
+from ._fast import fits_int64
 from .checkers import Verdict, Witness
 from .core import (
     PriceVector,
@@ -91,7 +92,6 @@ _MAX_SLAB_ENTRIES = 2 * 10**8
 # an object slab entry (a pointer and a Python integer) takes about seven
 # times the memory of an int64 one, so that route admits smaller slabs
 _MAX_OBJECT_SLAB_ENTRIES = _MAX_SLAB_ENTRIES // 8
-_INT64_SAFE = 1 << 60
 
 
 def conjugate(f: SetFunction, p: PriceVector) -> Fraction:
@@ -176,7 +176,9 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
     # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
     kk = max(k, 1)
     bound = max(abs(v) for _, v in items1 + items2) + radius * k
-    dtype = np.int64 if 2 * bound < _INT64_SAFE else object
+    # 2 * bound < 2^60: a slab entry is at least the sentinel less the price
+    # terms, -3 * bound - 1, so the totals of two sides stay far inside int64
+    dtype = np.int64 if fits_int64(4 * bound) else object
     cap = _MAX_SLAB_ENTRIES if dtype is np.int64 else _MAX_OBJECT_SLAB_ENTRIES
     if m ** (kk - 1) > cap:
         raise InputError(
@@ -316,14 +318,11 @@ def fenchel_gap(
         )
 
     k = len(elems)
-    vals = t.vals
-    items1 = [(j, vals[m]) for j, m in enumerate(masks1) if vals[m] is not None]
-    items2 = [(j, vals[m]) for j, m in enumerate(masks2) if vals[m] is not None]
-    primal_int = max(
-        (vals[a] + vals[b] for a, b in zip(masks1, masks2)
-         if vals[a] is not None and vals[b] is not None),
-        default=None,
-    )
+    # Python integers: the sweep's bound and the primal are unbounded sums
+    s1, s2 = t.sent[masks1].tolist(), t.sent[masks2].tolist()
+    items1 = [(j, v) for j, v in enumerate(s1) if v != t.neg]
+    items2 = [(j, v) for j, v in enumerate(s2) if v != t.neg]
+    primal_int = max((a + b for a, b in zip(s1, s2) if a != t.neg and b != t.neg), default=None)
 
     dual_int, q_ints = _dual_sweep(items1, items2, k, radius, primal_int)
     visited = _points_visited(k, radius, q_ints, dual_int == primal_int)

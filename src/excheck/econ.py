@@ -70,7 +70,8 @@ from random import Random
 import numpy as np
 
 from ._draws import pair_draws, price_draws
-from .checkers import Verdict, Witness, _fits_int64, check_multiple_exchange
+from ._fast import fits_int64
+from .checkers import Verdict, Witness, check_multiple_exchange
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
 from .sets import iter_bits, iter_submasks
@@ -122,8 +123,8 @@ class _DemandKernel:
     f): the cached integer table of f times lcm(scale, d) // scale.  Every
     shifted value lies strictly above ``sent``, the value given to masks
     off the effective domain.  The arrays are int64 when
-    :func:`checkers._fits_int64` admits ``sent`` and the price unit, else
-    Python integers.
+    :func:`~excheck._fast.fits_int64` admits ``sent`` and the price unit,
+    else Python integers.
     """
 
     def __init__(self, f: SetFunction, d: int, bound: int):
@@ -135,11 +136,12 @@ class _DemandKernel:
         self.sent = -(max(abs(t.lo), abs(t.hi)) * mult + f.n * bound * self.unit + 1)
         # |sent| bounds every value, price sum and shifted value; the unit
         # must fit as well, since it scales the price rows
-        self.dtype = np.int64 if _fits_int64(self.sent, self.unit, 0) else object
-        self.vals = np.zeros(1 << f.n, dtype=self.dtype)
-        self.vals[t.dom] = [t.vals[m] * mult for m in t.dom]
+        self.dtype = np.int64 if fits_int64(self.sent, self.unit) else object
         self.dom = np.zeros(1 << f.n, dtype=bool)
         self.dom[t.dom] = True
+        self.vals = np.where(self.dom, t.sent, 0).astype(self.dtype)
+        if t.lo or t.hi:  # mult fits int64 unless every value is 0, which it keeps
+            self.vals *= mult
         self.masks = np.arange(1 << f.n)
 
     def __call__(self, p: np.ndarray):

@@ -9,12 +9,12 @@ Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
 
 A set function is loaded in one pass over its entries, which validates
 each entry and its element list, catches a repeated set with a byte per
-subset, and fills the rational table and the integer table of
-:class:`~excheck._fast.IntTable` together.  A JSON integer is its own
-numerator; each distinct ``"p/q"`` or ``"-inf"`` string is parsed once.
-Unusual input (a bool or out-of-range element, a bool or decimal value)
-goes through the general validators, so every error message is the one
-:func:`~excheck.sets.mask_from_elements` and
+subset, and fills the rational table while it gathers the scaled
+numerators of the :class:`~excheck._fast.IntTable`.  A JSON integer is
+its own numerator; each distinct ``"p/q"`` or ``"-inf"`` string is parsed
+once.  Unusual input (a bool or out-of-range element, a bool or decimal
+value) goes through the general validators, so every error message is the
+one :func:`~excheck.sets.mask_from_elements` and
 :func:`~excheck.values.as_ext_value` give.  The function is then built
 without normalizing its values again, with the integer table in place.
 """
@@ -142,8 +142,7 @@ def obj_to_set_function(obj: dict) -> SetFunction:
         for m in dom:
             v = nums[m]
             nums[m] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-    finite = [nums[m] for m in dom]
-    ints = IntTable.from_parts(n, scale, nums, dom, min(finite), max(finite))
+    ints = IntTable.from_parts(n, scale, dom, [nums[m] for m in dom])
     return SetFunction._from_normalized(n, tuple(table), ints)
 
 

@@ -1,24 +1,25 @@
 """Differential tests of the exchange kernels, the demand kernel and the
 dual box sweep.
 
-The vectorized int64 route and the exact loop route are called directly on
-the same sentinel table; the verdicts built from their hits, witnesses
-included, must be equal.  Family scans are compared against the plain
-membership scans kept below as the oracles.  The sampled GS/SI/NC sweeps
-are compared against per-price loops over the integer table, with the
-price streams drawn the way those loops drew them, one ``randint`` or
-``random()`` call at a time; the sweeps' price blocks are compared
-against those streams.  The subset-DP dual sweep, on int64 and on object
-arrays, is compared against the per-item grid sweep and the
-point-by-point loop kept below.  The rational exchange searches on family
-indicators are compared against membership searches.
+The array kernels, on int64 and on object tables, and the loop scans kept
+below as their oracles are called directly on the same sentinel table;
+the verdicts built from their hits, witnesses included, must be equal.
+Family scans are compared against the plain membership scans kept below
+as the oracles.  The sampled GS/SI/NC sweeps are compared against
+per-price loops over the integer table, with the price streams drawn the
+way those loops drew them, one ``randint`` or ``random()`` call at a
+time; the sweeps' price blocks are compared against those streams.  The
+subset-DP dual sweep, on int64 and on object arrays, is compared against
+the per-item grid sweep and the point-by-point loop kept below.  The
+rational exchange searches on family indicators are compared against
+membership searches.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from math import floor
+from math import floor, lcm
 from operator import and_, or_
 from random import Random
 from time import perf_counter
@@ -63,23 +64,19 @@ from excheck import (
     slice_pair,
     with_value,
 )
-from excheck._fast import IntTable
+from excheck._fast import IntTable, fits_int64
 from excheck.checkers import (
     _FIRST_CHUNK_CELLS,
-    _VECTOR_MIN_CELLS,
     _best_exchange_rhs,
     _family_multi_witness,
     _family_pm_witness,
     _family_witness,
-    _fits_int64,
     _local_families,
     _local_hit,
     _LocalFamily,
     _multiple_exchange_verdict,
     _scan_exchange_np,
-    _scan_exchange_py,
     _scan_multi_np,
-    _scan_multi_py,
     _single_exchange_verdict,
     _valuated_matroid_verdict,
 )
@@ -202,37 +199,100 @@ def _oracle_family_verdict(family: SetFamily, condition: str = "bnat-exc") -> Ve
     )
 
 
-def _multi_routes(s, dom):
-    py = _scan_multi_py(s, dom, dom)
-    vec = _scan_multi_np(np.array(s, dtype=np.int64), np.array(dom, dtype=np.int64), dom)
-    return py, vec
+def _scan_exchange_py(s, dom, floor):
+    """Loop form of the one-item scan on a sentinel table ``s`` (a list),
+    exact for integers of any size: the oracle of the array kernel."""
+    for X in dom:
+        fx = s[X]
+        for Y in dom:
+            lhs = fx + s[Y]
+            xd = X & ~Y
+            while xd:
+                ib = xd & -xd
+                xd ^= ib
+                xi = X ^ ib
+                yi = Y | ib
+                best = s[xi] + s[yi] if floor is None else floor
+                if lhs > best:
+                    yd = Y & ~X
+                    while yd:
+                        jb = yd & -yd
+                        yd ^= jb
+                        cand = s[xi | jb] + s[yi ^ jb]
+                        if cand > best:
+                            best = cand
+                            if lhs <= best:
+                                break
+                    if lhs > best:
+                        return (X, Y, ib)
+    return None
+
+
+def _scan_multi_py(s, dom):
+    """Loop form of the multi-item scan, exact for integers of any size:
+    the oracle of the array kernel."""
+    for X in dom:
+        fx = s[X]
+        for Y in dom:
+            xd = X & ~Y
+            if not xd:
+                continue
+            lhs = fx + s[Y]
+            yd = Y & ~X
+            for I in iter_submasks(xd):
+                if not I:
+                    continue  # J = empty reproduces (X, Y)
+                xmi = X ^ I
+                yi = Y | I
+                for J in iter_submasks(yd):
+                    if s[xmi | J] + s[yi ^ J] >= lhs:
+                        break
+                else:
+                    return (X, Y, I)
+    return None
+
+
+def _multi_routes(t: IntTable):
+    """The hits of the loop oracle and of the array kernel on one table."""
+    return _scan_multi_py(t.sent.tolist(), t.dom.tolist()), _scan_multi_np(t.sent, t.dom, t.dom)
 
 
 def _assert_multi_routes_agree(f: SetFunction):
-    t = IntTable(f)
-    py, vec = _multi_routes(t.sent, t.dom)
+    py, vec = _multi_routes(IntTable(f))
     assert _multiple_exchange_verdict(f, py) == _multiple_exchange_verdict(f, vec)
     return py
 
 
-def _both_routes(s, dom, neg, floor):
-    py = _scan_exchange_py(s, dom, dom, floor)
-    vec = _scan_exchange_np(np.array(s, dtype=np.int64), np.array(dom, dtype=np.int64), dom,
-                            neg, floor)
-    return py, vec
+def _both_routes(t: IntTable, floor):
+    """The hits of the one-item loop oracle and of the array kernel on one table."""
+    return (_scan_exchange_py(t.sent.tolist(), t.dom.tolist(), floor),
+            _scan_exchange_np(t.sent, t.dom, t.dom, t.neg, floor))
 
 
 def _assert_routes_agree(f: SetFunction, valuated: bool = False):
     t = IntTable(f)
     floor = 2 * t.neg - 1 if valuated else None
-    py, vec = _both_routes(t.sent, t.dom, t.neg, floor)
+    py, vec = _both_routes(t, floor)
     verdict = _valuated_matroid_verdict if valuated else _single_exchange_verdict
     assert verdict(f, py) == verdict(f, vec)
     return py
 
 
+# past the int64 guard: a table scaled or shifted by C is an object array
+C = 2**70
+
+
 def _scaled(f: SetFunction, c: int) -> SetFunction:
     return SetFunction(f.n, tuple(v * c if is_finite(v) else NEG_INF for v in f.table))
+
+
+def _shifted(f: SetFunction, c: int) -> SetFunction:
+    """f + c on the domain: with two terms on each side of every inequality
+    checked here, verdicts and witness sets stay; c = C takes the object
+    route."""
+    g = SetFunction(f.n, tuple(v + c if is_finite(v) else NEG_INF for v in f.table))
+    assert (g.ints.sent.dtype == object) == (c == C)
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +327,7 @@ def test_n3_families_against_oracle():
         fam = SetFamily(3, frozenset(m for m in range(8) if bits >> m & 1))
         oracle = _oracle_family_verdict(fam)
         assert check_family(fam, "b-exc") == oracle
-        delta = [0 if m in fam.members else -1 for m in range(8)]
-        py, vec = _both_routes(delta, fam.sorted_members, -1, None)
+        py, vec = _both_routes(fam.indicator.ints, None)
         assert py == vec
         want = None if oracle.passed else (oracle.witness.set_mask("X"),
                                            oracle.witness.set_mask("Y"),
@@ -277,7 +336,7 @@ def test_n3_families_against_oracle():
 
         oracle_m = _oracle_family_verdict(fam, "bnat-exc-m")
         assert check_family(fam, "b-exc-m") == oracle_m
-        py, vec = _multi_routes(delta, fam.sorted_members)
+        py, vec = _multi_routes(fam.indicator.ints)
         want = None if oracle_m.passed else tuple(mask for _, mask in oracle_m.witness.sets)
         assert py == vec == want
         assert check_family(fam, "b-exc-pm") == _oracle_family_verdict(fam, "bnat-exc-pm")
@@ -341,29 +400,29 @@ def near_valuated_matroid(draw, max_n=6):
     return SetFunction(n, tuple(tab))
 
 
-@given(near_concave())
+@given(near_concave(), st.sampled_from([0, C]))
 @settings(max_examples=150, deadline=None)
-def test_single_exchange_routes_agree(f):
-    _assert_routes_agree(f)
+def test_single_exchange_routes_agree(f, c):
+    f = _shifted(f, c)
+    hit = _assert_routes_agree(f)
+    assert check_single_exchange(f) == _single_exchange_verdict(f, hit)
 
 
-@given(st.one_of(near_concave(), near_valuated_matroid()))
+@given(st.one_of(near_concave(), near_valuated_matroid()), st.sampled_from([0, C]))
 @settings(max_examples=150, deadline=None)
-def test_multi_exchange_routes_agree(f):
+def test_multi_exchange_routes_agree(f, c):
+    f = _shifted(f, c)
     hit = _assert_multi_routes_agree(f)
-    t = IntTable(f)
-    if len(t.dom) ** 2 >= _VECTOR_MIN_CELLS:
-        assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
+    assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
 
 
-@given(near_valuated_matroid())
+@given(near_valuated_matroid(), st.sampled_from([0, C]))
 @settings(max_examples=100, deadline=None)
-def test_valuated_matroid_routes_agree(f):
-    _assert_routes_agree(f, valuated=True)
-    # the public check agrees with the loop route
-    t = IntTable(f)
-    if len({m.bit_count() for m in t.dom}) == 1:
-        hit = _scan_exchange_py(t.sent, t.dom, t.dom, 2 * t.neg - 1)
+def test_valuated_matroid_routes_agree(f, c):
+    f = _shifted(f, c)
+    hit = _assert_routes_agree(f, valuated=True)
+    # the public check agrees with the loop oracle
+    if len({m.bit_count() for m in f.dom_masks}) == 1:
         assert check_valuated_matroid(f) == _valuated_matroid_verdict(f, hit)
 
 
@@ -520,17 +579,14 @@ def test_level_skip_on_weighted_uniform_matroids(n, monkeypatch):
             members = frozenset(bases) - {dropped}
             if not members:
                 continue
-            ms = sorted(members)
-            py, vec = _multi_routes([0 if m in members else -1 for m in range(1 << n)], ms)
-            assert py == vec == _scan_b_exc_m(members, ms)
+            py, vec = _multi_routes(SetFamily(n, members).indicator.ints)
+            assert py == vec == _scan_b_exc_m(members, sorted(members))
             failing += py is not None
     assert (failing > 0) == (n >= 4) and flags and all(flags)
 
 
 # ----------------------------------------------------------------------
 # the big-integer route
-
-C = 2**70
 
 
 def _rank(n, r):
@@ -563,9 +619,8 @@ CASES = [
 @pytest.mark.parametrize("check,f", CASES)
 def test_scaled_table_takes_big_int_route(check, f):
     t, tc = IntTable(f), IntTable(_scaled(f, C))
-    assert len(t.dom) ** 2 >= _VECTOR_MIN_CELLS
-    assert _fits_int64(t.neg, t.lo, t.hi)
-    assert not _fits_int64(tc.neg, tc.lo, tc.hi)
+    assert fits_int64(t.neg, t.lo, t.hi) and t.sent.dtype == np.int64
+    assert not fits_int64(tc.neg, tc.lo, tc.hi) and tc.sent.dtype == object
     v, vc = check(f), check(_scaled(f, C))
     assert v.passed == vc.passed
     if not v.passed:
@@ -631,9 +686,16 @@ def _free_bits(t: IntTable, X: int) -> list[int]:
     return [1 << i for i in range(t.n) if not X >> i & 1]
 
 
+def _loop_tables(t: IntTable):
+    """The table as lists: the values (None off the domain) and the
+    sentinel table."""
+    s = t.sent.tolist()
+    return [None if v == t.neg else v for v in s], s
+
+
 def _scan_local_pairs(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
+    vals, s = _loop_tables(t)
+    for X in range(1 << t.n):
         if vals[X] is None:
             continue
         free = _free_bits(t, X)
@@ -647,8 +709,8 @@ def _scan_local_pairs(t: IntTable):
 
 
 def _scan_local_triples(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
+    vals, s = _loop_tables(t)
+    for X in range(1 << t.n):
         free = _free_bits(t, X)
         for ib, jb in combinations(free, 2):
             top = vals[X | ib | jb]
@@ -667,8 +729,8 @@ def _scan_local_triples(t: IntTable):
 
 
 def _scan_local_quads(t: IntTable):
-    vals, s = t.vals, t.sent
-    for X in range(t.size):
+    vals, s = _loop_tables(t)
+    for X in range(1 << t.n):
         free = _free_bits(t, X)
         pairs = list(combinations(free, 2))
         for a in range(len(pairs)):
@@ -763,10 +825,8 @@ def near_local(draw, max_n=7):
        st.sampled_from([0, C]))
 @settings(max_examples=200, deadline=None)
 def test_local_kernel_matches_the_loops(f, c):
-    # every inequality has two terms a side, so a shift by c keeps each verdict
-    f = SetFunction(f.n, tuple(v + c if is_finite(v) else NEG_INF for v in f.table))
+    f = _shifted(f, c)
     t = f.ints
-    assert _fits_int64(t.neg, t.lo, t.hi) == (c == 0)  # values near 2^70 take the object route
     hit = _local_hit(t)
     assert hit == _local_oracle(t)
     v = check_local(f)
@@ -794,7 +854,6 @@ def test_local_blocks_match_the_loops(first, cap, f):
     # tiny block sizes split every family into many blocks, most with
     # fixed high bits, so each table slice and high-bit filter is used
     t = f.ints
-    s = np.array(t.sent, dtype=np.int64)
     old = checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS
     checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS = first, cap
     try:
@@ -802,7 +861,7 @@ def test_local_blocks_match_the_loops(first, cap, f):
     finally:
         checkers._FIRST_CHUNK_CELLS, checkers._LOCAL_BLOCK_CELLS = old
     for fam, (condition, scan) in zip(fams, LOCAL_SCANS):
-        hit = fam.first_hit(s, 2 * t.lo - 1)
+        hit = fam.first_hit(t.sent, 2 * t.lo - 1)
         want = scan(t)
         assert (hit and (hit[0], tuple(1 << e for e in hit[1]))) == (
             want and (want[0], want[1:]))
@@ -839,7 +898,7 @@ def test_local_failure_at_x_0_reads_only_the_first_block():
     g = with_value(f, 0b11, Fraction(3))
     t = g.ints
     fam = _local_families(n)[0]
-    s = np.array(t.sent, dtype=np.int64).view(_CountingTable)
+    s = t.sent.view(_CountingTable)
     s.reads = [0]
     start = perf_counter()
     assert fam.first_hit(s, 2 * t.lo - 1) == (0, (0, 1))
@@ -884,29 +943,35 @@ def _oracle_pairs(sampler: PriceSampler, f: SetFunction):
 
 
 class _ScaledView:
-    """Integer view of the table shared by every price in a sampled run."""
+    """Integer view of the table shared by every price in a sampled run:
+    values and the price grid of 1/d rescaled by one common denominator,
+    ``vals`` None off the domain."""
 
-    def __init__(self, f: SetFunction, extra_denominator: int):
-        self.t = IntTable(f, extra_denominator=extra_denominator)
+    def __init__(self, f: SetFunction, d: int):
+        self.n = f.n
+        self.dom = f.dom_masks
+        self.scale = lcm(d, *(f.table[m].denominator for m in self.dom))
+        self.vals = [v.numerator * (self.scale // v.denominator) if is_finite(v) else None
+                     for v in f.table]
 
     def price_ints(self, p: PriceVector) -> list[int]:
-        s = self.t.scale
+        s = self.scale
         assert all(s % v.denominator == 0 for v in p.entries)
         return [v.numerator * (s // v.denominator) for v in p.entries]
 
     def price_sums(self, pint: list[int]) -> list[int]:
-        sums = [0] * (1 << self.t.n)
-        for m in range(1, 1 << self.t.n):
+        sums = [0] * (1 << self.n)
+        for m in range(1, 1 << self.n):
             low = m & -m
             sums[m] = sums[m ^ low] + pint[low.bit_length() - 1]
         return sums
 
     def demand_members(self, p: PriceVector) -> tuple[list[int], int, list[int]]:
         sums = self.price_sums(self.price_ints(p))
-        vals = self.t.vals
+        vals = self.vals
         best = None
         members: list[int] = []
-        for mask in self.t.dom:
+        for mask in self.dom:
             v = vals[mask] - sums[mask]
             if best is None or v > best:
                 best = v
@@ -956,9 +1021,9 @@ def _oracle_si(f: SetFunction, sampler: PriceSampler) -> Verdict:
     full = (1 << f.n) - 1
     for idx, p in enumerate(_oracle_prices(sampler, f)):
         _, best, sums = view.demand_members(p)
-        for X in view.t.dom:
-            v = view.t.vals[X] - sums[X]
-            if v != best and not _si_improves_int(view.t.vals, sums, X, v, full):
+        for X in view.dom:
+            v = view.vals[X] - sums[X]
+            if v != best and not _si_improves_int(view.vals, sums, X, v, full):
                 return _tagged(check_si_at(f, p), idx)
     return Verdict(True)
 
@@ -1529,7 +1594,8 @@ def test_object_route_slab_cap_is_smaller(monkeypatch):
 
 
 def _int_fields(t: IntTable):
-    return (t.n, t.size, t.scale, t.lo, t.hi, t.neg, t.vals, t.sent, t.dom)
+    return (t.n, t.scale, t.lo, t.hi, t.neg, t.sent.dtype, t.sent.tolist(), t.dom.dtype,
+            t.dom.tolist())
 
 
 def _loaded(f: SetFunction) -> SetFunction:
@@ -1550,7 +1616,7 @@ MIXED = SetFunction(3, (Fraction(1, 2), NEG_INF, Fraction(-2, 3), Fraction(2**70
 def test_derived_functions_build_their_own_table(parent, X, Y, I):
     t = parent.ints
     assert _int_fields(t) == _int_fields(IntTable(parent))
-    assert not _fits_int64(t.neg, t.lo, t.hi)  # the big-integer route
+    assert t.sent.dtype == object  # the big-integer route
     n = parent.n
     sp = slice_pair(parent, X, Y, I)
     derived = [
