@@ -7,12 +7,14 @@ containing the sentinel compares strictly below any two-term sum of finite
 entries; loops must still skip tuples whose left-hand side would contain a
 sentinel (those are vacuous by convention).
 
-The table is one numpy array over all 2^n masks: int64 when
-:func:`fits_int64` admits the sentinel and the finite range, else an
-object array of the same Python integers, which every kernel runs on
-unchanged as its exact fallback.  Each :class:`~excheck.core.SetFunction`
-keeps one table, built on first use or handed over by the file loader,
-which fills it while it parses the entries (see :attr:`SetFunction.ints`).
+The table is one numpy array over all 2^n masks, of the narrowest integer
+dtype that :func:`int_dtype` admits for the sentinel and the finite range:
+int16, int32 or int64, else an object array of the same Python integers.
+Every kernel runs unchanged on each of them, so the object array is the
+exact fallback and the narrow dtypes only move fewer bytes per entry.
+Each :class:`~excheck.core.SetFunction` keeps one table, built on first
+use or handed over by the file loader, which fills it while it parses the
+entries (see :attr:`SetFunction.ints`).
 The checkers, the dual sweep of ``fenchel_gap`` and the demand kernel all
 read that array.  ``IntTable(f)`` builds a fresh table from the rational
 entries.
@@ -31,18 +33,31 @@ from .values import is_finite
 if TYPE_CHECKING:
     from .core import SetFunction
 
-__all__ = ["IntTable", "fits_int64"]
+__all__ = ["IntTable", "fits_int64", "int_dtype"]
 
-# A two-term sum of values that pass fits_int64 stays below this, a bit
-# inside int64.
-_INT64_SAFE = 1 << 62
+# The integer dtypes, narrowest first, each with the bound that twice the
+# largest magnitude must stay below: a two-term sum of such values, or a
+# floor 2*v - 1, then lies a bit inside the dtype.
+_RUNGS = ((np.int16, 1 << 14), (np.int32, 1 << 30), (np.int64, 1 << 62))
+
+
+def int_dtype(*values: int):
+    """The narrowest of int16, int32 and int64 in which twice the largest
+    magnitude among ``values`` is below 2^14, 2^30 or 2^62, so every sum of
+    two values that large is exact with room to spare; ``object`` when none
+    is.  Each caller passes bounds on the terms its own arithmetic adds."""
+    top = 2 * max(abs(v) for v in values)
+    for dtype, safe in _RUNGS:
+        if top < safe:
+            return dtype
+    return object
 
 
 def fits_int64(*values: int) -> bool:
-    """Whether twice the largest magnitude among ``values`` is below 2^62,
-    so every sum of two values that large is exact in int64 with room to
-    spare.  Each kernel passes bounds on the terms its own arithmetic adds."""
-    return 2 * max(abs(v) for v in values) < _INT64_SAFE
+    """Whether :func:`int_dtype` admits ``values`` on some integer dtype,
+    so their two-term sums are exact in int64; for callers whose arrays
+    are int64 or object."""
+    return int_dtype(*values) is not object
 
 
 class IntTable:
@@ -50,8 +65,10 @@ class IntTable:
 
     ``sent[m]`` is the value on m times ``scale``, or ``neg`` off the
     effective domain; ``dom`` holds the ascending finite masks (int64), and
-    ``lo``/``hi`` the range of the finite entries.  ``sent`` is int64 when
-    ``fits_int64(neg, lo, hi)``, else an object array of Python integers.
+    ``lo``/``hi`` the range of the finite entries.  ``sent`` has the dtype
+    ``int_dtype(neg, lo, hi)``: int16, int32 or int64, or an object array
+    of Python integers past the int64 bound.  The kernels add at most two
+    entries and compare with floors 2*neg - 1 and 2*lo - 1, all inside it.
     """
 
     __slots__ = ("n", "scale", "lo", "hi", "neg", "sent", "dom")
@@ -83,5 +100,5 @@ class IntTable:
         self.hi = hi
         self.neg = neg
         self.dom = np.array(dom, dtype=np.int64)
-        self.sent = np.full(1 << n, neg, dtype=np.int64 if fits_int64(neg, lo, hi) else object)
+        self.sent = np.full(1 << n, neg, dtype=int_dtype(neg, lo, hi))
         self.sent[self.dom] = vals

@@ -19,10 +19,13 @@ The kernel reads the function's cached :class:`IntTable`
 (``SetFunction.ints``), so repeated checks of one function rescale it
 once, and runs on its one array: chunks of X rows, in order, against every
 Y, each element i on the grid of rows holding i and columns missing it.
-The array is int64 when twice the largest magnitude among its entries and
-its ``-inf`` sentinel is below 2^62, so every two-term sum is exact, and
-an object array of Python integers otherwise; the same kernel on that
-dtype is the exact fallback.  The least (row-major (X, Y) cell, i) of the
+The array takes the narrowest of int16, int32 and int64 in which twice the
+largest magnitude among its entries and its ``-inf`` sentinel is below
+2^14, 2^30 or 2^62, so every two-term sum and every floor is exact, and is
+an object array of Python integers otherwise; the same kernel runs on
+every dtype, the object one being the exact fallback.  Its (X, Y) blocks
+are sized in bytes, so an int16 table sweeps four times the cells of an
+int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
 first chunk holding a violation is the first tuple of the lexicographic
 order, the first hit of the loop scan that the tests keep as the oracle.
 Every hit is re-checked on the raw rational table, or the family's
@@ -30,7 +33,7 @@ members, before it becomes a witness; a mismatch raises
 :class:`InternalCheckError`.
 
 A second kernel runs the multi-item scans, ``mnat-exc-m`` (and so ``snc``)
-and, on the indicator table, ``b-exc-m``, on the same array of either
+and, on the indicator table, ``b-exc-m``, on the same array of any
 dtype.  It takes chunks of X rows in order, drops the cells with X\\Y
 empty and groups the rest by (|X\\Y|, |Y\\X|).  Each cell expands to
 its (X, Y, I) tuples, I over the nonzero submasks of X\\Y in ascending
@@ -56,12 +59,17 @@ cells and then doubling up to _LOCAL_BLOCK_CELLS, each a slice of one
 table per family and n; the least (X, tuple) of the first block holding a
 violation is the loop scan's first hit, and a table failing at X = 0
 reads one small block.  Like the others, the kernel reads the table's
-array, int64 or object.
+array, of whichever dtype.
 
-Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), a full ``mnat-exc``
-scan of min(|S|, n/2) takes about 0.06 s at n = 10, 1.4 s at n = 12 and
-12-14 s at n = 14.  A full ``mnat-exc-m`` scan of the same function takes
-about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at
+Measured on 2 cores of an AVX-512 Xeon (CPython 3.11.7, numpy 2.4.6), a
+full ``mnat-exc`` scan of min(|S|, n/2), whose table is int16, takes
+0.016-0.019 s at n = 10, 0.35-0.38 s at n = 12 and 5.5-6.0 s at n = 14;
+timed back to back, each run in a fresh process, the code that kept every
+such table in int64, with blocks of 2^16 cells, took 0.057-0.066 s,
+1.28-1.40 s and 13.9 s (medians of 7 and 3 scans per process at n = 10
+and 12, two processes per side, alternating; one scan per process, two
+per side, at n = 14).  A full ``mnat-exc-m`` scan of the same function
+takes about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at
 n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10); on the bases
 of U(6, 12), ``b-exc-pm`` takes 0.03 s.  Timed later, back to back with
 the code they replaced, while the host ran about half as fast: ``local``
@@ -201,12 +209,14 @@ class ExchangeCertificate:
 # the one-item exchange kernel (see the module docstring)
 
 # X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
-# (X, Y) cells, so early exits stay cheap, then doubling up to
-# _BLOCK_CELLS cells or _MIN_CAP_ROWS rows, whichever is more.  Column
-# tables are built once per chunk and element; the (X, Y) work arrays hold
-# one block of rows, at most _BLOCK_CELLS cells or a single row.
+# (X, Y) cells, so early exits stay cheap, then doubling up to one block
+# of cells or _MIN_CAP_ROWS rows, whichever is more.  Column tables are
+# built once per chunk and element; the (X, Y) work arrays hold one block
+# of rows, at most _BLOCK_BYTES of cells or a single row: 2^16 cells of an
+# int64 or object table (or of b-exc-pm's int64 masks), 2^18 of an int16
+# table.
 _FIRST_CHUNK_CELLS = 1 << 12
-_BLOCK_CELLS = 1 << 16
+_BLOCK_BYTES = 1 << 19
 _MIN_CAP_ROWS = 32
 
 
@@ -234,33 +244,35 @@ def _row_chunks(nrows: int, ncols: int, cap: int):
         rows = min(2 * rows, cap)
 
 
-def _scan_per_element(da, xs, n: int, prepare):
+def _scan_per_element(da, xs, n: int, prepare, itemsize: int):
     """Earliest (X, Y, i-bit, tag) with X in xs that one of the per-i grids flags.
 
     ``prepare(b, yc)`` gets the bit b of i and the columns ``yc`` missing it
     and returns ``sweep(xr)``: for rows ``xr``, all holding i, the row-major
     index and tag of the least flagged cell of the grid against ``yc``, or
-    None.  Tags order the conditions checked on one (X, Y, i).
+    None.  Tags order the conditions checked on one (X, Y, i).  The sweep's
+    (X, Y) work arrays have ``itemsize`` bytes per cell.
     """
     xa = np.array(xs, dtype=np.int64)
     ncols = len(da)
-    cap = max(_MIN_CAP_ROWS, _BLOCK_CELLS // ncols)
+    block = _BLOCK_BYTES // itemsize
+    cap = max(_MIN_CAP_ROWS, block // ncols)
     for start, stop in _row_chunks(len(xa), ncols, cap):
         chunk = xa[start:stop]
-        hit = _grid_chunk(da, chunk, n, prepare)
+        hit = _grid_chunk(da, chunk, n, prepare, block)
         if hit is not None:
             r, c, i, tag = hit
             return int(chunk[r]), int(da[c]), 1 << i, tag
     return None
 
 
-def _grid_chunk(da, xa, n: int, prepare):
+def _grid_chunk(da, xa, n: int, prepare, block: int):
     """Least (row, column, i, tag) of one chunk that a sweep flags, or None.
 
     For each i the grid narrows to rows with i in X and columns with i not
-    in Y, and is swept in blocks of rows.  Row-major order on the narrowed
-    grid is the order on the full grid, so the least (flat index, i, tag)
-    over all i is the loop scan's first hit.
+    in Y, and is swept in blocks of rows, at most ``block`` cells each.
+    Row-major order on the narrowed grid is the order on the full grid, so
+    the least (flat index, i, tag) over all i is the loop scan's first hit.
     """
     ncols = len(da)
     found = None
@@ -273,7 +285,7 @@ def _grid_chunk(da, xa, n: int, prepare):
         if not ri.size or not ci.size:
             continue
         sweep = prepare(b, da[ci])
-        step = max(1, _BLOCK_CELLS // ci.size)
+        step = max(1, block // ci.size)
         for lo in range(0, ri.size, step):
             rb = ri[lo : lo + step]
             hit = sweep(xa[rb])
@@ -289,14 +301,26 @@ def _grid_chunk(da, xa, n: int, prepare):
     return flat // ncols, flat % ncols, i, tag
 
 
+@lru_cache(maxsize=None)
 def _element_bits(n: int):
-    return np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    """The column of single-bit masks 1 << i, i < n (read-only, shared)."""
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    bits.flags.writeable = False
+    return bits
 
 
 def _scan_exchange_np(sa, da, xs, neg: int, floor):
-    """Vectorized kernel: chunks of X rows, in order, against every Y."""
+    """Vectorized kernel: chunks of X rows, in order, against every Y.
+
+    ``neg`` and ``floor`` become scalars of the table's dtype, which the
+    guard of :class:`IntTable` admits, so the work arrays keep that dtype
+    under either numpy promotion rule (value-based before numpy 2).
+    """
     n = len(sa).bit_length() - 1
     bits = _element_bits(n)
+    neg = sa.dtype.type(neg)
+    if floor is not None:
+        floor = sa.dtype.type(floor)
 
     def prepare(b, yc):
         yi = yc | b
@@ -310,7 +334,7 @@ def _scan_exchange_np(sa, da, xs, neg: int, floor):
 
         return sweep
 
-    hit = _scan_per_element(da, xs, n, prepare)
+    hit = _scan_per_element(da, xs, n, prepare, sa.itemsize)
     return None if hit is None else hit[:3]
 
 
@@ -320,7 +344,8 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
     Rows are X-i (``sx`` = s(X)), columns Y+i (``sy`` = s(Y)); row j of
     ``cv`` holds s((Y+i)-j), or ``neg`` where j is not in Y.  A swap term
     whose j lies outside Y\\X reads ``neg`` on one side, and a sum
-    containing ``neg`` is below every lhs, so no mask is needed.
+    containing ``neg`` is below every lhs, so no mask is needed.  Every sum
+    has two entries (or ``neg``) as terms, so it stays in the table's dtype.
     """
     if floor is None:
         best = sa[xi][:, None] + sa[yi]
@@ -477,10 +502,13 @@ def _unrepaired(sa, xi, yi, lhs, ybits, open_, pick_j):
     return np.concatenate(keep)
 
 
+@lru_cache(maxsize=None)
 def _popcounts(n: int):
+    """Popcount of every mask below 2^n (read-only, shared)."""
     pc = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         pc[1 << i : 2 << i] = pc[: 1 << i] + 1
+    pc.flags.writeable = False
     return pc
 
 
@@ -541,7 +569,7 @@ def _scan_b_exc_pm(mem, da, xs, n: int):
 
         return sweep
 
-    hit = _scan_per_element(da, xs, n, prepare)
+    hit = _scan_per_element(da, xs, n, prepare, np.dtype(np.int64).itemsize)
     if hit is None:
         return None
     X, Y, ib, tag = hit
@@ -665,11 +693,12 @@ def find_exchange_set(f: SetFunction, X: int, Y: int, I: int) -> ExchangeCertifi
 
 def _exchange_set(s, X: int, Y: int, I: int) -> int | None:
     """The search of :func:`find_exchange_set` on a sentinel table ``s``,
-    where a sum holding the sentinel is below every finite lhs."""
-    lhs = s[X] + s[Y]
+    where a sum holding the sentinel is below every finite lhs.  Entries
+    are read as Python integers, so the sums are exact on every dtype."""
+    lhs = s.item(X) + s.item(Y)
     xmi = X ^ I
     for J in submasks_smallest_first(Y & ~X):
-        if s[xmi | J] + s[(Y & ~J) | I] >= lhs:
+        if s.item(xmi | J) + s.item((Y & ~J) | I) >= lhs:
             return J
     return None
 
@@ -885,9 +914,11 @@ class _LocalFamily:
         return self._table
 
     def first_hit(self, s, floor):
-        """The least violating (X, element tuple), or None."""
+        """The least violating (X, element tuple), or None.  ``floor``
+        becomes a scalar of the table's dtype, as in the one-item kernel."""
         if not self.union.size:
             return None
+        floor = s.dtype.type(floor)
         offsets, Ls, es = self._table or self._build()
         low_mask = (1 << self.wmax) - 1
         start, w = 0, self.w0

@@ -3,8 +3,9 @@
 A :class:`SetFunction` is a dense table of exact extended values over all
 2^n subsets of {1..n}, with at least one finite entry.  Next to the
 rational table it keeps one integer table (:attr:`SetFunction.ints`, an
-:class:`~excheck._fast.IntTable`: one array, int64 or, past the int64
-guard, Python integers), built once on first use or handed over by the
+:class:`~excheck._fast.IntTable`: one array of the narrowest exact
+integer dtype, int16, int32 or int64, or, past the int64 guard, of Python
+integers), built once on first use or handed over by the
 file loader; the checkers, ``fenchel_gap``, the demand kernel and
 ``dom_masks``/``value_range`` all read it.  Functions derived from another
 one (``with_value``, ``shift_by_price``, ``slice_pair``) build their own.

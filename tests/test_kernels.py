@@ -1,7 +1,8 @@
 """Differential tests of the exchange kernels, the demand kernel and the
 dual box sweep.
 
-The array kernels, on int64 and on object tables, and the loop scans kept
+The array kernels, on int16, int32, int64 and object tables (tables
+shifted to either side of each dtype's edge), and the loop scans kept
 below as their oracles are called directly on the same sentinel table;
 the verdicts built from their hits, witnesses included, must be equal.
 Family scans are compared against the plain membership scans kept below
@@ -281,17 +282,43 @@ def _assert_routes_agree(f: SetFunction, valuated: bool = False):
 # past the int64 guard: a table scaled or shifted by C is an object array
 C = 2**70
 
+# IntTable's dtypes, narrowest first, and the edge of each integer one: a
+# table takes it while twice its largest magnitude is below 2^bits
+RUNGS = [np.int16, np.int32, np.int64, object]
+EDGE_BITS = {np.int16: 14, np.int32: 30, np.int64: 62}
+
+# shifts of the randomized tables: 0 (small tables take int16), C, and
+# (rung, above, sign), which moves a table up (sign 1) or down (-1) to just
+# below the rung's edge 2 * max = 2^bits or, with ``above``, just past it
+SHIFTS = st.sampled_from([0, C] + [(rung, above, sign) for rung in (np.int16, np.int32)
+                                   for above in (False, True) for sign in (1, -1)])
+
 
 def _scaled(f: SetFunction, c: int) -> SetFunction:
     return SetFunction(f.n, tuple(v * c if is_finite(v) else NEG_INF for v in f.table))
 
 
-def _shifted(f: SetFunction, c: int) -> SetFunction:
+def _edge_shift(f: SetFunction, rung, above: bool, sign: int) -> int:
+    """The integer shift of :data:`SHIFTS`' edge entry (rung, above, sign):
+    the table's scale stays, and moving up its largest magnitude is hi,
+    moving down -neg."""
+    t = f.ints
+    room = (1 << (EDGE_BITS[rung] - 1)) - 1 - (t.hi if sign > 0 else -t.neg)
+    return sign * (room // t.scale + above)
+
+
+def _shifted(f: SetFunction, c) -> SetFunction:
     """f + c on the domain: with two terms on each side of every inequality
-    checked here, verdicts and witness sets stay; c = C takes the object
-    route."""
+    checked here, verdicts and witness sets stay.  c = 0 keeps the int16
+    route, c = C takes the object route, and an edge entry of
+    :data:`SHIFTS` the dtype on its side of the edge."""
+    want = np.int16 if c == 0 else object
+    if isinstance(c, tuple):
+        rung, above, _ = c
+        want = RUNGS[RUNGS.index(rung) + above]
+        c = _edge_shift(f, *c)
     g = SetFunction(f.n, tuple(v + c if is_finite(v) else NEG_INF for v in f.table))
-    assert (g.ints.sent.dtype == object) == (c == C)
+    assert g.ints.sent.dtype == want
     return g
 
 
@@ -400,7 +427,7 @@ def near_valuated_matroid(draw, max_n=6):
     return SetFunction(n, tuple(tab))
 
 
-@given(near_concave(), st.sampled_from([0, C]))
+@given(near_concave(), SHIFTS)
 @settings(max_examples=150, deadline=None)
 def test_single_exchange_routes_agree(f, c):
     f = _shifted(f, c)
@@ -408,7 +435,7 @@ def test_single_exchange_routes_agree(f, c):
     assert check_single_exchange(f) == _single_exchange_verdict(f, hit)
 
 
-@given(st.one_of(near_concave(), near_valuated_matroid()), st.sampled_from([0, C]))
+@given(st.one_of(near_concave(), near_valuated_matroid()), SHIFTS)
 @settings(max_examples=150, deadline=None)
 def test_multi_exchange_routes_agree(f, c):
     f = _shifted(f, c)
@@ -416,7 +443,7 @@ def test_multi_exchange_routes_agree(f, c):
     assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
 
 
-@given(near_valuated_matroid(), st.sampled_from([0, C]))
+@given(near_valuated_matroid(), SHIFTS)
 @settings(max_examples=100, deadline=None)
 def test_valuated_matroid_routes_agree(f, c):
     f = _shifted(f, c)
@@ -619,19 +646,60 @@ CASES = [
 @pytest.mark.parametrize("check,f", CASES)
 def test_scaled_table_takes_big_int_route(check, f):
     t, tc = IntTable(f), IntTable(_scaled(f, C))
-    assert fits_int64(t.neg, t.lo, t.hi) and t.sent.dtype == np.int64
+    assert fits_int64(t.neg, t.lo, t.hi) and t.sent.dtype == np.int16
     assert not fits_int64(tc.neg, tc.lo, tc.hi) and tc.sent.dtype == object
-    v, vc = check(f), check(_scaled(f, C))
-    assert v.passed == vc.passed
-    if not v.passed:
-        w, wc = v.witness, vc.witness
-        assert (w.condition, w.sets, w.elements) == (wc.condition, wc.sets, wc.elements)
-        assert wc.lhs == w.lhs * C
-        assert wc.rhs == (w.rhs * C if is_finite(w.rhs) else NEG_INF)
+    assert IntTable(_scaled(f, 2**40)).sent.dtype == np.int64
+    v = check(f)
+    for c in (2**40, C):
+        vc = check(_scaled(f, c))
+        assert v.passed == vc.passed
+        if not v.passed:
+            w, wc = v.witness, vc.witness
+            assert (w.condition, w.sets, w.elements) == (wc.condition, wc.sets, wc.elements)
+            assert wc.lhs == w.lhs * c
+            assert wc.rhs == (w.rhs * c if is_finite(w.rhs) else NEG_INF)
 
 
 def test_some_scaled_cases_fail():
     assert sum(not check(f).passed for check, f in CASES) >= 5
+
+
+# min(|S|, 2) on four elements with f({1, 2, 3}) raised to 3: lo = 0,
+# hi = 3 and the sentinel -7; it fails the one- and multi-item exchanges
+EDGE_BASE = with_value(_rank(4, 2), 0b0111, Fraction(3))
+
+
+@pytest.mark.parametrize("rung", RUNGS[:3])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "at"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+def test_kernels_at_the_exact_rung_edges(rung, above, sign):
+    # twice the largest magnitude is 2^bits - 2, the last value of the
+    # rung, or 2^bits, the first value of the next one; moving up the
+    # largest magnitude is hi, moving down the sentinel's
+    bits = EDGE_BITS[rung]
+    top = (1 << (bits - 1)) - 1 + above
+    c = top - 3 if sign > 0 else 7 - top
+    f = SetFunction(4, tuple(v + c if is_finite(v) else NEG_INF for v in EDGE_BASE.table))
+    t = f.ints
+    assert 2 * max(abs(t.neg), abs(t.lo), abs(t.hi)) == (1 << bits) - 2 + 2 * above
+    assert t.sent.dtype == RUNGS[RUNGS.index(rung) + above]
+    for check in (check_single_exchange, check_multiple_exchange, check_local,
+                  check_valuated_matroid):
+        want, got = check(EDGE_BASE), check(f)
+        assert got.passed == want.passed
+        if not want.passed:
+            assert (got.witness.condition, got.witness.sets, got.witness.elements) == (
+                want.witness.condition, want.witness.sets, want.witness.elements)
+    assert not check_single_exchange(f).passed and not check_multiple_exchange(f).passed
+    hit = _assert_routes_agree(f)
+    assert check_single_exchange(f) == _single_exchange_verdict(f, hit)
+    _assert_routes_agree(f, valuated=True)
+    hit = _assert_multi_routes_agree(f)
+    assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
+    assert _local_hit(t) == _local_oracle(t)
+    X, Y, I = hit
+    assert find_exchange_set(f, X, Y, I) is None
+    assert find_exchange_set(f, 0b0111, 0b1000, 0b0011).j_set == 0b1000
 
 
 # ----------------------------------------------------------------------
@@ -822,7 +890,7 @@ def near_local(draw, max_n=7):
 
 
 @given(st.one_of(near_local(), near_concave(max_n=7), near_valuated_matroid(max_n=7)),
-       st.sampled_from([0, C]))
+       SHIFTS)
 @settings(max_examples=200, deadline=None)
 def test_local_kernel_matches_the_loops(f, c):
     f = _shifted(f, c)
@@ -884,7 +952,7 @@ def test_local_hit_in_a_later_block():
 
 
 class _CountingTable(np.ndarray):
-    """An int64 table that counts the entries read through fancy indexing."""
+    """A table that counts the entries read through fancy indexing."""
 
     def __getitem__(self, idx):
         if isinstance(idx, np.ndarray):
