@@ -7,24 +7,39 @@ sets are an input error; decimal numbers are rejected.
 
 Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
 
-A set function is loaded in one pass over its entries, which validates
-each entry and its element list, catches a repeated set with a byte per
-subset, and fills the rational table while it gathers the scaled
-numerators of the :class:`~excheck._fast.IntTable`.  A JSON integer is
-its own numerator; each distinct ``"p/q"`` or ``"-inf"`` string is parsed
-once.  Unusual input (a bool or out-of-range element, a bool or decimal
-value) goes through the general validators, so every error message is the
-one :func:`~excheck.sets.mask_from_elements` and
-:func:`~excheck.values.as_ext_value` give.  The function is then built
-without normalizing its values again, with the integer table in place.
+Files are read as UTF-8 and parsed with :func:`json.loads`; text that is
+not UTF-8, JSON nested past the recursion limit and an integer past the
+interpreter's digit limit are input errors like malformed JSON.
+
+A set function of at least ``_BULK_MIN`` entries is built in bulk, one
+chunk of ``_CHUNK`` entries at a time: the ``set`` lists and the values
+are pulled out with list calls, their types are tested on the raw lists
+(never on deduplicated keys, where ``True``, ``1`` and ``1.0`` are one
+key), and numpy turns the flattened elements into masks with a range test
+and an OR-against-sum test for a repeated element.  A code table over all
+2^n masks holds each entry's value code; it catches a repeated set, and
+its finite codes give the ascending domain.  Each distinct value is parsed
+once, and the rational table and the scaled numerators of the
+:class:`~excheck._fast.IntTable` are gathered by code.
+
+Smaller files, and any file that fails a bulk test or holds a value that
+does not parse, go through the per-entry loop, which validates each entry
+in order through the general validators.  It is the one source of error
+messages, so every message, its order and the exit code are the same
+whichever path ran first.  A set family reads its members through the same
+chunked mask helper, with its own per-member loop as the error path.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from ._fast import IntTable
 from .core import MAX_GROUND_SIZE, SetFamily, SetFunction
@@ -47,13 +62,19 @@ __all__ = [
 
 def _load_json(path) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise InputError(f"{path}: {e}") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path}: top-level JSON object expected")
     return obj
@@ -72,13 +93,89 @@ def _element_list(raw, n: int) -> int:
     return mask_from_elements(raw, n)
 
 
-def obj_to_set_function(obj: dict) -> SetFunction:
-    if obj.get("kind") != "set_function":
-        raise InputError(f"expected kind 'set_function', got {obj.get('kind')!r}")
-    n = _ground_size(obj)
-    entries = obj.get("entries")
-    if not isinstance(entries, list):
-        raise InputError("'entries' must be a list")
+# Entries per chunk of the bulk paths: each chunk's flat element list
+# and arrays stay small next to the parsed JSON they are read from.
+_CHUNK = 4096
+# Below this many entries (or members) the per-entry loop is about as fast
+# as the bulk path, whose fixed cost is a few dozen array calls: on an Intel
+# Xeon under CPython 3.11 and numpy 2.4, the bulk build took 3-13% longer at
+# 128 entries and 6-17% less at 256.
+_BULK_MIN = 256
+
+
+# 1 << (e - 1) at index e, 0 at index 0
+_ELEMENT_BIT = np.array([0] + [1 << e for e in range(MAX_GROUND_SIZE)], dtype=np.int64)
+
+
+def _chunk_masks(sets: list, n: int) -> np.ndarray | None:
+    """The masks of ``sets`` as int64, or None unless each is a list of
+    distinct ints in 1..n.  Types are tested on the raw lists, since a set
+    or dict of the elements would let a bool hide behind an equal int."""
+    if set(map(type, sets)) != {list}:
+        return None
+    flat = list(chain.from_iterable(sets))
+    if list(map(type, flat)).count(int) != len(flat):
+        return None
+    try:  # a trailing 0 closes the last segment
+        elems = np.frombuffer(bytes(flat) + b"\0", dtype=np.uint8)
+    except ValueError:  # an element outside 0..255
+        return None
+    if flat and (elems[:-1].min() < 1 or elems.max() > n):
+        return None
+    bits = _ELEMENT_BIT[elems]
+    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    masks = np.bitwise_or.reduceat(bits, np.cumsum(lens) - lens)
+    masks[lens == 0] = 0  # reduceat reads one element for an empty segment
+    # OR and sum of a segment agree unless an element repeats in it
+    return masks if masks.sum() == bits.sum() else None
+
+
+def _bulk_function(n: int, entries: list) -> SetFunction | None:
+    """The function of ``entries``, built chunk by chunk in arrays, or None
+    when any entry fails a bulk test; the caller then runs the per-entry
+    loop, which reports the first fault."""
+    size = 1 << n
+    ctab = np.zeros(size, dtype=np.int32)  # value code (1, 2, ...) by mask, 0 when unlisted
+    code_of: dict = {}  # raw int or string -> its code, keyed only after the type test
+    for at in range(0, len(entries), _CHUNK):
+        chunk = entries[at : at + _CHUNK]
+        if set(map(type, chunk)) != {dict}:
+            return None
+        try:
+            sets = list(map(itemgetter("set"), chunk))
+            vals = list(map(itemgetter("value"), chunk))
+        except KeyError:
+            return None
+        if not set(map(type, vals)) <= {int, str}:
+            return None
+        masks = _chunk_masks(sets, n)
+        if masks is None:
+            return None
+        for v in dict.fromkeys(vals):
+            code_of.setdefault(v, len(code_of) + 1)
+        ctab[masks] = np.fromiter(map(code_of.__getitem__, vals), dtype=np.int32,
+                                  count=len(vals))
+    if np.count_nonzero(ctab) != len(entries):
+        return None  # a repeated set
+    parsed: list[ExtValue] = [NEG_INF]
+    try:
+        for v in code_of:
+            parsed.append(Fraction(v) if type(v) is int else as_ext_value(v))
+    except InputError:
+        return None
+    finite = np.array([v is not NEG_INF for v in parsed])
+    dom = np.flatnonzero(finite[ctab])
+    if not dom.size:
+        return None
+    scale = lcm(*(v.denominator for v in parsed if v is not NEG_INF))
+    nums = [v if v is NEG_INF else v.numerator * (scale // v.denominator) for v in parsed]
+    ints = IntTable.from_parts(n, scale, dom, list(map(nums.__getitem__, ctab[dom].tolist())))
+    return SetFunction._from_normalized(n, tuple(map(parsed.__getitem__, ctab.tolist())), ints)
+
+
+def _loop_function(n: int, entries: list) -> SetFunction:
+    """The function of ``entries``, built one entry at a time; the exact
+    path for every error message and its order."""
     size = 1 << n
     table: list[ExtValue] = [NEG_INF] * size
     nums: list = [None] * size  # JSON ints as they are, other values as Fractions
@@ -146,13 +243,34 @@ def obj_to_set_function(obj: dict) -> SetFunction:
     return SetFunction._from_normalized(n, tuple(table), ints)
 
 
-def obj_to_set_family(obj: dict) -> SetFamily:
-    if obj.get("kind") != "set_family":
-        raise InputError(f"expected kind 'set_family', got {obj.get('kind')!r}")
+def obj_to_set_function(obj: dict) -> SetFunction:
+    if obj.get("kind") != "set_function":
+        raise InputError(f"expected kind 'set_function', got {obj.get('kind')!r}")
     n = _ground_size(obj)
-    raw = obj.get("members")
-    if not isinstance(raw, list):
-        raise InputError("'members' must be a list of subsets")
+    entries = obj.get("entries")
+    if not isinstance(entries, list):
+        raise InputError("'entries' must be a list")
+    f = _bulk_function(n, entries) if len(entries) >= _BULK_MIN else None
+    return f if f is not None else _loop_function(n, entries)
+
+
+def _bulk_family(n: int, raw: list) -> SetFamily | None:
+    """The family of the member lists ``raw``, or None when any member
+    fails a bulk test or repeats."""
+    seen = np.zeros(1 << n, dtype=bool)
+    for at in range(0, len(raw), _CHUNK):
+        masks = _chunk_masks(raw[at : at + _CHUNK], n)
+        if masks is None:
+            return None
+        seen[masks] = True
+    if np.count_nonzero(seen) != len(raw):
+        return None
+    return SetFamily._from_sorted(n, tuple(np.flatnonzero(seen).tolist()))
+
+
+def _loop_family(n: int, raw: list) -> SetFamily:
+    """The family of ``raw``, read one member at a time; the exact path for
+    every error message and its order."""
     members = set()
     for item in raw:
         mask = _element_list(item, n)
@@ -160,6 +278,17 @@ def obj_to_set_family(obj: dict) -> SetFamily:
             raise InputError(f"duplicate member {sorted(item)}")
         members.add(mask)
     return SetFamily(n, frozenset(members))
+
+
+def obj_to_set_family(obj: dict) -> SetFamily:
+    if obj.get("kind") != "set_family":
+        raise InputError(f"expected kind 'set_family', got {obj.get('kind')!r}")
+    n = _ground_size(obj)
+    raw = obj.get("members")
+    if not isinstance(raw, list):
+        raise InputError("'members' must be a list of subsets")
+    fam = _bulk_family(n, raw) if len(raw) >= _BULK_MIN else None
+    return fam if fam is not None else _loop_family(n, raw)
 
 
 def load_set_function(path) -> SetFunction:

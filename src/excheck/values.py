@@ -112,12 +112,15 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not an exact rational (use an integer or 'p/q'): {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        if "/" not in s:
+            return Fraction(int(s))
+        num, den = map(int, s.split("/"))
+    except ValueError:  # past the interpreter's limit on the digits of an int
+        raise InputError(f"too many digits for an exact rational ({len(s)} characters)") from None
+    if den == 0:
+        raise InputError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def as_ext_value(x) -> ExtValue:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import excheck
 from excheck import SetFamily, SetFunction
 from excheck.cli import main
 from excheck.fileio import save_set_family, save_set_function
@@ -331,3 +336,38 @@ def test_timing_present_by_default(files, capsys):
     code, out, _ = run(capsys, "check", files["rank2"], "--property", "mnat-exc",
                        "--format", "json")
     assert code == 0 and "elapsed_ms" in json.loads(out)
+
+
+_DIGITS = "7" * 5000  # past the interpreter's default limit of 4300 digits per int
+_HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b'{"kind": "set_function", "n": 1, "entries": \xff}', id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(
+            ('{"kind": "set_function", "n": 1, "entries": [{"set": [], "value": '
+             + _DIGITS + "}]}").encode(),
+            id="long-int-literal",
+            marks=pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit"),
+        ),
+        pytest.param(
+            ('{"kind": "set_function", "n": 1, "entries": [{"set": [], "value": "1/'
+             + _DIGITS + '"}]}').encode(),
+            id="long-int-in-rational",
+            marks=pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit"),
+        ),
+    ],
+)
+def test_bad_input_exits_1_without_traceback(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=str(Path(excheck.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "excheck.cli", "check", str(path), "--property", "mnat-exc"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -1,12 +1,15 @@
 import json
 import re
+import sys
 from fractions import Fraction
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from excheck import NEG_INF, InputError, SetFamily, SetFunction
+from excheck import fileio
 from excheck._fast import IntTable
 from excheck.fileio import (
     load_instance,
@@ -178,40 +181,64 @@ def _entries(*pairs):
     return [{"set": s, "value": v} for s, v in pairs]
 
 
-@pytest.mark.parametrize(
-    "entries,message",
-    [
-        (_entries(([1, True], 1)), "element labels are positive integers, got True"),
-        (_entries(([1], 1), ([2], True)), "boolean is not a value: True"),
-        (_entries(([1], 3), ([2], 1.5)),
-         "decimal value 1.5 rejected; use an integer or a 'p/q' string"),
-        (_entries(([2, 0], 1)), "element labels are positive integers, got 0"),
-        (_entries(([4], 1)), "element 4 exceeds ground-set size 3"),
-        (_entries(([1.0], 1)), "element labels are positive integers, got 1.0"),
-        (_entries(([2, 3, 2], 1)), "duplicate element 2"),
-        (_entries(([1, 2], 1), ([3], 0), ([2, 1], "1/2")), "duplicate subset {1,2}"),
-        (_entries(("12", 1)), "subsets are JSON lists of elements, got '12'"),
-        (_entries(([1], 1)) + [[2, 1]], "each entry needs 'set' and 'value', got [2, 1]"),
-        ([{"set": [1]}], "each entry needs 'set' and 'value', got {'set': [1]}"),
-        (_entries(([1], "-inf"), ([], " -inf")),
-         "effective domain is empty: every entry is -inf"),
-        ([], "the function has no finite entries (empty effective domain)"),
-        # a repeated set is reported only after every value has been read
-        (_entries(([1], 1), ([1], 2), ([2], "x")),
-         "not an exact rational (use an integer or 'p/q'): 'x'"),
-        (_entries(([1], 1), ([1], 2), ([2], 2.5)),
-         "decimal value 2.5 rejected; use an integer or a 'p/q' string"),
-        # a bad value is read after its entry's set
-        (_entries(([5], "x")), "element 5 exceeds ground-set size 3"),
-        (_entries(([5], 0.5)), "decimal value 0.5 rejected; use an integer or a 'p/q' string"),
-        (_entries(([1], "1/0")), "zero denominator: '1/0'"),
-    ],
-)
+LOADER_ERRORS = [
+    (_entries(([1, True], 1)), "element labels are positive integers, got True"),
+    (_entries(([1], 1), ([2], True)), "boolean is not a value: True"),
+    (_entries(([1], 3), ([2], 1.5)),
+     "decimal value 1.5 rejected; use an integer or a 'p/q' string"),
+    (_entries(([2, 0], 1)), "element labels are positive integers, got 0"),
+    (_entries(([4], 1)), "element 4 exceeds ground-set size 3"),
+    (_entries(([1.0], 1)), "element labels are positive integers, got 1.0"),
+    (_entries(([2, 3, 2], 1)), "duplicate element 2"),
+    (_entries(([1, 2], 1), ([3], 0), ([2, 1], "1/2")), "duplicate subset {1,2}"),
+    (_entries(("12", 1)), "subsets are JSON lists of elements, got '12'"),
+    (_entries(([1], 1)) + [[2, 1]], "each entry needs 'set' and 'value', got [2, 1]"),
+    ([{"set": [1]}], "each entry needs 'set' and 'value', got {'set': [1]}"),
+    (_entries(([1], "-inf"), ([], " -inf")),
+     "effective domain is empty: every entry is -inf"),
+    ([], "the function has no finite entries (empty effective domain)"),
+    # a repeated set is reported only after every value has been read
+    (_entries(([1], 1), ([1], 2), ([2], "x")),
+     "not an exact rational (use an integer or 'p/q'): 'x'"),
+    (_entries(([1], 1), ([1], 2), ([2], 2.5)),
+     "decimal value 2.5 rejected; use an integer or a 'p/q' string"),
+    # a bad value is read after its entry's set
+    (_entries(([5], "x")), "element 5 exceeds ground-set size 3"),
+    (_entries(([5], 0.5)), "decimal value 0.5 rejected; use an integer or a 'p/q' string"),
+    (_entries(([1], "1/0")), "zero denominator: '1/0'"),
+    # a bool next to an equal int, as a value and as an element
+    (_entries(([1], True), ([2], 1)), "boolean is not a value: True"),
+    (_entries(([1], 1), ([True], 2)), "element labels are positive integers, got True"),
+    (_entries(([2**70], 1)), f"element {2**70} exceeds ground-set size 3"),
+    (_entries(([], 1), ([2], 0), ([], "-inf")), "duplicate subset {}"),
+    (_entries(([1], "1/x")), "not an exact rational (use an integer or 'p/q'): '1/x'"),
+    (_entries(([1], "3/-2")), "not an exact rational (use an integer or 'p/q'): '3/-2'"),
+    # two faults: the first in entry order is reported
+    (_entries(([1], 2.5), ([4], 1)),
+     "decimal value 2.5 rejected; use an integer or a 'p/q' string"),
+    (_entries(([1, 1], 1), ([2], None)), "duplicate element 1"),
+    pytest.param(
+        _entries(([1], "1/" + "7" * 5000)),
+        "too many digits for an exact rational (5002 characters)",
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no int digit limit"),
+    ),
+]
+
+
+@pytest.mark.parametrize("entries,message", LOADER_ERRORS)
 def test_loader_error_messages(entries, message):
     obj = {"kind": "set_function", "n": 3, "entries": entries}
     with pytest.raises(InputError) as exc:
         obj_to_set_function(obj)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entries,message", LOADER_ERRORS)
+def test_loader_error_messages_after_the_bulk_path(entries, message, monkeypatch):
+    monkeypatch.setattr(fileio, "_BULK_MIN", 0)  # every size tries the bulk build first
+    assert fileio._bulk_function(3, entries) is None
+    test_loader_error_messages(entries, message)
 
 
 def test_loader_seeds_the_integer_table():
@@ -224,3 +251,195 @@ def test_loader_seeds_the_integer_table():
     assert t.sent.dtype == object  # 2^72 is past the int64 guard
     assert t.sent.tolist() == [-8, 2**72, t.neg, 3]
     assert _int_fields(t) == _int_fields(IntTable(f))
+
+
+# ----------------------------------------------------------------------
+# the bulk paths against the per-entry loops they fall back to
+
+CHUNKS = st.sampled_from([1, 3, 64, fileio._CHUNK])  # small chunks put faults past the first
+
+
+def _outcome(build, n, raw):
+    """What ``build`` makes of ``raw``: the instance, or its error message."""
+    try:
+        return build(n, raw)
+    except InputError as e:
+        return str(e)
+
+
+def _bulk(build, n, raw, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CHUNK", chunk)
+        return build(n, raw)
+
+
+def _same_function(f, g):
+    return f.n == g.n and f.table == g.table and _int_fields(f.ints) == _int_fields(g.ints)
+
+
+@st.composite
+def raw_entries(draw):
+    """(n, entries, rnd): entries as ``json.loads`` gives them, for n <= 8,
+    with shuffled element lists and values from a small drawn pool."""
+    n = draw(st.integers(1, 8))
+    rnd = draw(st.randoms(use_true_random=False))
+    pool = draw(st.lists(st.one_of(JSON_VALUES, st.just(" -inf")), min_size=1, max_size=5))
+    entries = []
+    for m in rnd.sample(range(1 << n), draw(st.integers(1, 1 << n))):
+        elems = [e for e in range(1, n + 1) if m >> (e - 1) & 1]
+        rnd.shuffle(elems)
+        entries.append({"set": elems, "value": rnd.choice(pool)})
+    return n, entries, rnd
+
+
+def _insert(entries, rnd, *items):
+    for item in items:
+        entries.insert(rnd.randint(0, len(entries)), item)
+
+
+def _some_set(n, rnd):
+    return rnd.sample(range(1, n + 1), rnd.randint(0, n))
+
+
+def _twice(elems):
+    """One set as two element lists, the second reversed."""
+    return elems, elems[::-1]
+
+
+# each fault inserts entries that make any table an input error
+ENTRY_FAULTS = {
+    "bool value next to an equal int": lambda n, es, r: _insert(
+        es, r, {"set": _some_set(n, r), "value": 1}, {"set": _some_set(n, r), "value": True}),
+    "bool element next to an equal int": lambda n, es, r: _insert(
+        es, r, {"set": [1], "value": 0}, {"set": [True], "value": 0}),
+    "bool element": lambda n, es, r: _insert(es, r, {"set": [True], "value": 0}),
+    "float element": lambda n, es, r: _insert(es, r, {"set": [1.0], "value": 0}),
+    "2^70 element": lambda n, es, r: _insert(es, r, {"set": [2**70], "value": 0}),
+    "element 0": lambda n, es, r: _insert(es, r, {"set": [0], "value": 0}),
+    "element n + 1": lambda n, es, r: _insert(es, r, {"set": [n + 1], "value": 0}),
+    "element 256": lambda n, es, r: _insert(es, r, {"set": [256], "value": 0}),
+    "negative element": lambda n, es, r: _insert(es, r, {"set": [-1], "value": 0}),
+    "repeated element": lambda n, es, r: _insert(es, r, {"set": [n, 1, n], "value": 0}),
+    "string set": lambda n, es, r: _insert(es, r, {"set": "12", "value": 0}),
+    "tuple set": lambda n, es, r: _insert(es, r, {"set": (1,), "value": 0}),
+    "repeated set": lambda n, es, r: _insert(
+        es, r, *({"set": s, "value": v} for s, v in zip(_twice(_some_set(n, r)), (1, "1/2")))),
+    "empty set twice": lambda n, es, r: _insert(
+        es, r, {"set": [], "value": 0}, {"set": [], "value": "1/2"}),
+    "decimal value": lambda n, es, r: _insert(es, r, {"set": _some_set(n, r), "value": 1.5}),
+    "bad p/q": lambda n, es, r: _insert(
+        es, r, {"set": _some_set(n, r), "value": r.choice(["1/x", "3/-2", "1/2/3", "1/0", ""])}),
+    "long p/q": lambda n, es, r: _insert(
+        es, r, {"set": _some_set(n, r), "value": "1/" + "7" * 5000}),
+    "null value": lambda n, es, r: _insert(es, r, {"set": _some_set(n, r), "value": None}),
+    "list entry": lambda n, es, r: _insert(es, r, [[1], 0]),
+    "entry without value": lambda n, es, r: _insert(es, r, {"set": _some_set(n, r)}),
+}
+if not hasattr(sys, "get_int_max_str_digits"):  # no digit limit: a long p/q is valid
+    del ENTRY_FAULTS["long p/q"]
+
+
+@given(raw_entries(), CHUNKS)
+@settings(max_examples=200, deadline=None)
+def test_bulk_build_matches_the_loop(case, chunk):
+    n, entries, _ = case
+    want = _outcome(fileio._loop_function, n, entries)
+    got = _bulk(fileio._bulk_function, n, entries, chunk)
+    if isinstance(want, str):  # every listed value is -inf
+        assert want == "effective domain is empty: every entry is -inf" and got is None
+    else:
+        assert got is not None and _same_function(got, want)
+
+
+@given(raw_entries(), st.lists(st.sampled_from(sorted(ENTRY_FAULTS)), min_size=1, max_size=2),
+       CHUNKS)
+@settings(max_examples=300, deadline=None)
+def test_bulk_build_falls_back_on_every_fault(case, faults, chunk):
+    n, entries, rnd = case
+    for fault in faults:
+        ENTRY_FAULTS[fault](n, entries, rnd)
+    want = _outcome(fileio._loop_function, n, entries)
+    assert isinstance(want, str)
+    assert _bulk(fileio._bulk_function, n, entries, chunk) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BULK_MIN", 0)
+        mp.setattr(fileio, "_CHUNK", chunk)
+        with pytest.raises(InputError) as exc:
+            obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 5, fileio._CHUNK])
+@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
+def test_bulk_build_falls_back_on_each_fault(fault, chunk):
+    # the subsets of {2, 3, 4}: no fault's element list is already listed
+    entries = [{"set": [e for e in (2, 3, 4) if m >> (e - 2) & 1], "value": m} for m in range(8)]
+    rnd = Random(fault)
+    ENTRY_FAULTS[fault](4, entries, rnd)
+    assert isinstance(_outcome(fileio._loop_function, 4, entries), str)
+    assert _bulk(fileio._bulk_function, 4, entries, chunk) is None
+
+
+def _full_entries(n):
+    f = SetFunction.from_callable(n, lambda m: Fraction(m.bit_count() * (n - m.bit_count()), 2))
+    return set_function_to_obj(f)["entries"]
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ({"set": [1, True], "value": 0}, "element labels are positive integers, got True"),
+        ({"set": [2, 14], "value": 0}, "element 14 exceeds ground-set size 13"),
+        ({"set": [3], "value": True}, "boolean is not a value: True"),
+        ({"set": [3], "value": "1/x"}, "not an exact rational (use an integer or 'p/q'): '1/x'"),
+        ({"set": [2, 1], "value": 0}, "duplicate subset {1,2}"),
+    ],
+)
+def test_bulk_build_falls_back_on_a_fault_in_the_second_chunk(fault, message):
+    n = 13  # 8,192 entries: two chunks
+    entries = _full_entries(n)
+    assert len(entries) >= 2 * fileio._CHUNK > fileio._BULK_MIN
+    want = obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
+    assert _same_function(fileio._bulk_function(n, entries), want)
+    entries.insert(fileio._CHUNK + 5, fault)
+    assert fileio._bulk_function(n, entries) is None
+    with pytest.raises(InputError) as exc:
+        obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
+    assert str(exc.value) == message
+
+
+@st.composite
+def raw_members(draw):
+    n = draw(st.integers(1, 8))
+    rnd = draw(st.randoms(use_true_random=False))
+    members = [[e for e in range(1, n + 1) if m >> (e - 1) & 1]
+               for m in rnd.sample(range(1 << n), draw(st.integers(0, 1 << n)))]
+    for m in members:
+        rnd.shuffle(m)
+    return n, members, rnd
+
+
+# each fault inserts members that make any family an input error
+MEMBER_FAULTS = {
+    "bool element next to an equal int": lambda n, ms, r: _insert(ms, r, [1], [True]),
+    "float element": lambda n, ms, r: _insert(ms, r, [1.0]),
+    "2^70 element": lambda n, ms, r: _insert(ms, r, [2**70]),
+    "element n + 1": lambda n, ms, r: _insert(ms, r, [n + 1]),
+    "repeated element": lambda n, ms, r: _insert(ms, r, [1, 1]),
+    "string member": lambda n, ms, r: _insert(ms, r, "1"),
+    "repeated member": lambda n, ms, r: _insert(ms, r, *_twice(_some_set(n, r))),
+}
+
+
+@given(raw_members(), st.lists(st.sampled_from(sorted(MEMBER_FAULTS)), max_size=2), CHUNKS)
+@settings(max_examples=200, deadline=None)
+def test_bulk_family_matches_the_loop(case, faults, chunk):
+    n, members, rnd = case
+    for fault in faults:
+        MEMBER_FAULTS[fault](n, members, rnd)
+    want = _outcome(fileio._loop_family, n, members)
+    got = _bulk(fileio._bulk_family, n, members, chunk)
+    if faults:
+        assert isinstance(want, str) and got is None
+    else:
+        assert got == want and got.sorted_members == want.sorted_members
