@@ -210,14 +210,16 @@ class ExchangeCertificate:
 
 # X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
 # (X, Y) cells, so early exits stay cheap, then doubling up to one block
-# of cells or _MIN_CAP_ROWS rows, whichever is more.  Column tables are
-# built once per chunk and element; the (X, Y) work arrays hold one block
-# of rows, at most _BLOCK_BYTES of cells or a single row: 2^16 cells of an
-# int64 or object table (or of b-exc-pm's int64 masks), 2^18 of an int16
-# table.
+# of cells or _MIN_CAP_ROWS rows, whichever is more.  An element's column
+# tables are kept for the whole scan while they fit _GRID_CACHE_BYTES
+# (see _ElementGrids), else rebuilt per chunk.  The (X, Y) work arrays
+# hold one block of rows, at most _BLOCK_BYTES of cells or a single row:
+# 2^16 cells of an int64 or object table (or of b-exc-pm's int64 masks),
+# 2^18 of an int16 table.
 _FIRST_CHUNK_CELLS = 1 << 12
 _BLOCK_BYTES = 1 << 19
 _MIN_CAP_ROWS = 32
+_GRID_CACHE_BYTES = 1 << 23
 
 
 def _exchange_hit(t: IntTable, deletion: bool):
@@ -257,16 +259,47 @@ def _scan_per_element(da, xs, n: int, prepare, itemsize: int):
     ncols = len(da)
     block = _BLOCK_BYTES // itemsize
     cap = max(_MIN_CAP_ROWS, block // ncols)
+    grids = _ElementGrids(da, n, prepare, itemsize)
     for start, stop in _row_chunks(len(xa), ncols, cap):
         chunk = xa[start:stop]
-        hit = _grid_chunk(da, chunk, n, prepare, block)
+        hit = _grid_chunk(da, chunk, n, grids, block)
         if hit is not None:
             r, c, i, tag = hit
             return int(chunk[r]), int(da[c]), 1 << i, tag
     return None
 
 
-def _grid_chunk(da, xa, n: int, prepare, block: int):
+class _ElementGrids:
+    """Element i's columns missing i and the sweep ``prepare`` builds on them.
+
+    Each pair is built on first use, so a scan that exits early builds no
+    more than it reaches.  It is kept while the kept pairs fit
+    _GRID_CACHE_BYTES, estimated as n entries of the table's dtype and n
+    booleans per column (the n x columns tables of ``prepare``); past that
+    it is rebuilt on every use.
+    """
+
+    def __init__(self, da, n: int, prepare, itemsize: int):
+        self.da = da
+        self.prepare = prepare
+        self.col_bytes = n * (itemsize + 1)
+        self.room = _GRID_CACHE_BYTES
+        self.kept = {}
+
+    def __call__(self, i: int):
+        got = self.kept.get(i)
+        if got is None:
+            b = 1 << i
+            ci = np.flatnonzero((self.da & b) == 0)
+            got = ci, self.prepare(b, self.da[ci]) if ci.size else None
+            size = ci.size * self.col_bytes
+            if size <= self.room:
+                self.room -= size
+                self.kept[i] = got
+        return got
+
+
+def _grid_chunk(da, xa, n: int, grids, block: int):
     """Least (row, column, i, tag) of one chunk that a sweep flags, or None.
 
     For each i the grid narrows to rows with i in X and columns with i not
@@ -281,10 +314,11 @@ def _grid_chunk(da, xa, n: int, prepare, block: int):
         ri = np.flatnonzero(xa & b)
         if found is not None:
             ri = ri[ri <= found[0] // ncols]  # later rows cannot come first
-        ci = np.flatnonzero((da & b) == 0)
-        if not ri.size or not ci.size:
+        if not ri.size:
             continue
-        sweep = prepare(b, da[ci])
+        ci, sweep = grids(i)
+        if not ci.size:
+            continue
         step = max(1, block // ci.size)
         for lo in range(0, ri.size, step):
             rb = ri[lo : lo + step]

@@ -14,42 +14,53 @@ slab q_0 = a, each conjugate is a subset dynamic program on arrays:
 coordinate 0 is folded into the dense 2^(k-1)-entry slice table,
 h(J) = max(f(J), f(J + e_0) -/+ a), and every further coordinate c turns
 the table's {0, 1} axis into the grid axis q_c with one max-plus pass,
-max(h(J), h(J + e_c) -/+ q_c).  The last pass writes m^(k-1) entries
-twice (an add and a max) and each earlier pass a factor of about m/2
-fewer, so a slab costs about 2 m^(k-1) element operations per conjugate
-plus the sum and its minimum: under 8 m^k for the whole box, where one
-pass per finite slice entry cost 2 (|dom f1| + |dom f2|) m^k.  Entries
-off the domain hold the sentinel -2*bound - 1, below every finite entry
-at every grid point (bound = max |value| + R*k).  The same program runs on
-int64 arrays while 2*bound stays below 2^60 and on numpy object arrays of
-Python integers above that, so both routes are exact.  A box whose slab
-holds more than 2 * 10^8 entries on the int64 route, or 2.5 * 10^7 on the
+max(h(J), h(J + e_c) -/+ q_c), last coordinate first.  The passes down to
+coordinate 2 run once per slab and leave 2 m^(k-2) entries; the last
+pass, for coordinate 1, runs block by block over consecutive rows of the
+grid axis q_1, each block at most 256 KB of int64 entries or one row of
+m^(k-2), and each block of the two sides is summed in place and
+minimized before the next is written.  So a side holds about
+2 m^(k-2) entries plus one block, where a whole slab held m^(k-1) in
+each of its buffers.  The last pass writes m^(k-1) entries per slab twice
+(an add and a max) and each earlier pass a factor of about m/2 fewer, so
+a slab costs about 2 m^(k-1) element operations per conjugate plus the
+sum and its minimum: under 8 m^k for the whole box, where one pass per
+finite slice entry cost 2 (|dom f1| + |dom f2|) m^k.  Entries off the
+domain hold the sentinel -2*bound - 1, below every finite entry at every
+grid point (bound = max |value| + R*k).  The same program runs on int64
+arrays while 2*bound stays below 2^60 and on numpy object arrays of
+Python integers above that, so both routes are exact; an object block
+holds an eighth of the entries of an int64 one.  A box whose slab holds
+more than 2 * 10^8 entries on the int64 route, or 2.5 * 10^7 on the
 object route, where an entry takes about seven times the memory, is
 refused with :class:`InputError` before any array is allocated, as is one
 of more than 10^10 points, or whose points plus 1000 per slab (a slab's
 fixed cost of a few numpy calls) exceed 10^10: a box of k = 1 at radius
-10^9 has 2 * 10^9 + 1 one-point slabs, hours of sweeping.
+10^9 has 2 * 10^9 + 1 one-point slabs, hours of sweeping.  The slab caps
+predate the blocks and still bound the time of one slab.
 
 By weak duality no point of the box lies below the primal value, and
-every visited point is checked against it (a violation raises
-``InternalCheckError``).  So the sweep stops after the first slab whose
-minimum equals the primal: the first minimizer of that slab in C order,
-which is lexicographic, is the lexicographically first minimizer of the
-whole box, the same point a full sweep returns.  When the gap is positive
-or the primal is -inf, every slab is visited.  The exit rests on weak
+every block's minimum is checked against it (a violation raises
+``InternalCheckError``).  So the sweep stops after the first block whose
+minimum equals the primal: every earlier block lies strictly above the
+primal, so the first minimizer of that block in C order, which is
+lexicographic, is the lexicographically first minimizer of the whole
+box, the same point a full sweep returns.  When the gap is positive or
+the primal is -inf, every block is visited.  The exit rests on weak
 duality alone.  For M-natural-concave f, steepest descent on the dual
 would reach some minimizer, but the report names the lexicographically
 first one, which can sit at the end of a line of minimizers.
 
 Measured on a 2-core host with CPython 3.11 and numpy 2.4, one
-``fenchel_gap`` call: k = 6 on min(|S|, 3) with the default radius
-(15^6 points) 0.03 s, from 1.9 s with one pass per slice entry; k = 7
-there 1.0 s at a peak RSS of 0.23 GB; the k = 5 weighted-matroid
-instance of the benchmark's dual corpus (31^5 points, closed in the first
-slab) 7 ms, from 0.69 s, and its k = 5 positive-gap instance (full box)
-4 ms, from 62 ms.  On the object route a full 15^5 box with values near
-2^70 takes 0.15-0.3 s, where the point-by-point loop it replaced took
-50-68 s.
+``fenchel_gap`` call on min(|S|, 3) with the default radius (m = 15):
+k = 6 0.022 s at a peak RSS of 33 MB (43 MB with whole slabs), from 1.9 s
+with one pass per slice entry; k = 7 0.43 s at 68 MB (0.94 s at 230 MB
+with whole slabs).  On min(|S|, 7) with k = 5 (31^5 points, closing at
+q = (1, ..., 1)) the traced peak allocation is 1.6 MB, from 15.2 MB with
+whole slabs.  The k = 5 positive-gap instance of the benchmark's dual corpus
+(full box) takes 4 ms, from 62 ms with one pass per slice entry.  On the
+object route a full 15^5 box with values near 2^70 takes 0.15-0.3 s,
+where the point-by-point loop it replaced took 50-68 s.
 """
 
 from __future__ import annotations
@@ -92,6 +103,9 @@ _MAX_SLAB_ENTRIES = 2 * 10**8
 # an object slab entry (a pointer and a Python integer) takes about seven
 # times the memory of an int64 one, so that route admits smaller slabs
 _MAX_OBJECT_SLAB_ENTRIES = _MAX_SLAB_ENTRIES // 8
+# the sweep's last pass (coordinate 1) writes blocks of rows of the grid
+# axis q_1, at most this many bytes of entries or a single row
+_SWEEP_BLOCK_BYTES = 1 << 18
 
 
 def conjugate(f: SetFunction, p: PriceVector) -> Fraction:
@@ -135,8 +149,9 @@ class DualityReport:
     search radius actually used, in original (unscaled) units, and
     ``scale`` the denominator-clearing factor, so a nonzero gap is
     diagnosable.  ``points_visited`` counts the box points the dual sweep
-    evaluated (0 on a degenerate instance): fewer than the box holds when
-    the sweep stopped at the slab where the dual reached the primal.
+    evaluated, block by block (0 on a degenerate instance): fewer than the
+    box holds when the sweep stopped at the block where the dual reached
+    the primal.
     """
 
     primal: ExtValue
@@ -154,10 +169,10 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
     """Exact min of g1(q) + g2(-q) over integer q in [-R, R]^k.
 
     ``items1`` and ``items2`` are the (local mask, scaled value) entries of
-    the two slices.  Returns (minimum, q as int tuple), taking the
-    lexicographically first minimizer.  Every visited point is checked
-    against the primal value, and the sweep stops after the first slab of
-    coordinate 0 whose minimum equals it (see the module docstring).
+    the two slices.  Returns (minimum, q as int tuple, points evaluated),
+    taking the lexicographically first minimizer.  Every evaluated block is
+    checked against the primal value, and the sweep stops after the first
+    block whose minimum equals it (see the module docstring).
     """
     m = 2 * radius + 1
     if m**k > _MAX_BOX_POINTS:
@@ -187,38 +202,48 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
         )
     sides = [_SlabConjugate(items, kk, radius, -2 * bound - 1, sign, dtype)
              for items, sign in ((items1, -1), (items2, +1))]
-    shape = (m,) * (kk - 1)
     lead = radius if k else 0
     best_val = None
     best_q: tuple[int, ...] = ()
+    visited = 0
     for a in range(-lead, lead + 1):
-        # the first side's result is scratch until its next slab
-        total = sides[0].slab(a)
-        total += sides[1].slab(a)
-        mn = int(total.min())
-        if primal_int is not None and mn < primal_int:
-            raise InternalCheckError("weak duality failed during the dual sweep")
-        if best_val is None or mn < best_val:
-            idx = np.unravel_index(int(total.argmin()), shape)
-            best_val = mn
-            best_q = ((a,) + tuple(int(i) - radius for i in idx))[:k]
-            if mn == primal_int:
-                break
+        for side in sides:
+            side.slab(a)
+        for start in sides[0].starts:
+            # the first side's block is scratch until its next block
+            total = sides[0].block(start)
+            total += sides[1].block(start)
+            visited += total.size
+            mn = int(total.min())
+            if primal_int is not None and mn < primal_int:
+                raise InternalCheckError("weak duality failed during the dual sweep")
+            if best_val is None or mn < best_val:
+                idx = np.unravel_index(int(total.argmin()), total.shape)
+                best_val = mn
+                rest = tuple(int(i) - radius for i in idx[1:])
+                best_q = ((a, start + int(idx[0]) - radius) + rest)[:k]
+                if mn == primal_int:
+                    return best_val, best_q, visited
     assert best_val is not None
-    return best_val, best_q
+    return best_val, best_q, visited
 
 
 class _SlabConjugate:
-    """max over J of t(J) + sign * q(J) on one slab q_0 = a of the box.
+    """max over J of t(J) + sign * q(J) on one slab q_0 = a of the box,
+    block by block over the grid axis q_1.
 
     The scaled slice table is dense over the 2^k subsets, with ``sentinel``
     off the domain, in arrays of ``dtype`` (int64, or object for Python
-    integers).  Per slab, coordinate 0 is folded into the table,
+    integers).  ``slab(a)`` folds coordinate 0 into the table,
     h_a(J) = max(t(J), t(J + e_0) + sign * a) over J without element 0;
-    then each further coordinate c, last first, replaces the table's
-    {0, 1} axis by the grid axis q_c: max(h(J), h(J + e_c) + sign * q_c).
-    The result's axes are q_1, ..., q_{k-1} in order, so a C-order index
-    enumerates the slab lexicographically.  All arrays are reused.
+    then each further coordinate c, last first down to 2, replaces the
+    table's {0, 1} axis by the grid axis q_c: max(h(J), h(J + e_c) + sign * q_c).
+    ``block(start)`` runs the same pass for coordinate 1 on the rows
+    q_1 = start - R, ... of the grid, at most ``_SWEEP_BLOCK_BYTES`` of
+    entries (or one row), and returns them with axes q_1, ..., q_{k-1} in
+    order, so a C-order index enumerates the block lexicographically; the
+    block starts of one slab are ``starts``.  All arrays are reused, and the
+    block is overwritten by the next call.
     """
 
     def __init__(self, items, k, radius, sentinel, sign, dtype):
@@ -238,7 +263,7 @@ class _SlabConjugate:
         # each pass reads the previous pass's buffer through fixed views
         self.passes = []
         cur = self.h
-        for c in range(k - 1, 0, -1):  # coordinate c is axis c - 1
+        for c in range(k - 1, 1, -1):  # coordinate c is axis c - 1
             lead = (slice(None),) * (c - 1)
             out = np.empty((2,) * (c - 1) + (m,) * (k - c), dtype=dtype)
             self.passes.append((
@@ -248,7 +273,19 @@ class _SlabConjugate:
                 out,
             ))
             cur = out
-        self.result = cur
+        if k == 1:
+            # a slab is one point: one block of one row, the folded table itself
+            self.starts = range(1)
+            self.final = None
+            return
+        row = m ** (k - 2)
+        # an object entry (a pointer and a Python integer) takes about eight
+        # times the memory of an int64 one, as in the slab caps
+        entry = 8 if dtype is np.int64 else 64
+        rows = min(m, max(1, _SWEEP_BLOCK_BYTES // (entry * row)))
+        self.starts = range(0, m, rows)
+        self.final = (cur[0:1], cur[1:2], steps.reshape((m,) + (1,) * (k - 2)),
+                      np.empty((rows,) + (m,) * (k - 2), dtype=dtype))
 
     def slab(self, a):
         np.add(self.with0, self.sign * a, out=self.h)
@@ -256,17 +293,16 @@ class _SlabConjugate:
         for without_c, with_c, steps, out in self.passes:
             np.add(with_c, steps, out=out)
             np.maximum(out, without_c, out=out)
-        return self.result
 
-
-def _points_visited(k, radius, q, closed):
-    """Box points the sweep evaluates: whole slabs of coordinate 0, up to
-    the one holding q when the dual reached the primal, else all of them."""
-    m = 2 * radius + 1
-    if k == 0:
-        return 1
-    slabs = q[0] + radius + 1 if closed else m
-    return slabs * m ** (k - 1)
+    def block(self, start):
+        if self.final is None:
+            return self.h.reshape(1)
+        without1, with1, steps, buf = self.final
+        rows = steps[start : start + len(buf)]
+        out = buf[: len(rows)]
+        np.add(with1, rows, out=out)
+        np.maximum(out, without1, out=out)
+        return out
 
 
 def fenchel_gap(
@@ -279,15 +315,17 @@ def fenchel_gap(
     minimizes g1(q) + g2(-q) over integer q in a box, after clearing
     denominators, with the slab-by-slab subset DP described in the module
     docstring, on int64 arrays or, for values of 2^60 and beyond, on
-    object arrays of Python integers.  It stops after the first slab whose
-    minimum reaches the primal, so a closing gap usually costs a fraction
-    of the box (see ``points_visited``), and ``q_star`` is the
+    object arrays of Python integers.  Each slab is evaluated in blocks of
+    rows of its second coordinate, and the sweep stops after the first
+    block whose minimum reaches the primal, so a closing gap usually costs
+    a fraction of the box (see ``points_visited``), and ``q_star`` is the
     lexicographically first minimizer of the box either way.  The default
     radius is twice the finite value range plus one (in cleared units); a
     caller-supplied ``box_radius`` is interpreted in original units and
     floored onto the integer grid.  Cost grows as about 8 m^k for
-    m = 2R + 1 values per coordinate: k = 6 with m = 15 takes about
-    0.03 s, k = 7 about 1 s, and a full 15^5 box on the object route
+    m = 2R + 1 values per coordinate, and memory as O(2 m^(k-2) + block)
+    per side: k = 6 with m = 15 takes about 0.02 s and k = 7 about 0.4 s
+    at a peak RSS of 68 MB, and a full 15^5 box on the object route
     0.15-0.3 s.  A box whose slab (m^(k-1) entries) exceeds 2 * 10^8
     raises :class:`InputError` before anything is allocated.
     """
@@ -324,8 +362,7 @@ def fenchel_gap(
     items2 = [(j, v) for j, v in enumerate(s2) if v != t.neg]
     primal_int = max((a + b for a, b in zip(s1, s2) if a != t.neg and b != t.neg), default=None)
 
-    dual_int, q_ints = _dual_sweep(items1, items2, k, radius, primal_int)
-    visited = _points_visited(k, radius, q_ints, dual_int == primal_int)
+    dual_int, q_ints, visited = _dual_sweep(items1, items2, k, radius, primal_int)
 
     dual = Fraction(dual_int, scale)
     if primal_int is None:

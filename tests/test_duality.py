@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from excheck import (
     fenchel_gap,
     slice_pair,
 )
+from excheck import duality
 
 
 def test_conjugate_examples(rank2):
@@ -84,6 +86,46 @@ def test_closing_gap_stops_at_the_first_slab():
     # a one-point box too small to close the gap
     rep = fenchel_gap(f, 0b000011, 0b011100, 0b000001, box_radius=Fraction(0))
     assert rep.gap == 1 and rep.points_visited == 1
+
+
+def _rank7_closing_box():
+    """min(|S|, 7) on ten elements with |Y\\X| = 5: the default radius is 15,
+    so the box is 31^5 and one slab holds 31^4 entries."""
+    f = SetFunction.from_callable(10, lambda m: min(m.bit_count(), 7))
+    return f, 0b0000011111, 0b1111100000, 0b0000000001
+
+
+def test_closing_gap_stops_inside_a_multi_block_slab(monkeypatch):
+    # one row of q_1 per block: the count ends at the row holding q_star
+    monkeypatch.setattr(duality, "_SWEEP_BLOCK_BYTES", 1)
+    f = SetFunction.from_callable(6, lambda m: Fraction(min(m.bit_count(), 3)))
+    rep = fenchel_gap(f, 0b000011, 0b011100, 0b000001)
+    assert rep.gap == 0 and rep.q_star.entries == (1, 1, 1)
+    radius = int(rep.box_radius)
+    m = 2 * radius + 1
+    assert rep.points_visited == (1 + radius) * m**2 + (1 + radius + 1) * m == 1935
+
+    # the default budget splits a 31^4 slab into one-row blocks by itself
+    monkeypatch.undo()
+    f, X, Y, I = _rank7_closing_box()
+    rep = fenchel_gap(f, X, Y, I)
+    assert rep.gap == 0 and rep.q_star.entries == (1,) * 5 and int(rep.box_radius) == 15
+    assert rep.points_visited == 16 * 31**4 + 17 * 31**3 < 17 * 31**4
+
+
+def test_dual_sweep_memory_stays_within_blocks():
+    # the whole slab of 31^4 int64 entries per buffer took about 16 MB;
+    # the sweep holds 2 * 31^3 entries per side plus one block
+    f, X, Y, I = _rank7_closing_box()
+    f.ints  # the cached integer table is built before tracing starts
+    tracemalloc.start()
+    try:
+        rep = fenchel_gap(f, X, Y, I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.gap == 0
+    assert peak < 4 * 2**20
 
 
 def test_fenchel_gap_positive():

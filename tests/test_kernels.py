@@ -28,7 +28,7 @@ from time import perf_counter
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from excheck import (
     NEG_INF,
@@ -559,6 +559,55 @@ def test_chunked_scan_matches_loops(raised):
     hit = _assert_routes_agree(g)
     assert hit is not None
     assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
+
+
+def _count_table_builds(monkeypatch):
+    """The bits b of every column-table build of the one-item kernel."""
+    builds = []
+    scan = checkers._scan_per_element
+
+    def spy(da, xs, n, prepare, itemsize):
+        def counted(b, yc):
+            builds.append(b)
+            return prepare(b, yc)
+
+        return scan(da, xs, n, counted, itemsize)
+
+    monkeypatch.setattr(checkers, "_scan_per_element", spy)
+    return builds
+
+
+@pytest.mark.parametrize("room", [0, 1 << 12, None], ids=["no-cache", "some", "default"])
+@pytest.mark.parametrize("raised", [None, 0b1, 0b11111110])
+def test_column_tables_once_per_scan_within_the_cache_budget(raised, room, monkeypatch):
+    n = 8
+    f = SetFunction.from_callable(n, lambda m: Fraction(min(m.bit_count(), 4)))
+    g = f if raised is None else with_value(f, raised, f.table[raised] + 1)
+    if room is not None:
+        monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", room)
+    builds = _count_table_builds(monkeypatch)
+    hit = _assert_routes_agree(g)
+    assert (hit is None) == (raised is None)
+    bits = [1 << i for i in range(n)]
+    if room is None:  # every element's tables fit: one build each, at most
+        assert len(builds) == len(set(builds)) and set(builds) <= set(bits)
+    if raised is None:  # a full scan of five chunks
+        assert sorted(set(builds)) == bits
+        # 128 columns of n int16 and n boolean entries per element: 3 KB,
+        # so a budget of 4 KB keeps one element's tables
+        assert (len(builds) > n) == (room is not None)
+    else:
+        assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
+
+
+def test_early_exit_builds_only_the_first_chunks_tables(monkeypatch):
+    # the violation sits in the first chunk: one build per element it reaches
+    n = 8
+    f = SetFunction.from_callable(n, lambda m: Fraction(min(m.bit_count(), 4)))
+    g = with_value(f, 0b1, f.table[0b1] + 1)
+    builds = _count_table_builds(monkeypatch)
+    assert check_single_exchange(g).witness is not None
+    assert len(builds) == len(set(builds)) <= n
 
 
 def test_multi_hit_in_a_later_chunk_after_deep_levels():
@@ -1492,12 +1541,18 @@ def slice_tables(draw, max_k=5):
        st.integers(1, 5))
 @settings(max_examples=200, deadline=None)
 def test_dual_sweep_matches_the_oracles(tables, radius, mode, drop):
+    _check_sweep_on_tables(tables, radius, mode, drop)
+
+
+def _check_sweep_on_tables(tables, radius, mode, drop, lift=0):
     k, items1, items2 = tables
+    items1 = [(mask, v + lift) for mask, v in items1]
+    items2 = [(mask, v + lift) for mask, v in items2]
     expected = _per_item_sweep(items1, items2, k, radius)
     # "below" leaves a positive gap to the box minimum, so nothing stops early
     primal_int = {"none": None, "primal": _slice_primal(items1, items2),
                   "below": expected[0] - drop}[mode]
-    assert _dual_sweep(items1, items2, k, radius, primal_int) == expected
+    assert _dual_sweep(items1, items2, k, radius, primal_int)[:2] == expected
     if (2 * radius + 1) ** k <= 729:
         assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
 
@@ -1514,7 +1569,7 @@ def test_dual_sweep_object_route_matches_the_oracles(tables, radius, how, with_p
     items2 = [(mask, lift(v)) for mask, v in items2]
     primal_int = _slice_primal(items1, items2) if with_primal else None
     expected = _per_item_sweep(items1, items2, k, radius)
-    assert _dual_sweep(items1, items2, k, radius, primal_int) == expected
+    assert _dual_sweep(items1, items2, k, radius, primal_int)[:2] == expected
     if (2 * radius + 1) ** k <= 729:
         assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
 
@@ -1523,7 +1578,7 @@ def test_dual_sweep_fallback_agrees(rank2, wmat):
     cases = [(rank2, 0b011, 0b101, 0b010), (rank2, 0b001, 0b110, 0b001), (wmat, 0b011, 0b110, 0b001)]
     for f, X, Y, I in cases:
         items1, items2, k = _slice_items(f, X, Y, I)
-        fast = _dual_sweep(items1, items2, k, 5, None)
+        fast = _dual_sweep(items1, items2, k, 5, None)[:2]
         slow = _dual_sweep_py(items1, items2, k, 5, None)
         assert fast == slow
 
@@ -1543,6 +1598,10 @@ def _matroid_slices():
 
 
 def test_dual_sweep_first_minimizer_on_matroid_slices():
+    _check_matroid_slices()
+
+
+def _check_matroid_slices():
     cases = list(_matroid_slices())
     assert len(cases) == 20
     radius = 9  # the default radius: 2 * (value range) + 1
@@ -1550,7 +1609,7 @@ def test_dual_sweep_first_minimizer_on_matroid_slices():
         primal_int = _slice_primal(items1, items2)
         expected = _per_item_sweep(items1, items2, k, radius)
         assert expected[0] == primal_int  # the gap closes, so the sweep stops early
-        got = _dual_sweep(items1, items2, k, radius, primal_int)
+        got = _dual_sweep(items1, items2, k, radius, primal_int)[:2]
         assert got == expected
         if k <= 2:
             assert _dual_sweep_py(items1, items2, k, radius, primal_int) == expected
@@ -1562,18 +1621,26 @@ def test_dual_sweep_first_minimizer_on_matroid_slices():
 
 
 def test_dual_sweep_big_values_near_the_guard():
+    _check_values_near_the_guard()
+
+
+def _check_values_near_the_guard():
     # 2 * bound just below 2^60 stays on int64 with the sentinel -2*bound-1
     big = 2**59 - 64
     items1 = [(0, -big), (0b011, big), (0b101, big - 3), (0b110, -big + 7)]
     items2 = [(0, big - 1), (0b001, -big), (0b111, big - 5)]
     for primal_int in (None, _slice_primal(items1, items2)):
         expected = _dual_sweep_py(items1, items2, 3, 2, primal_int)
-        assert _dual_sweep(items1, items2, 3, 2, primal_int) == expected
+        assert _dual_sweep(items1, items2, 3, 2, primal_int)[:2] == expected
         assert expected == _per_item_sweep(items1, items2, 3, 2)
 
 
 @pytest.mark.parametrize("top", [2**59 - 7, 2**59 - 6, 2**59 - 5, 2**60 + 3])
 def test_dual_sweep_values_straddling_the_guard(top, monkeypatch):
+    _check_values_straddling_the_guard(top, monkeypatch)
+
+
+def _check_values_straddling_the_guard(top, monkeypatch):
     # with radius 2 and k = 3, 2 * bound = 2 * (top + 6) crosses 2^60 between
     # the first two cases; record which route each one takes
     routes = []
@@ -1588,12 +1655,16 @@ def test_dual_sweep_values_straddling_the_guard(top, monkeypatch):
     items2 = [(0, top - 1), (0b001, -top), (0b010, 2**40), (0b111, top - 5)]
     for primal_int in (None, _slice_primal(items1, items2)):
         expected = _dual_sweep_py(items1, items2, 3, 2, primal_int)
-        assert _dual_sweep(items1, items2, 3, 2, primal_int) == expected
+        assert _dual_sweep(items1, items2, 3, 2, primal_int)[:2] == expected
         assert expected == _per_item_sweep(items1, items2, 3, 2)
     assert set(routes) == {np.int64 if 2 * (top + 6) < 2**60 else object}
 
 
 def test_forged_primal_above_the_box_minimum_raises():
+    _check_forged_primal()
+
+
+def _check_forged_primal():
     f = gen_weighted_matroid(MatroidSpec.uniform(2, 4, weights=(0, 1, 2, 0)))
     items1, items2, _ = _slice_items(f, 0b0011, 0b1100, 0b0001)
     # above the minimum of the first slab, which the sweep always visits
@@ -1608,6 +1679,46 @@ def test_forged_primal_above_the_box_minimum_raises():
     for sweep in (_dual_sweep, _dual_sweep_py):
         with pytest.raises(InternalCheckError):
             sweep(big1, big2, 2, 2, forged + 2 * lift)
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    """Every block of the sweep's last pass is one row of the grid axis q_1,
+    so every slab of k >= 2 splits into 2R + 1 blocks."""
+    monkeypatch.setattr(duality, "_SWEEP_BLOCK_BYTES", 1)
+
+
+@given(slice_tables(), st.integers(0, 4), st.sampled_from(["none", "primal", "below"]),
+       st.integers(1, 5), st.sampled_from([0, 1 << 70]))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_row_blocks_match_the_oracles(one_row_blocks, tables, radius, mode, drop, lift):
+    # a lift of 2^70 takes the object route
+    _check_sweep_on_tables(tables, radius, mode, drop, lift)
+
+
+def test_one_row_blocks_on_matroid_slices_and_a_forged_primal(one_row_blocks):
+    _check_matroid_slices()
+    _check_values_near_the_guard()
+    _check_forged_primal()
+
+
+def test_every_block_is_checked_against_the_primal(monkeypatch):
+    # g1(q) + g2(-q) = -q_1 in blocks of two rows of q_1: minima 1, -1, -2
+    # in every slab, so a forged primal of 0 neither stops the sweep nor
+    # lies above a slab's first block, only above its second
+    for lift, budget in ((0, 2 * 8), (1 << 70, 2 * 64)):  # an object entry counts 64 bytes
+        monkeypatch.setattr(duality, "_SWEEP_BLOCK_BYTES", budget)
+        items1, items2 = [(0b10, lift)], [(0b00, lift)]
+        assert _dual_sweep(items1, items2, 2, 2, None) == (2 * lift - 2, (-2, 2), 25)
+        for sweep in (_dual_sweep, _dual_sweep_py):
+            with pytest.raises(InternalCheckError):
+                sweep(items1, items2, 2, 2, 2 * lift)
+
+
+@pytest.mark.parametrize("top", [2**59 - 7, 2**59 - 6, 2**59 - 5, 2**60 + 3])
+def test_one_row_blocks_on_values_straddling_the_guard(one_row_blocks, top, monkeypatch):
+    _check_values_straddling_the_guard(top, monkeypatch)
 
 
 def test_oversized_slab_is_refused_before_allocating(monkeypatch):
@@ -1626,7 +1737,7 @@ def test_long_box_of_one_coordinate_is_refused(monkeypatch):
     # k = 1 at radius 10^9: 2 * 10^9 + 1 points pass the box cap, but each
     # of as many slabs costs a few numpy calls
     # k = 0 sweeps a single slab at any radius
-    assert _dual_sweep([(0, 0)], [(0, 0)], 0, 10**12, 0) == (0, ())
+    assert _dual_sweep([(0, 0)], [(0, 0)], 0, 10**12, 0)[:2] == (0, ())
 
     def no_buffers(*args):
         raise AssertionError("a slab buffer was allocated")
