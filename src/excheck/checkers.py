@@ -32,20 +32,31 @@ Every hit is re-checked on the raw rational table, or the family's
 members, before it becomes a witness; a mismatch raises
 :class:`InternalCheckError`.
 
-A second kernel runs the multi-item scans, ``mnat-exc-m`` (and so ``snc``)
-and, on the indicator table, ``b-exc-m``, on the same array of any
-dtype.  It takes chunks of X rows in order, drops the cells with X\\Y
-empty and groups the rest by (|X\\Y|, |Y\\X|).  Each cell expands to
-its (X, Y, I) tuples, I over the nonzero submasks of X\\Y in ascending
-order, and the J inside Y\\X are tried level by level: every J with
-|J| = 0, then 1, and so on, each level only on the tuples that no smaller
-J repaired.  Tuples left after the last level are violations, and
-the least (row-major cell, I) of the first chunk holding one is again the
-loop scan's first hit.  Levels keep early exits cheap: most tuples are
-repaired by a small J, and trying every J at once made the early exits
-of n = 14 scans several times slower.  On an equicardinal domain (matroid
-bases, weighted matroids) X-I+J lies in the domain only when |J| = |I|,
-so level 0 is skipped and level l runs only on the tuples with |I| = l.
+A second kernel runs every multi-item scan: ``mnat-exc-m`` (and so
+``snc``), ``b-exc-m`` on the indicator table, and the no-complementarities
+conditions of :mod:`excheck.econ`.  It reads a stack of rows of one n,
+row r at offset r << n: a function or a family is a stack of one row, and
+a sampled price sweep passes one membership row per price, its demand set
+D(p).  It reads two tables of one dtype, s1 and s2, and J inside Y\\X
+repairs a tuple (X, Y, I) when s1(X-I+J) + s2(Y-J+I) >= s1(X) + s2(Y).
+The exchange axioms pass one table twice, and so does NC-sim, which is
+``b-exc-m`` on D(p); NC, its one-sided form, where only X-I+J must stay
+demanded, passes an all-zero s2.  X^I, Y|I and J touch only the low n
+bits, and X & ~Y cancels the row offset, so only the forming of cells
+knows the stack: each X in a chunk, in order, is paired with the members
+Y of its own row.  Cells with X\\Y empty are dropped and the rest
+grouped by (|X\\Y|, |Y\\X|).  Each cell expands to its (X, Y, I) tuples,
+I over the nonzero submasks of X\\Y in ascending order, and the J inside
+Y\\X are tried level by level: every J with |J| = 0, then 1, and so on,
+each level only on the tuples that no smaller J repaired.  Tuples left after
+the last level are violations, and the least ((X, Y) cell, I) of the
+first chunk holding one is again the loop scan's first hit, and on a
+stack the least failing row.  Levels keep early exits cheap: most tuples
+are repaired by a small J, and trying every J at once made the early
+exits of n = 14 scans several times slower.  On an equicardinal domain
+(matroid bases, weighted matroids, a stack whose members share one size)
+X-I+J lies in the domain only when |J| = |I|, so level 0 is skipped and
+level l runs only on the tuples with |I| = l.
 ``b-exc-pm`` runs on the per-i grid of the one-item kernel, where both
 clauses become bitmask tests (see :func:`_scan_b_exc_pm`).
 
@@ -232,40 +243,32 @@ def _exchange_hit(t: IntTable, deletion: bool):
     (valuated matroids).
     """
     floor = None if deletion else 2 * t.neg - 1
-    return _scan_exchange_np(t.sent, t.dom, t.dom, t.neg, floor)
+    return _scan_exchange_np(t.sent, t.dom, t.neg, floor)
 
 
-def _row_chunks(nrows: int, ncols: int, cap: int):
-    """(start, stop) of the chunks of X rows, in order: the first of about
-    _FIRST_CHUNK_CELLS cells, then doubling up to ``cap`` rows."""
-    rows = max(1, _FIRST_CHUNK_CELLS // ncols)
-    start = 0
-    while start < nrows:
-        yield start, start + rows
-        start += rows
-        rows = min(2 * rows, cap)
-
-
-def _scan_per_element(da, xs, n: int, prepare, itemsize: int):
-    """Earliest (X, Y, i-bit, tag) with X in xs that one of the per-i grids flags.
+def _scan_per_element(da, n: int, prepare, itemsize: int):
+    """Earliest (X, Y, i-bit, tag) over X and Y in ``da`` that one of the per-i grids flags.
 
     ``prepare(b, yc)`` gets the bit b of i and the columns ``yc`` missing it
     and returns ``sweep(xr)``: for rows ``xr``, all holding i, the row-major
     index and tag of the least flagged cell of the grid against ``yc``, or
     None.  Tags order the conditions checked on one (X, Y, i).  The sweep's
-    (X, Y) work arrays have ``itemsize`` bytes per cell.
+    (X, Y) work arrays have ``itemsize`` bytes per cell.  X rows go in
+    chunks, in order: the first of about _FIRST_CHUNK_CELLS cells, then
+    doubling up to one block of cells or _MIN_CAP_ROWS rows.
     """
-    xa = np.array(xs, dtype=np.int64)
     ncols = len(da)
     block = _BLOCK_BYTES // itemsize
     cap = max(_MIN_CAP_ROWS, block // ncols)
     grids = _ElementGrids(da, n, prepare, itemsize)
-    for start, stop in _row_chunks(len(xa), ncols, cap):
-        chunk = xa[start:stop]
+    start, rows = 0, max(1, _FIRST_CHUNK_CELLS // ncols)
+    while start < ncols:
+        chunk = da[start : start + rows]
         hit = _grid_chunk(da, chunk, n, grids, block)
         if hit is not None:
             r, c, i, tag = hit
             return int(chunk[r]), int(da[c]), 1 << i, tag
+        start, rows = start + rows, min(2 * rows, cap)
     return None
 
 
@@ -343,7 +346,7 @@ def _element_bits(n: int):
     return bits
 
 
-def _scan_exchange_np(sa, da, xs, neg: int, floor):
+def _scan_exchange_np(sa, da, neg: int, floor):
     """Vectorized kernel: chunks of X rows, in order, against every Y.
 
     ``neg`` and ``floor`` become scalars of the table's dtype, which the
@@ -368,7 +371,7 @@ def _scan_exchange_np(sa, da, xs, neg: int, floor):
 
         return sweep
 
-    hit = _scan_per_element(da, xs, n, prepare, sa.itemsize)
+    hit = _scan_per_element(da, n, prepare, sa.itemsize)
     return None if hit is None else hit[:3]
 
 
@@ -399,8 +402,8 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
 # ----------------------------------------------------------------------
 # the multi-item exchange kernel (see the module docstring)
 
-# Chunks of X rows stop at this many (X, Y) cells (or one row), and one
-# block of a level of the J search holds at most this many (X, Y, I, J).
+# Chunks of X stop at this many (X, Y) cells (or one X), and one block of
+# a level of the J search holds at most this many (X, Y, I, J).
 _MULTI_BLOCK = 1 << 13
 
 
@@ -410,72 +413,105 @@ def _multi_hit(t: IntTable):
     The scan reads ``t`` as :func:`_exchange_hit` does; the tuple is
     repaired by J inside Y\\X when s(X-I+J) + s(Y-J+I) >= s(X) + s(Y).
     """
-    return _scan_multi_np(t.sent, t.dom, t.dom)
+    return _scan_multi_np(t.sent, t.sent, t.dom, t.n)
 
 
-def _scan_multi_np(sa, da, xs):
-    """Vectorized multi-item kernel: chunks of X rows, in order, against every Y.
+def _stack_hit(mem, one_sided: bool):
+    """The least (row, X, Y, I) that no J repairs on a stack of families, or None.
 
-    Chunks grow as in the one-item kernel but stop at _MULTI_BLOCK cells:
-    there are no per-chunk column tables to spread over more rows, and
-    smaller chunks keep the work arrays and the overshoot of an early exit
-    small.
+    ``mem`` is a boolean rows x 2^n membership matrix.  Row r is read as
+    the indicator table of its family (0 on members, -1 elsewhere) at
+    offset r << n, so a cell pairs two members of one row.  A tuple is
+    repaired by J inside Y\\X when X-I+J and Y-J+I are both members
+    (``b-exc-m``), or, ``one_sided``, when X-I+J is (the second table is
+    all zero).
     """
-    xa = np.array(xs, dtype=np.int64)
-    ncols = len(da)
-    pc = _popcounts(len(sa).bit_length() - 1)
-    sizes = pc[da]
-    equi = bool((sizes == sizes[0]).all())
+    n = mem.shape[1].bit_length() - 1
+    flat = mem.ravel()
+    s1 = flat.astype(np.int8) - 1
+    s2 = np.zeros_like(s1) if one_sided else s1
+    hit = _scan_multi_np(s1, s2, np.flatnonzero(flat), n)
+    if hit is None:
+        return None
+    X, Y, I = hit
+    low = (1 << n) - 1
+    return X >> n, X & low, Y & low, I
+
+
+def _scan_multi_np(s1, s2, da, n: int):
+    """Vectorized multi-item kernel on a stack of rows: the least (X, Y, I)
+    with s1(X-I+J) + s2(Y-J+I) < s1(X) + s2(Y) for every J inside Y\\X.
+
+    ``da`` holds the ascending members of every row, each mask carrying
+    its row's offset r << n; X^I, Y|I and the J touch only the low n bits,
+    and X & ~Y cancels the offset.  A cell pairs X with each member Y of
+    its own row, in ascending (X, Y) order.  Chunks of X grow as in the
+    one-item kernel but stop at _MULTI_BLOCK cells: there are no per-chunk
+    column tables to spread over more rows, and smaller chunks keep the
+    work arrays and the overshoot of an early exit small.
+    """
+    pc = _popcounts(n)
+    sizes = pc[da & ((1 << n) - 1)]
+    equi = bool((sizes == sizes[:1]).all())
+    # each X's first Y in da and its (X, Y) cells: its row's start and size
+    row = da >> n
+    edges = np.concatenate(([0], np.flatnonzero(row[1:] != row[:-1]) + 1, [da.size]))
+    size = edges[1:] - edges[:-1]
+    first, cells = np.repeat(edges[:-1], size), np.repeat(size, size)
+    ends = np.cumsum(cells)
     picks: dict = {}
-    for start, stop in _row_chunks(len(xa), ncols, max(1, _MULTI_BLOCK // ncols)):
-        chunk = xa[start:stop]
-        hit = _multi_chunk(sa, da, chunk, pc, picks, equi)
+    start, target = 0, min(_FIRST_CHUNK_CELLS, _MULTI_BLOCK)
+    while start < da.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + target, "right")))
+        cnt = cells[start:stop]
+        # cell k of the chunk reads Y at da[k + shift]
+        shift = np.repeat(first[start:stop] - (np.cumsum(cnt) - cnt), cnt)
+        X, Y = np.repeat(da[start:stop], cnt), da[np.arange(shift.size) + shift]
+        hit = _multi_chunk(s1, s2, X, Y, pc, picks, equi)
         if hit is not None:
-            r, c, I = hit
-            return int(chunk[r]), int(da[c]), I
+            return hit
+        start, target = stop, min(2 * target, _MULTI_BLOCK)
     return None
 
 
-def _multi_chunk(sa, da, xa, pc, picks, equi: bool):
-    """Least (row, column, I) of one chunk that no J repairs, or None.
+def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
+    """Least (X, Y, I) over the ascending cells (X, Y) that no J repairs, or None.
 
     Cells with X\\Y nonempty are grouped by (|X\\Y|, |Y\\X|) and stay in
-    row-major order within a group; I runs over the nonzero submasks of
-    X\\Y in ascending order.  So the least (flat index, I) over all groups
-    is the loop scan's first hit, and once a group has one, later groups
-    need only the cells before it.
+    (X, Y) order within a group; I runs over the nonzero submasks of X\\Y
+    in ascending order.  So the least (cell, I) over all groups is the
+    loop scan's first hit, and once a group has one, later groups need
+    only the cells before it.
     """
-    ncols = len(da)
-    xd = (xa[:, None] & ~da).ravel()
-    flat = np.flatnonzero(xd)
-    xd = xd[flat]
-    X = xa[flat // ncols]
-    Y = da[flat % ncols]
+    xd = X & ~Y
+    cell = np.flatnonzero(xd)
+    X, Y, xd = X[cell], Y[cell], xd[cell]
     yd = Y & ~X
     width = len(pc).bit_length()  # exceeds every |Y\X|
     key = (pc[xd] * width + pc[yd]).astype(np.int16)  # int16 keys get a radix sort
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1)] if key.size else []
     found = None
     for g0, g1 in zip(starts, [*starts[1:], key.size]):
         g = order[g0:g1]
         if found is not None:
-            g = g[flat[g] < found[0]]
+            g = g[g < found[0]]
             if not g.size:
                 continue
         a, b = divmod(int(key[g0]), width)
-        hit = _multi_group(sa, X[g], Y[g], xd[g], yd[g], a, b, pc, picks, equi)
+        hit = _multi_group(s1, s2, X[g], Y[g], xd[g], yd[g], a, b, pc, picks, equi)
         if hit is not None:
             c, I = hit
-            found = (int(flat[g[c]]), I)
+            found = (int(g[c]), I)
     if found is None:
         return None
-    flat0, I = found
-    return flat0 // ncols, flat0 % ncols, I
+    c, I = found
+    return int(X[c]), int(Y[c]), I
 
 
-def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
+def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
 
     The group's cells go in blocks of whole cells.  Level l tries every J
@@ -486,7 +522,7 @@ def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     tuples with |I| = l.  Work arrays put the I or J index first, so the
     test over all J of a level is a reduction across rows.
     """
-    lhs = sa[X] + sa[Y]
+    lhs = s1[X] + s2[Y]
     per_cell = (1 << a) - 1
     step = max(1, _MULTI_BLOCK // per_cell)
     for lo in range(0, X.size, step):
@@ -500,17 +536,18 @@ def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
             i_size = np.repeat(pc[1 : per_cell + 1], cells)  # |I| of each entry
             xi, yi = xi.ravel(), yi.ravel()
             open_ = np.concatenate([
-                _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
+                _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
                             _pick(picks, pc, b, size))
                 for size in range(1, b + 1)
             ])
         else:
-            open_ = np.flatnonzero(sa[xi] + sa[yi] < lhs[lo:hi])
+            open_ = np.flatnonzero(s1[xi] + s2[yi] < lhs[lo:hi])
             xi, yi = xi.ravel(), yi.ravel()
             for size in range(1, b + 1):
                 if not open_.size:
                     break
-                open_ = _unrepaired(sa, xi, yi, lhs[lo:hi], ybits, open_, _pick(picks, pc, b, size))
+                open_ = _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, open_,
+                                    _pick(picks, pc, b, size))
         if open_.size:
             c, t = open_ % cells, open_ // cells
             k = int(np.argmin(c * per_cell + t))
@@ -518,9 +555,10 @@ def _multi_group(sa, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     return None
 
 
-def _unrepaired(sa, xi, yi, lhs, ybits, open_, pick_j):
+def _unrepaired(s1, s2, xi, yi, lhs, ybits, open_, pick_j):
     """The entries of ``open_`` (indices into the flat ``xi`` = X-I and
-    ``yi`` = Y+I, cell fastest) that no J of one level repairs; row r of
+    ``yi`` = Y+I, cell fastest) that no J of one level repairs, that is,
+    with s1(X-I+J) + s2(Y+I-J) below the cell's ``lhs``; row r of
     ``pick_j`` selects the bits of the r-th J among the cell's ``ybits``.
     Blocks are sized by the level's width, so each holds at most
     _MULTI_BLOCK (entry, J) pairs."""
@@ -531,7 +569,7 @@ def _unrepaired(sa, xi, yi, lhs, ybits, open_, pick_j):
         e = open_[lo : lo + step]
         c = e % cells
         J = pick_j @ ybits[:, c]
-        repaired = (sa[xi[e] | J] + sa[yi[e] ^ J] >= lhs[c]).any(axis=0)
+        repaired = (s1[xi[e] | J] + s2[yi[e] ^ J] >= lhs[c]).any(axis=0)
         keep.append(e[~repaired])
     return np.concatenate(keep)
 
@@ -572,8 +610,8 @@ def _pick(picks: dict, pc, k: int, size):
 # families on the kernels
 
 
-def _scan_b_exc_pm(mem, da, xs, n: int):
-    """Earliest (X, Y, i-bit, clause) with X in xs that b-exc-pm fails.
+def _scan_b_exc_pm(mem, da, n: int):
+    """Earliest (X, Y, i-bit, clause) over X and Y in ``da`` that b-exc-pm fails.
 
     ``mem`` is the boolean membership table and ``da`` the ascending
     members.  On the grid of element i, clause a fails when X-i is no
@@ -603,7 +641,7 @@ def _scan_b_exc_pm(mem, da, xs, n: int):
 
         return sweep
 
-    hit = _scan_per_element(da, xs, n, prepare, np.dtype(np.int64).itemsize)
+    hit = _scan_per_element(da, n, prepare, np.dtype(np.int64).itemsize)
     if hit is None:
         return None
     X, Y, ib, tag = hit
@@ -1038,7 +1076,7 @@ def check_family(family: SetFamily, axiom: str) -> Verdict:
     da = np.array(family.sorted_members, dtype=np.int64)
     mem = np.zeros(1 << family.n, dtype=bool)
     mem[da] = True
-    hit = _scan_b_exc_pm(mem, da, da, family.n)
+    hit = _scan_b_exc_pm(mem, da, family.n)
     if hit is None:
         return Verdict(True)
     return Verdict(False, _family_pm_witness(members, *hit))

@@ -20,11 +20,16 @@ whole batches: gross substitutes closes the demand mask at q upward
 for each X demanded at p; single improvement takes, per mask, the maximum
 over its drop, add and swap neighbours in two passes per element (the
 add-maximum A(Z), then the drop-maximum of max(U, A), which covers every
-swap); the no-complementarities checks run their set loop only on rows
-whose demand set has two or more members, since a singleton cannot
-violate.  When |values| + n * |price bound| stays below 2^61 every value
-is exact in int64; otherwise the same kernel runs on numpy object arrays
-of Python integers, so both routes are exact.
+swap).  NC-sim at p is ``b-exc-m`` on the demand family D(p), and NC its
+one-sided form, in which only X-I+J must stay demanded; so both pass the
+rows whose demand set has two or more members (a singleton cannot
+violate) to the multi-item exchange kernel of :mod:`excheck.checkers` as
+one stack of membership rows, and the least failing row is the first
+hit.  A J that repairs NC-sim repairs NC, so a sweep running both skips
+NC on a chunk where NC-sim finds no failing row.  When |values| +
+n * |price bound| stays below 2^61 every value of the demand kernel is
+exact in int64; otherwise it runs on numpy object arrays of Python
+integers, so both routes are exact.
 
 A sampled sweep reads its price stream as blocks of grid integers, int64
 or Python integers as the kernel's route needs, in chunks that start small
@@ -72,6 +77,7 @@ import numpy as np
 from ._draws import pair_draws, price_draws
 from ._fast import fits_int64
 from .checkers import Verdict, Witness, check_multiple_exchange
+from .checkers import _recheck, _stack_hit
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
 from .sets import iter_bits, iter_submasks
@@ -396,13 +402,6 @@ def _si_flags(kern: _DemandKernel, u: np.ndarray, demanded: np.ndarray) -> np.nd
     return (kern.dom & ~demanded & (best <= u)).any(axis=1)
 
 
-def _nc_first(demanded: np.ndarray, simultaneous: bool) -> int | None:
-    for r in np.flatnonzero(demanded.sum(axis=1) >= 2):
-        if _nc_violation(np.flatnonzero(demanded[r]).tolist(), simultaneous) is not None:
-            return int(r)
-    return None
-
-
 def _sampled(exact: Verdict, idx: int) -> Verdict:
     """The at-price re-check of a sweep hit, tagged with its sample index."""
     if exact.passed:
@@ -417,12 +416,16 @@ def _price_sweep(f: SetFunction, sampler: PriceSampler, names) -> dict:
 
     def evaluate(rows, open_names):
         u, _, demanded = kern(rows)
+        multi = np.flatnonzero(demanded.sum(axis=1) >= 2)  # a singleton cannot fail NC
         out = {}
-        for name in open_names:
+        for name in sorted(open_names, key="ncsim".__ne__):
             if name == "si":
                 out[name] = _first(_si_flags(kern, u, demanded))
+            elif not multi.size or (name == "nc" and out.get("ncsim", 0) is None):
+                out[name] = None  # a J that repairs NC-sim repairs NC
             else:
-                out[name] = _nc_first(demanded, name == "ncsim")
+                hit = _stack_hit(demanded[multi], name == "nc")
+                out[name] = None if hit is None else int(multi[hit[0]])
         return out
 
     hits = _first_hits(sampler._blocks(f, kern.dtype, 1 << f.n, pairs=False), names, evaluate)
@@ -543,47 +546,29 @@ def check_si_sampled(f: SetFunction, sampler: PriceSampler) -> Verdict:
 # no complementarities
 
 
-def _nc_violation(members: list[int], simultaneous: bool) -> tuple[int, int, int] | None:
-    mset = frozenset(members)
-    for X in members:
-        for Y in members:
-            xd = X & ~Y
-            if not xd:
-                continue
-            yd = Y & ~X
-            for I in iter_submasks(xd):
-                if not I:
-                    continue
-                xmi = X ^ I
-                ok = False
-                for J in iter_submasks(yd):
-                    if (xmi | J) not in mset:
-                        continue
-                    if simultaneous and ((Y & ~J) | I) not in mset:
-                        continue
-                    ok = True
-                    break
-                if not ok:
-                    return (X, Y, I)
-    return None
-
-
 def check_nc_at(f: SetFunction, p: PriceVector, simultaneous: bool = False) -> Verdict:
     """No-complementarities condition over the demand set at price p.
 
     For demanded X, Y and I inside X\\Y some J inside Y\\X must keep
     (X\\I) u J demanded; with ``simultaneous`` the counterpart (Y\\J) u I
-    must stay demanded too.
+    must stay demanded too.  The kernel's hit is re-checked on the exact
+    demand set before it becomes a witness.
     """
     members, _ = shifted_argmax(f, p)
-    hit = _nc_violation(members, simultaneous)
+    row = np.zeros((1, 1 << f.n), dtype=bool)
+    row[0, members] = True
+    hit = _stack_hit(row, not simultaneous)
     if hit is None:
         return Verdict(True)
-    X, Y, I = hit
-    cond = "ncsim" if simultaneous else "nc"
-    return Verdict(
-        False, Witness(cond, sets=(("X", X), ("Y", Y), ("I", I)), prices=(("p", p),))
+    _, X, Y, I = hit
+    m = frozenset(members)
+    holds = X in m and Y in m and bool(I) and not I & (Y | ~X) and not any(
+        ((X ^ I) | J) in m and (not simultaneous or ((Y & ~J) | I) in m)
+        for J in iter_submasks(Y & ~X)
     )
+    cond = "ncsim" if simultaneous else "nc"
+    w = Witness(cond, sets=(("X", X), ("Y", Y), ("I", I)), prices=(("p", p),))
+    return Verdict(False, _recheck(holds, w))
 
 
 def check_nc_sampled(

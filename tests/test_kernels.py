@@ -6,14 +6,15 @@ shifted to either side of each dtype's edge), and the loop scans kept
 below as their oracles are called directly on the same sentinel table;
 the verdicts built from their hits, witnesses included, must be equal.
 Family scans are compared against the plain membership scans kept below
-as the oracles.  The sampled GS/SI/NC sweeps are compared against
-per-price loops over the integer table, with the price streams drawn the
-way those loops drew them, one ``randint`` or ``random()`` call at a
-time; the sweeps' price blocks are compared against those streams.  The
-subset-DP dual sweep, on int64 and on object arrays, is compared against
-the per-item grid sweep and the point-by-point loop kept below.  The
-rational exchange searches on family indicators are compared against
-membership searches.
+as the oracles, and so are stacks of families, which the NC and NC-sim
+checks pass to the multi-item kernel as demand sets.  The sampled
+GS/SI/NC sweeps are compared against per-price loops over the integer
+table, with the price streams drawn the way those loops drew them, one
+``randint`` or ``random()`` call at a time; the sweeps' price blocks are
+compared against those streams.  The subset-DP dual sweep, on int64 and
+on object arrays, is compared against the per-item grid sweep and the
+point-by-point loop kept below.  The rational exchange searches on family
+indicators are compared against membership searches.
 """
 
 from dataclasses import replace
@@ -79,6 +80,7 @@ from excheck.checkers import (
     _scan_exchange_np,
     _scan_multi_np,
     _single_exchange_verdict,
+    _stack_hit,
     _valuated_matroid_verdict,
 )
 from excheck import checkers, duality
@@ -87,7 +89,6 @@ from excheck.econ import (
     _DemandKernel,
     _fixed_price_mask,
     _gs_violating_bundle,
-    _nc_violation,
     _price_sweep,
 )
 from excheck.fileio import obj_to_set_function, set_function_to_obj
@@ -118,8 +119,12 @@ def _scan_b_exc(members, ms):
     return None
 
 
-def _scan_b_exc_m(members, ms):
-    """Membership form of the b-exc-m scan, in the canonical (X, Y, I) order."""
+def _scan_b_exc_m(members, ms, one_sided=False):
+    """Membership form of the b-exc-m scan, in the canonical (X, Y, I) order.
+
+    NC-sim at a price is this scan on the demand set; NC is its
+    ``one_sided`` form, where only X-I+J must stay a member.
+    """
     for X in ms:
         for Y in ms:
             xd = X & ~Y
@@ -132,7 +137,7 @@ def _scan_b_exc_m(members, ms):
                 xmi = X ^ I
                 found = False
                 for J in iter_submasks(yd):
-                    if (xmi | J) in members and ((Y & ~J) | I) in members:
+                    if (xmi | J) in members and (one_sided or ((Y & ~J) | I) in members):
                         found = True
                         break
                 if not found:
@@ -255,7 +260,8 @@ def _scan_multi_py(s, dom):
 
 def _multi_routes(t: IntTable):
     """The hits of the loop oracle and of the array kernel on one table."""
-    return _scan_multi_py(t.sent.tolist(), t.dom.tolist()), _scan_multi_np(t.sent, t.dom, t.dom)
+    return (_scan_multi_py(t.sent.tolist(), t.dom.tolist()),
+            _scan_multi_np(t.sent, t.sent, t.dom, t.n))
 
 
 def _assert_multi_routes_agree(f: SetFunction):
@@ -267,7 +273,7 @@ def _assert_multi_routes_agree(f: SetFunction):
 def _both_routes(t: IntTable, floor):
     """The hits of the one-item loop oracle and of the array kernel on one table."""
     return (_scan_exchange_py(t.sent.tolist(), t.dom.tolist(), floor),
-            _scan_exchange_np(t.sent, t.dom, t.dom, t.neg, floor))
+            _scan_exchange_np(t.sent, t.dom, t.neg, floor))
 
 
 def _assert_routes_agree(f: SetFunction, valuated: bool = False):
@@ -566,12 +572,12 @@ def _count_table_builds(monkeypatch):
     builds = []
     scan = checkers._scan_per_element
 
-    def spy(da, xs, n, prepare, itemsize):
+    def spy(da, n, prepare, itemsize):
         def counted(b, yc):
             builds.append(b)
             return prepare(b, yc)
 
-        return scan(da, xs, n, counted, itemsize)
+        return scan(da, n, counted, itemsize)
 
     monkeypatch.setattr(checkers, "_scan_per_element", spy)
     return builds
@@ -1149,7 +1155,7 @@ def _oracle_nc(f: SetFunction, sampler: PriceSampler, simultaneous: bool) -> Ver
     view = _ScaledView(f, sampler.grid_step.denominator)
     for idx, p in enumerate(_oracle_prices(sampler, f)):
         members, _, _ = view.demand_members(p)
-        if _nc_violation(members, simultaneous) is not None:
+        if _scan_b_exc_m(frozenset(members), members, not simultaneous) is not None:
             return _tagged(check_nc_at(f, p, simultaneous), idx)
     return Verdict(True)
 
@@ -1408,14 +1414,110 @@ def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
     sampler = PriceSampler(seed=1, count=20)
     monkeypatch.setattr(econ, "_gs_flags", lambda kern, pq: np.ones(len(pq), dtype=bool))
     monkeypatch.setattr(econ, "_si_flags", lambda kern, u, dem: np.ones(len(u), dtype=bool))
-    monkeypatch.setattr(econ, "_nc_first", lambda dem, simultaneous: 0)
+    # rank2 has no NC violation at any price, so the sweep and check_nc_at
+    # both take the forged (X, Y, I) and the J re-check on the exact
+    # demand set rejects it
+    monkeypatch.setattr(econ, "_stack_hit", lambda mem, one_sided: (0, 0b1, 0b10, 0b1))
     with pytest.raises(InternalCheckError):
         check_gs_sampled(rank2, sampler)
     with pytest.raises(InternalCheckError):
         check_si_sampled(rank2, sampler)
     for simultaneous in (False, True):
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(InternalCheckError, match="raw data"):
             check_nc_sampled(rank2, sampler, simultaneous)
+        with pytest.raises(InternalCheckError, match="raw data"):
+            check_nc_at(rank2, PriceVector((0, 0, 0)), simultaneous)
+
+
+# ----------------------------------------------------------------------
+# the multi-item kernel on stacks of families
+
+
+def _stack(n, rows):
+    """The rows x 2^n membership matrix of the member lists ``rows``."""
+    mem = np.zeros((len(rows), 1 << n), dtype=bool)
+    for r, ms in enumerate(rows):
+        mem[r, ms] = True
+    return mem
+
+
+def _assert_stack_agrees(n, rows, one_sided):
+    """The kernel's least (row, X, Y, I) is the oracle's first failing row
+    and its first hit."""
+    want = None
+    for r, ms in enumerate(rows):
+        hit = _scan_b_exc_m(frozenset(ms), ms, one_sided)
+        if hit is not None:
+            want = (r, *hit)
+            break
+    assert _stack_hit(_stack(n, rows), one_sided) == want
+    return want
+
+
+@pytest.fixture(params=[False, True], ids=["default-blocks", "one-cell-blocks"])
+def multi_block(request, monkeypatch):
+    # with one-cell blocks every X is its own chunk, so chunks split rows
+    if request.param:
+        monkeypatch.setattr(checkers, "_MULTI_BLOCK", 1)
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["ncsim", "nc"])
+def test_stacked_kernel_on_every_small_family(one_sided, multi_block):
+    for n in range(1, 4):
+        masks = range(1 << n)
+        families = [[m for m in masks if bits >> m & 1] for bits in range(1, 1 << len(masks))]
+        failing = [ms for ms in families if _assert_stack_agrees(n, [ms], one_sided)]
+        passing = [ms for ms in families if ms not in failing]
+        assert passing and bool(failing) == (n > 1)
+        _assert_stack_agrees(n, families, one_sided)
+        assert _assert_stack_agrees(n, passing, one_sided) is None
+        if failing:
+            assert _assert_stack_agrees(n, passing + failing[::-1], one_sided)[0] == len(passing)
+
+
+def _sample_family(rng: Random, n: int) -> list[int]:
+    """A box [A, A | B], a band of sizes, a box with one set dropped, or
+    random masks (empty and singleton families included)."""
+    kind = rng.randrange(4)
+    full = (1 << n) - 1
+    if kind in (0, 2):
+        A = rng.randrange(1 << n)
+        B = rng.randrange(1 << n) & ~A
+        ms = [A | S for S in iter_submasks(B)]
+        if kind == 2 and len(ms) > 2:
+            ms.remove(rng.choice(ms))
+        return sorted(ms)
+    if kind == 1:
+        lo = rng.randint(0, n)
+        hi = rng.randint(lo, n)
+        return [m for m in range(full + 1) if lo <= m.bit_count() <= hi]
+    return sorted(rng.sample(range(full + 1), rng.choice([0, 1, 2, 3, rng.randint(4, 12)])))
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["ncsim", "nc"])
+def test_stacked_kernel_on_mixed_stacks(one_sided, multi_block):
+    rng = Random(15)
+    rows_failing = []
+    for _ in range(80):
+        n = rng.randint(4, 5)
+        rows = [_sample_family(rng, n) for _ in range(rng.randint(1, 8))]
+        hit = _assert_stack_agrees(n, rows, one_sided)
+        rows_failing.append(None if hit is None else hit[0])
+    # some stacks pass, and some fail past their first row
+    assert None in rows_failing and any(r for r in rows_failing if r is not None)
+
+
+def test_zero_function_demands_every_set_and_passes_nc():
+    n = 6
+    f = SetFunction.from_callable(n, lambda m: Fraction(0))
+    p = PriceVector((0,) * n)
+    assert demand(f, p).members.members == frozenset(range(1 << n))
+    # radius 0: every sampled price is p = 0
+    sampler = PriceSampler(seed=1, count=3, radius=0)
+    for simultaneous in (False, True):
+        assert check_nc_at(f, p, simultaneous).passed
+        assert check_nc_sampled(f, sampler, simultaneous).passed
+    assert _price_sweep(f, sampler, ("nc", "ncsim")) == {"nc": Verdict(True), "ncsim": Verdict(True)}
 
 
 # ----------------------------------------------------------------------
