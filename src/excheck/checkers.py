@@ -28,9 +28,6 @@ are sized in bytes, so an int16 table sweeps four times the cells of an
 int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
 first chunk holding a violation is the first tuple of the lexicographic
 order, the first hit of the loop scan that the tests keep as the oracle.
-Every hit is re-checked on the raw rational table, or the family's
-members, before it becomes a witness; a mismatch raises
-:class:`InternalCheckError`.
 
 A second kernel runs every multi-item scan: ``mnat-exc-m`` (and so
 ``snc``), ``b-exc-m`` on the indicator table, and the no-complementarities
@@ -59,6 +56,23 @@ X-I+J lies in the domain only when |J| = |I|, so level 0 is skipped and
 level l runs only on the tuples with |I| = l.
 ``b-exc-pm`` runs on the per-i grid of the one-item kernel, where both
 clauses become bitmask tests (see :func:`_scan_b_exc_pm`).
+
+One exact test, :func:`_exchange_verdict`, re-checks every exchange hit
+(X, Y, I) before it becomes a witness.  It reads two raw tables t1 and t2
+and a domain table in the form the kernels scan: a function's rational
+table three times, a family's indicator three times (``b-exc``,
+``b-exc-m``, ``local``'s domain), or the indicator as the domain and as one
+of the two tables against an all-zero one for the one-sided forms:
+(indicator, zero) for clause a of ``b-exc-pm`` and (zero, indicator) for
+clause b.  :func:`excheck.econ.check_nc_at` passes the indicator of D(p)
+twice for NC-sim and (indicator, zero) for NC.  The hit holds when X and Y
+are in the domain, which a zero table cannot show, I is a nonempty part
+of X\\Y (one element for a one-item hit), and t1(X) + t2(Y) exceeds
+t1(X-I+J) + t2(Y-J+I) for every repair J: every J inside Y\\X, or for a
+one-item hit J = 0 (where there is a deletion branch) and the single
+elements of Y\\X, so no re-check costs more than the scan of one tuple.
+A mismatch raises :class:`InternalCheckError`.  ``local``'s inequalities
+keep their own re-check.
 
 A third kernel runs ``local``'s three inequality families.  Each reads
 s(X+i+j) + s(X+k+l) > max(s(X+i+k) + s(X+j+l), s(X+j+k) + s(X+i+l)),
@@ -661,44 +675,39 @@ def _recheck(holds: bool, witness: Witness) -> Witness:
     return witness
 
 
-def _best_exchange_rhs(tab, X: int, Y: int, I: int) -> ExtValue:
-    """max over J inside Y\\X of f((X\\I)uJ) + f((Y\\J)uI), from the raw table."""
-    xmi = X ^ I
-    return max(tab[xmi | J] + tab[(Y & ~J) | I] for J in iter_submasks(Y & ~X))
+def _exchange_verdict(condition: str, hit, t1, t2, dom, *, one_item: bool = False,
+                      deletion: bool = True, values: bool = False, prices=()) -> Verdict:
+    """The verdict of an exchange kernel's hit (X, Y, I), re-checked on raw tables.
 
-
-def _family_witness(condition: str, members, X: int, Y: int, ib: int) -> Witness:
-    xi, yi = X ^ ib, Y | ib
-    repaired = (xi in members and yi in members) or any(
-        (xi | jb) in members and (yi ^ jb) in members for jb in iter_bits(Y & ~X)
-    )
-    holds = X in members and Y in members and bool(ib & X & ~Y) and not repaired
-    w = Witness(condition, sets=(("X", X), ("Y", Y)), elements=(("i", ib.bit_length()),))
-    return _recheck(holds, w)
-
-
-def _family_multi_witness(family: SetFamily, X: int, Y: int, I: int) -> Witness:
-    m = family.members
+    The tables are the kernels' own, read exactly: the hit is a violation
+    when X and Y lie in the domain (finite in ``dom``), I is a nonempty
+    part of X\\Y, and t1(X) + t2(Y) > t1(X-I+J) + t2(Y-J+I) for every J
+    inside Y\\X.  A ``one_item`` hit has a single element in I and tries
+    only J = 0 (with ``deletion``) and the single elements of Y\\X.  A
+    function passes its table three times and its witness keeps both sides
+    (``values``); a family passes its indicator (0 on members, -inf
+    elsewhere) as ``dom`` and as both tables, or as one of them against an
+    all-zero table for the one-sided conditions.  A hit the tables do not
+    violate raises :class:`InternalCheckError`.
+    """
+    if hit is None:
+        return Verdict(True)
+    X, Y, I = hit
+    if one_item:
+        repairs = [*([0] if deletion else []), *iter_bits(Y & ~X)]
+        named = {"sets": (("X", X), ("Y", Y)), "elements": (("i", I.bit_length()),)}
+    else:
+        repairs = iter_submasks(Y & ~X)
+        named = {"sets": (("X", X), ("Y", Y), ("I", I))}
+    lhs = t1[X] + t2[Y]
+    rhs = max((t1[(X ^ I) | J] + t2[(Y & ~J) | I] for J in repairs), default=NEG_INF)
     holds = (
-        X in m and Y in m and bool(I) and not I & (Y | ~X)
-        and find_base_exchange(family, X, Y, I) is None
+        is_finite(dom[X]) and is_finite(dom[Y]) and bool(I) and not I & ~(X & ~Y)
+        and (not one_item or I.bit_count() == 1) and lhs > rhs
     )
-    return _recheck(holds, Witness("bnat-exc-m", sets=(("X", X), ("Y", Y), ("I", I))))
-
-
-def _family_pm_witness(members, X: int, Y: int, ib: int, clause: str) -> Witness:
-    # X-i+j and Y+i-k, for j and k in Y\X, are both `start` with one bit flipped
-    start = X ^ ib if clause == "a" else Y | ib
-    unrepaired = start not in members and not any(
-        (start ^ jb) in members for jb in iter_bits(Y & ~X)
-    )
-    holds = X in members and Y in members and bool(ib & X & ~Y) and unrepaired
-    w = Witness(
-        f"bnat-exc-pm:{clause}",
-        sets=(("X", X), ("Y", Y)),
-        elements=(("i", ib.bit_length()),),
-    )
-    return _recheck(holds, w)
+    if values:
+        named.update(lhs=lhs, rhs=rhs)
+    return Verdict(False, _recheck(holds, Witness(condition, prices=prices, **named)))
 
 
 # ----------------------------------------------------------------------
@@ -713,32 +722,9 @@ def check_single_exchange(f: SetFunction) -> Verdict:
     swapping i against some j in Y\\X.  Tuples with an infinite left-hand
     side hold vacuously.
     """
-    return _single_exchange_verdict(f, _exchange_hit(f.ints, deletion=True))
-
-
-def _single_exchange_verdict(f: SetFunction, hit) -> Verdict:
-    return _one_item_verdict(f, hit, "mnat-exc", deletion=True)
-
-
-def _one_item_verdict(f: SetFunction, hit, condition: str, deletion: bool) -> Verdict:
-    """The verdict of a one-item kernel hit, re-checked on the raw table;
-    without ``deletion`` the swap maximum starts at -inf (valuated matroids)."""
-    if hit is None:
-        return Verdict(True)
-    X, Y, ib = hit
     tab = f.table
-    lhs = tab[X] + tab[Y]
-    best: ExtValue = tab[X ^ ib] + tab[Y | ib] if deletion else NEG_INF
-    for jb in iter_bits(Y & ~X):
-        best = max(best, tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb])
-    w = Witness(
-        condition,
-        sets=(("X", X), ("Y", Y)),
-        elements=(("i", ib.bit_length()),),
-        lhs=lhs,
-        rhs=best,
-    )
-    return Verdict(False, _recheck(bool(ib & X & ~Y) and is_finite(lhs) and lhs > best, w))
+    hit = _exchange_hit(f.ints, deletion=True)
+    return _exchange_verdict("mnat-exc", hit, tab, tab, tab, one_item=True, values=True)
 
 
 # ----------------------------------------------------------------------
@@ -781,18 +767,8 @@ def check_multiple_exchange(f: SetFunction) -> Verdict:
     Worst-case cost grows as 4^n times the submask count of X\\Y, hence the
     documented exhaustive-scan cap.
     """
-    return _multiple_exchange_verdict(f, _multi_hit(f.ints))
-
-
-def _multiple_exchange_verdict(f: SetFunction, hit) -> Verdict:
-    if hit is None:
-        return Verdict(True)
-    X, Y, I = hit
     tab = f.table
-    lhs = tab[X] + tab[Y]
-    rhs = _best_exchange_rhs(tab, X, Y, I)
-    w = Witness("mnat-exc-m", sets=(("X", X), ("Y", Y), ("I", I)), lhs=lhs, rhs=rhs)
-    return Verdict(False, _recheck(bool(I) and not I & (Y | ~X) and lhs > rhs, w))
+    return _exchange_verdict("mnat-exc-m", _multi_hit(f.ints), tab, tab, tab, values=True)
 
 
 # ----------------------------------------------------------------------
@@ -820,11 +796,10 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
                 ),
             )
 
-    return _valuated_matroid_verdict(f, _exchange_hit(f.ints, deletion=False))
-
-
-def _valuated_matroid_verdict(f: SetFunction, hit) -> Verdict:
-    return _one_item_verdict(f, hit, "valuated-matroid:exchange", deletion=False)
+    tab = f.table
+    hit = _exchange_hit(f.ints, deletion=False)
+    return _exchange_verdict("valuated-matroid:exchange", hit, tab, tab, tab, one_item=True,
+                             deletion=False, values=True)
 
 
 # ----------------------------------------------------------------------
@@ -846,10 +821,12 @@ def check_local(f: SetFunction) -> Verdict:
     # passes without a scan: for i in X\Y, X - i still holds the common
     # part (i is not in Y) and Y + i stays inside the union (i is in X)
     if t.dom.size != 1 << (high & ~low).bit_count():
-        dom = effective_domain(f)
-        hit = _exchange_hit(dom.indicator.ints, deletion=True)
-        if hit is not None:
-            return Verdict(False, _family_witness("local:domain", dom.members, *hit))
+        ind = effective_domain(f).indicator
+        hit = _exchange_hit(ind.ints, deletion=True)
+        dom = ind.table
+        v = _exchange_verdict("local:domain", hit, dom, dom, dom, one_item=True)
+        if not v:
+            return v
 
     hit = _local_hit(t)
     if hit is None:
@@ -1061,25 +1038,25 @@ def check_family(family: SetFamily, axiom: str) -> Verdict:
         raise InputError(f"unknown family axiom {axiom!r}; expected one of {FAMILY_AXIOMS}")
     if not family.members:
         raise InputError("the family has no members")
-    members = family.members
-
+    if ax == "b-exc-pm":
+        da = np.array(family.sorted_members, dtype=np.int64)
+        mem = np.zeros(1 << family.n, dtype=bool)
+        mem[da] = True
+        hit = _scan_b_exc_pm(mem, da, family.n)
+        if hit is None:
+            return Verdict(True)
+        # clause a keeps X-i+J in the family, clause b Y+i-J
+        *hit, clause = hit
+        dom = family.indicator.table
+        zero = (0,) * len(dom)
+        t1, t2 = (dom, zero) if clause == "a" else (zero, dom)
+        return _exchange_verdict(f"bnat-exc-pm:{clause}", hit, t1, t2, dom, one_item=True)
+    ind = family.indicator
+    dom = ind.table
     if ax == "b-exc":
-        hit = _exchange_hit(family.indicator.ints, deletion=True)
-        if hit is None:
-            return Verdict(True)
-        return Verdict(False, _family_witness("bnat-exc", members, *hit))
-    if ax == "b-exc-m":
-        hit = _multi_hit(family.indicator.ints)
-        if hit is None:
-            return Verdict(True)
-        return Verdict(False, _family_multi_witness(family, *hit))
-    da = np.array(family.sorted_members, dtype=np.int64)
-    mem = np.zeros(1 << family.n, dtype=bool)
-    mem[da] = True
-    hit = _scan_b_exc_pm(mem, da, family.n)
-    if hit is None:
-        return Verdict(True)
-    return Verdict(False, _family_pm_witness(members, *hit))
+        hit = _exchange_hit(ind.ints, deletion=True)
+        return _exchange_verdict("bnat-exc", hit, dom, dom, dom, one_item=True)
+    return _exchange_verdict("bnat-exc-m", _multi_hit(ind.ints), dom, dom, dom)
 
 
 def is_generalized_matroid(family: SetFamily) -> bool:

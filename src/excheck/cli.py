@@ -18,7 +18,7 @@ from fractions import Fraction
 from time import perf_counter
 
 from .checkers import (
-    _best_exchange_rhs,
+    _exchange_verdict,
     check_family,
     check_local,
     check_multiple_exchange,
@@ -40,8 +40,15 @@ __all__ = ["main"]
 _TRIPLE_SCAN_CAP = 14
 _DUALITY_CAP = 10
 
-_FUNCTION_PROPERTIES = ("mnat-exc", "mnat-exc-m", "snc", "valuated-matroid", "local")
-_FAMILY_PROPERTIES = ("bnat-exc", "bnat-exc-m", "bnat-exc-pm")
+# the checker of each function property and the axiom of each family one
+_FUNCTION_CHECKS = {
+    "mnat-exc": check_single_exchange,
+    "mnat-exc-m": check_multiple_exchange,
+    "snc": check_snc,
+    "valuated-matroid": check_valuated_matroid,
+    "local": check_local,
+}
+_FAMILY_AXIOMS = {"bnat-exc": "b-exc", "bnat-exc-m": "b-exc-m", "bnat-exc-pm": "b-exc-pm"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,22 +123,14 @@ def _cmd_check(args) -> int:
     _require_scan_cap(inst.n, args.force)
 
     note = None
-    if prop in _FUNCTION_PROPERTIES:
+    if prop in _FUNCTION_CHECKS:
         if not isinstance(inst, SetFunction):
             raise InputError(f"property {prop} needs a set function, {args.file} holds a family")
-        runner = {
-            "mnat-exc": check_single_exchange,
-            "mnat-exc-m": check_multiple_exchange,
-            "snc": check_snc,
-            "valuated-matroid": check_valuated_matroid,
-            "local": check_local,
-        }[prop]
-        verdict = runner(inst)
+        verdict = _FUNCTION_CHECKS[prop](inst)
     else:
         if not isinstance(inst, SetFamily):
             raise InputError(f"property {prop} needs a set family, {args.file} holds a function")
-        axiom = {"bnat-exc": "b-exc", "bnat-exc-m": "b-exc-m", "bnat-exc-pm": "b-exc-pm"}[prop]
-        verdict = check_family(inst, axiom)
+        verdict = check_family(inst, _FAMILY_AXIOMS[prop])
         if prop == "bnat-exc" and verdict.passed:
             note = "the family is a generalized matroid"
 
@@ -190,8 +189,10 @@ def _cmd_exchange(args) -> int:
         ]
         _emit(args, report, lines, started)
         return 0
-    lhs = f.table[X] + f.table[Y]
-    best = _best_exchange_rhs(f.table, X, Y, I)
+    # no J repairs (X, Y, I): the exact exchange test confirms it and gives both sides
+    tab = f.table
+    w = _exchange_verdict("mnat-exc-m", (X, Y, I), tab, tab, tab, values=True).witness
+    lhs, best = w.lhs, w.rhs
     report = {
         "command": "exchange",
         "input": str(args.file),
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="decide an exchange property of an instance file")
     p.add_argument("file")
     p.add_argument(
-        "--property", required=True, choices=_FUNCTION_PROPERTIES + _FAMILY_PROPERTIES
+        "--property", required=True, choices=(*_FUNCTION_CHECKS, *_FAMILY_AXIOMS)
     )
     _add_common(p)
     p.set_defaults(handler=_cmd_check)

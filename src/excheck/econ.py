@@ -77,11 +77,11 @@ import numpy as np
 from ._draws import pair_draws, price_draws
 from ._fast import fits_int64
 from .checkers import Verdict, Witness, check_multiple_exchange
-from .checkers import _recheck, _stack_hit
+from .checkers import _exchange_verdict, _stack_hit
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
-from .sets import iter_bits, iter_submasks
-from .values import ExtValue
+from .sets import iter_bits
+from .values import NEG_INF, ExtValue
 
 __all__ = [
     "DemandSet",
@@ -551,8 +551,11 @@ def check_nc_at(f: SetFunction, p: PriceVector, simultaneous: bool = False) -> V
 
     For demanded X, Y and I inside X\\Y some J inside Y\\X must keep
     (X\\I) u J demanded; with ``simultaneous`` the counterpart (Y\\J) u I
-    must stay demanded too.  The kernel's hit is re-checked on the exact
-    demand set before it becomes a witness.
+    must stay demanded too.  The multi-item kernel scans the demand set
+    D(p), computed from the raw rational table, and its hit is re-checked
+    by the exact exchange test of every witness before it becomes one: on
+    the indicator of D(p) twice for NC-sim, and against an all-zero second
+    table for NC.
     """
     members, _ = shifted_argmax(f, p)
     row = np.zeros((1, 1 << f.n), dtype=bool)
@@ -560,15 +563,10 @@ def check_nc_at(f: SetFunction, p: PriceVector, simultaneous: bool = False) -> V
     hit = _stack_hit(row, not simultaneous)
     if hit is None:
         return Verdict(True)
-    _, X, Y, I = hit
-    m = frozenset(members)
-    holds = X in m and Y in m and bool(I) and not I & (Y | ~X) and not any(
-        ((X ^ I) | J) in m and (not simultaneous or ((Y & ~J) | I) in m)
-        for J in iter_submasks(Y & ~X)
-    )
+    ind = [0 if m else NEG_INF for m in row[0].tolist()]
+    t2 = ind if simultaneous else (0,) * len(ind)
     cond = "ncsim" if simultaneous else "nc"
-    w = Witness(cond, sets=(("X", X), ("Y", Y), ("I", I)), prices=(("p", p),))
-    return Verdict(False, _recheck(holds, w))
+    return _exchange_verdict(cond, hit[1:], ind, t2, ind, prices=(("p", p),))
 
 
 def check_nc_sampled(

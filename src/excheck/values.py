@@ -152,8 +152,5 @@ def ext_to_json(v: ExtValue):
 
 
 def ext_to_str(v: ExtValue) -> str:
-    if isinstance(v, NegInfinity):
-        return "-inf"
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """Render a value as text: the JSON rendering, as a string."""
+    return str(ext_to_json(v))

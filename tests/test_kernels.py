@@ -69,19 +69,13 @@ from excheck import (
 from excheck._fast import IntTable, fits_int64
 from excheck.checkers import (
     _FIRST_CHUNK_CELLS,
-    _best_exchange_rhs,
-    _family_multi_witness,
-    _family_pm_witness,
-    _family_witness,
+    _exchange_verdict,
     _local_families,
     _local_hit,
     _LocalFamily,
-    _multiple_exchange_verdict,
     _scan_exchange_np,
     _scan_multi_np,
-    _single_exchange_verdict,
     _stack_hit,
-    _valuated_matroid_verdict,
 )
 from excheck import checkers, duality
 from excheck.duality import _dual_sweep
@@ -258,6 +252,25 @@ def _scan_multi_py(s, dom):
     return None
 
 
+def _mnat_verdict(f: SetFunction, hit):
+    """The verdict of a one-item hit on f, re-checked as check_single_exchange does."""
+    tab = f.table
+    return _exchange_verdict("mnat-exc", hit, tab, tab, tab, one_item=True, values=True)
+
+
+def _valuated_verdict(f: SetFunction, hit):
+    """The same without the deletion branch, as check_valuated_matroid does."""
+    tab = f.table
+    return _exchange_verdict("valuated-matroid:exchange", hit, tab, tab, tab, one_item=True,
+                             deletion=False, values=True)
+
+
+def _mnat_m_verdict(f: SetFunction, hit):
+    """The verdict of a multi-item hit on f, as check_multiple_exchange does."""
+    tab = f.table
+    return _exchange_verdict("mnat-exc-m", hit, tab, tab, tab, values=True)
+
+
 def _multi_routes(t: IntTable):
     """The hits of the loop oracle and of the array kernel on one table."""
     return (_scan_multi_py(t.sent.tolist(), t.dom.tolist()),
@@ -266,7 +279,7 @@ def _multi_routes(t: IntTable):
 
 def _assert_multi_routes_agree(f: SetFunction):
     py, vec = _multi_routes(IntTable(f))
-    assert _multiple_exchange_verdict(f, py) == _multiple_exchange_verdict(f, vec)
+    assert _mnat_m_verdict(f, py) == _mnat_m_verdict(f, vec)
     return py
 
 
@@ -280,7 +293,7 @@ def _assert_routes_agree(f: SetFunction, valuated: bool = False):
     t = IntTable(f)
     floor = 2 * t.neg - 1 if valuated else None
     py, vec = _both_routes(t, floor)
-    verdict = _valuated_matroid_verdict if valuated else _single_exchange_verdict
+    verdict = _valuated_verdict if valuated else _mnat_verdict
     assert verdict(f, py) == verdict(f, vec)
     return py
 
@@ -438,7 +451,7 @@ def near_valuated_matroid(draw, max_n=6):
 def test_single_exchange_routes_agree(f, c):
     f = _shifted(f, c)
     hit = _assert_routes_agree(f)
-    assert check_single_exchange(f) == _single_exchange_verdict(f, hit)
+    assert check_single_exchange(f) == _mnat_verdict(f, hit)
 
 
 @given(st.one_of(near_concave(), near_valuated_matroid()), SHIFTS)
@@ -446,7 +459,7 @@ def test_single_exchange_routes_agree(f, c):
 def test_multi_exchange_routes_agree(f, c):
     f = _shifted(f, c)
     hit = _assert_multi_routes_agree(f)
-    assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
+    assert check_multiple_exchange(f) == _mnat_m_verdict(f, hit)
 
 
 @given(near_valuated_matroid(), SHIFTS)
@@ -456,7 +469,7 @@ def test_valuated_matroid_routes_agree(f, c):
     hit = _assert_routes_agree(f, valuated=True)
     # the public check agrees with the loop oracle
     if len({m.bit_count() for m in f.dom_masks}) == 1:
-        assert check_valuated_matroid(f) == _valuated_matroid_verdict(f, hit)
+        assert check_valuated_matroid(f) == _valuated_verdict(f, hit)
 
 
 @given(near_concave())
@@ -564,7 +577,7 @@ def test_chunked_scan_matches_loops(raised):
     assert len(IntTable(g).dom) ** 2 >= 1 << 16  # several chunks
     hit = _assert_routes_agree(g)
     assert hit is not None
-    assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
+    assert check_single_exchange(g) == _mnat_verdict(g, hit)
 
 
 def _count_table_builds(monkeypatch):
@@ -603,7 +616,7 @@ def test_column_tables_once_per_scan_within_the_cache_budget(raised, room, monke
         # so a budget of 4 KB keeps one element's tables
         assert (len(builds) > n) == (room is not None)
     else:
-        assert check_single_exchange(g) == _single_exchange_verdict(g, hit)
+        assert check_single_exchange(g) == _mnat_verdict(g, hit)
 
 
 def test_early_exit_builds_only_the_first_chunks_tables(monkeypatch):
@@ -631,7 +644,7 @@ def test_multi_hit_in_a_later_chunk_after_deep_levels():
     assert (Y & ~X).bit_count() == 4
     assert find_exchange_set(g, 0b1100000, 0b1111, 0b1100000).j_set.bit_count() == 2
     v = check_multiple_exchange(g)
-    assert v == _multiple_exchange_verdict(g, hit)
+    assert v == _mnat_m_verdict(g, hit)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -747,10 +760,10 @@ def test_kernels_at_the_exact_rung_edges(rung, above, sign):
                 want.witness.condition, want.witness.sets, want.witness.elements)
     assert not check_single_exchange(f).passed and not check_multiple_exchange(f).passed
     hit = _assert_routes_agree(f)
-    assert check_single_exchange(f) == _single_exchange_verdict(f, hit)
+    assert check_single_exchange(f) == _mnat_verdict(f, hit)
     _assert_routes_agree(f, valuated=True)
     hit = _assert_multi_routes_agree(f)
-    assert check_multiple_exchange(f) == _multiple_exchange_verdict(f, hit)
+    assert check_multiple_exchange(f) == _mnat_m_verdict(f, hit)
     assert _local_hit(t) == _local_oracle(t)
     X, Y, I = hit
     assert find_exchange_set(f, X, Y, I) is None
@@ -761,21 +774,69 @@ def test_kernels_at_the_exact_rung_edges(rung, above, sign):
 # hits are re-checked against the raw table
 
 
+def _family_recheck(condition: str, family: SetFamily, hit, dom=None):
+    """A family hit re-checked as check_family does: the indicator twice, or
+    against an all-zero table for a clause of ``bnat-exc-pm``; ``dom``
+    replaces the indicator as the domain table."""
+    ind = family.indicator.table
+    zero = (0,) * len(ind)
+    sides = {"bnat-exc-pm:a": (ind, zero), "bnat-exc-pm:b": (zero, ind)}
+    t1, t2 = sides.get(condition, (ind, ind))
+    return _exchange_verdict(condition, hit, t1, t2, ind if dom is None else dom,
+                             one_item=condition != "bnat-exc-m")
+
+
 def test_recheck_rejects_a_non_violation(rank2):
     with pytest.raises(InternalCheckError):
-        _single_exchange_verdict(rank2, (0b011, 0b100, 0b001))
+        _mnat_verdict(rank2, (0b011, 0b100, 0b001))
     with pytest.raises(InternalCheckError):
-        _valuated_matroid_verdict(rank2, (0b011, 0b100, 0b001))
+        _valuated_verdict(rank2, (0b011, 0b100, 0b001))
     bases = SetFamily(3, frozenset({0b011, 0b101, 0b110}))
     with pytest.raises(InternalCheckError):
-        _family_witness("bnat-exc", bases.members, 0b011, 0b110, 0b001)
+        _family_recheck("bnat-exc", bases, (0b011, 0b110, 0b001))
     with pytest.raises(InternalCheckError):
-        _multiple_exchange_verdict(rank2, (0b011, 0b100, 0b011))
+        _mnat_m_verdict(rank2, (0b011, 0b100, 0b011))
     with pytest.raises(InternalCheckError):
-        _family_multi_witness(bases, 0b011, 0b110, 0b001)
+        _family_recheck("bnat-exc-m", bases, (0b011, 0b110, 0b001))
     for clause in "ab":
         with pytest.raises(InternalCheckError):
-            _family_pm_witness(bases.members, 0b011, 0b110, 0b001, clause)
+            _family_recheck(f"bnat-exc-pm:{clause}", bases, (0b011, 0b110, 0b001))
+
+
+@pytest.mark.parametrize("clause, outside", [("a", "Y"), ("a", "X"), ("b", "Y"), ("b", "X")])
+def test_recheck_rejects_a_pm_hit_off_the_family(clause, outside):
+    # (X, Y, i) = ({1, 2}, {3}, 1) has no repair in either clause when
+    # both sets are members; with one of them dropped from the family the
+    # one-sided values may still read as a violation, so only the domain
+    # table can reject the hit
+    X, Y, ib = 0b011, 0b100, 0b001
+    fam = SetFamily(3, frozenset({0b011, 0b100}))
+    assert _family_recheck(f"bnat-exc-pm:{clause}", fam, (X, Y, ib)).witness is not None
+    off = SetFamily(3, frozenset({Y if outside == "X" else X}))
+    with pytest.raises(InternalCheckError, match=f"bnat-exc-pm:{clause}"):
+        _family_recheck(f"bnat-exc-pm:{clause}", off, (X, Y, ib))
+    # where the zero table is the one read at the dropped set, a domain
+    # table holding every set lets the hit through: the values miss it
+    if (clause, outside) in (("a", "Y"), ("b", "X")):
+        everything = (0,) * 8
+        assert not _family_recheck(f"bnat-exc-pm:{clause}", off, (X, Y, ib), dom=everything)
+
+
+def test_recheck_rejects_a_one_item_hit_of_two_elements():
+    # f is 5 on {1, 2, 3} and 0 elsewhere: (X, Y, I) = ({1, 2, 3}, {}, {1, 2})
+    # violates the multi-item axiom, but no one-item scan reports a pair
+    f = SetFunction.from_callable(3, lambda m: Fraction(5 if m == 0b111 else 0))
+    hit = (0b111, 0b000, 0b011)
+    v = _mnat_m_verdict(f, hit)
+    assert (v.witness.lhs, v.witness.rhs) == (5, 0)
+    with pytest.raises(InternalCheckError):
+        _mnat_verdict(f, hit)
+    with pytest.raises(InternalCheckError):
+        _valuated_verdict(f, hit)
+    fam = SetFamily(3, frozenset({0b111, 0b000}))
+    assert _family_recheck("bnat-exc-m", fam, hit).witness.condition == "bnat-exc-m"
+    with pytest.raises(InternalCheckError):
+        _family_recheck("bnat-exc", fam, hit)
 
 
 @pytest.mark.parametrize("hit", [
@@ -794,11 +855,12 @@ def test_local_witnesses_are_rechecked(hit, monkeypatch):
 
 
 def test_recheck_accepts_a_violation(comp):
-    v = _multiple_exchange_verdict(comp, (0b11, 0b00, 0b01))
+    v = _mnat_m_verdict(comp, (0b11, 0b00, 0b01))
     assert (v.witness.lhs, v.witness.rhs) == (3, 2)
     fam = SetFamily(3, frozenset({0b011, 0b100}))
-    assert _family_multi_witness(fam, 0b011, 0b100, 0b001).condition == "bnat-exc-m"
-    assert _family_pm_witness(fam.members, 0b011, 0b100, 0b001, "a").condition == "bnat-exc-pm:a"
+    hit = (0b011, 0b100, 0b001)
+    assert _family_recheck("bnat-exc-m", fam, hit).witness.condition == "bnat-exc-m"
+    assert _family_recheck("bnat-exc-pm:a", fam, hit).witness.condition == "bnat-exc-pm:a"
 
 
 # ----------------------------------------------------------------------
@@ -1429,6 +1491,19 @@ def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
             check_nc_at(rank2, PriceVector((0, 0, 0)), simultaneous)
 
 
+@pytest.mark.parametrize("simultaneous", [False, True], ids=["nc", "ncsim"])
+def test_nc_recheck_rejects_a_hit_off_the_demand_set(rank2, simultaneous, monkeypatch):
+    # at p = 0 rank2 demands every set of two or three elements; (X, Y, I)
+    # = ({1, 2}, {3}, {1, 2}) has no J keeping X-I+J demanded, so NC's
+    # one-sided values read as a violation; Y is not demanded, which only
+    # the domain table shows for NC
+    p = PriceVector((0, 0, 0))
+    assert {m for m in range(8) if m.bit_count() >= 2} == demand(rank2, p).members.members
+    monkeypatch.setattr(econ, "_stack_hit", lambda mem, one_sided: (0, 0b011, 0b100, 0b011))
+    with pytest.raises(InternalCheckError, match="raw data"):
+        check_nc_at(rank2, p, simultaneous)
+
+
 # ----------------------------------------------------------------------
 # the multi-item kernel on stacks of families
 
@@ -1941,7 +2016,8 @@ def test_demand_and_gap_read_the_cached_table(fp, data):
     except EmptySliceError:
         assert rep.primal is NEG_INF and rep.dual is NEG_INF
         return
-    assert rep.primal == _best_exchange_rhs(f.table, X, Y, I)
+    assert rep.primal == max(f.table[(X ^ I) | J] + f.table[(Y & ~J) | I]
+                             for J in iter_submasks(Y & ~X))
     box = product(range(-r, r + 1), repeat=len(sp.elements))
     prices = [PriceVector(tuple(Fraction(v, t.scale) for v in q)) for q in box]
     assert rep.dual == min(conjugate(sp.f1, q) + conjugate(sp.f2, -q) for q in prices)

@@ -67,3 +67,16 @@ def test_json_rendering():
     assert ext_to_json(Fraction(3, 2)) == "3/2"
     assert ext_to_json(NEG_INF) == "-inf"
     assert ext_to_str(Fraction(-5, 3)) == "-5/3"
+
+
+@pytest.mark.parametrize("v, text", [
+    (Fraction(0), "0"),
+    (Fraction(3), "3"),
+    (Fraction(-7), "-7"),
+    (Fraction(3, 2), "3/2"),
+    (Fraction(-5, 3), "-5/3"),
+    (Fraction(2**70 + 1, 3), f"{2**70 + 1}/3"),
+    (NEG_INF, "-inf"),
+])
+def test_text_rendering_is_the_json_rendering(v, text):
+    assert ext_to_str(v) == text == str(ext_to_json(v))
