@@ -12,12 +12,17 @@ dtype that :func:`int_dtype` admits for the sentinel and the finite range:
 int16, int32 or int64, else an object array of the same Python integers.
 Every kernel runs unchanged on each of them, so the object array is the
 exact fallback and the narrow dtypes only move fewer bytes per entry.
+
+There is one build, :meth:`IntTable.from_codes`: an integer code for
+each mask and the exact value of each code.  The scale, the range and the
+sentinel are worked out once per code, and the table is one gather of a
+per-code array.  The file loader hands over the value codes it parsed, a
+family's indicator its membership over (-inf, 0), and ``IntTable(f)``
+gives each mask of f's rational table its own code.
 Each :class:`~excheck.core.SetFunction` keeps one table, built on first
-use or handed over by the file loader, which fills it while it parses the
-entries (see :attr:`SetFunction.ints`).
+use or handed over by the file loader (see :attr:`SetFunction.ints`).
 The checkers, the dual sweep of ``fenchel_gap`` and the demand kernel all
-read that array.  ``IntTable(f)`` builds a fresh table from the rational
-entries.
+read that array.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .values import is_finite
+from .values import NEG_INF, ExtValue
 
 if TYPE_CHECKING:
     from .core import SetFunction
@@ -69,36 +74,39 @@ class IntTable:
     ``int_dtype(neg, lo, hi)``: int16, int32 or int64, or an object array
     of Python integers past the int64 bound.  The kernels add at most two
     entries and compare with floors 2*neg - 1 and 2*lo - 1, all inside it.
+
+    Every table comes from :meth:`from_codes`; ``IntTable(f)`` runs it on
+    f's rational table with one code per mask.
     """
 
     __slots__ = ("n", "scale", "lo", "hi", "neg", "sent", "dom")
 
     def __init__(self, f: SetFunction):
-        scale = 1
-        for v in f.table:
-            if is_finite(v):
-                scale = lcm(scale, v.denominator)
-        tab = f.table
-        dom = [m for m, v in enumerate(tab) if is_finite(v)]
-        self._fill(f.n, scale, dom, [tab[m].numerator * (scale // tab[m].denominator) for m in dom])
+        # each mask its own code: rescaling an entry costs less than hashing it
+        self._fill(f.n, np.arange(len(f.table)), f.table)
 
     @classmethod
-    def from_parts(cls, n: int, scale: int, dom: Sequence[int], vals: Sequence[int]) -> "IntTable":
-        """A table from already scaled numerators ``vals`` on the ascending,
-        nonempty masks ``dom``."""
+    def from_codes(cls, n: int, codes: np.ndarray, values: Sequence[ExtValue]) -> "IntTable":
+        """The table of the function that is ``values[codes[m]]`` on each
+        mask m.  ``codes`` is an integer array over all 2^n masks; each of
+        ``values`` is a Fraction or ``NEG_INF``, at least one is finite,
+        and each finite one is the value of some mask."""
         t = cls.__new__(cls)
-        t._fill(n, scale, dom, vals)
+        t._fill(n, codes, values)
         return t
 
-    def _fill(self, n, scale, dom, vals) -> None:
-        lo, hi = min(vals), max(vals)
+    def _fill(self, n, codes, values) -> None:
+        scale = lcm(*(v.denominator for v in values if v is not NEG_INF))
+        nums = [None if v is NEG_INF else v.numerator * (scale // v.denominator) for v in values]
+        finite = [x for x in nums if x is not None]
+        lo, hi = min(finite), max(finite)
         # sentinel + any finite value < 2*lo, so sentinel sums lose every comparison
         neg = lo - 2 * (hi - lo) - 1
+        by_code = np.array([neg if x is None else x for x in nums], dtype=int_dtype(neg, lo, hi))
         self.n = n
         self.scale = scale
         self.lo = lo
         self.hi = hi
         self.neg = neg
-        self.dom = np.array(dom, dtype=np.int64)
-        self.sent = np.full(1 << n, neg, dtype=int_dtype(neg, lo, hi))
-        self.sent[self.dom] = vals
+        self.sent = by_code[codes]
+        self.dom = (self.sent != neg).nonzero()[0].astype(np.int64, copy=False)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from ._fast import IntTable
 from .errors import EmptySliceError, InputError
 from .sets import elements_of, iter_bits, set_str
@@ -93,6 +95,15 @@ class SetFunction:
         if ints is not None:
             f.__dict__["ints"] = ints
         return f
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray, values: list[ExtValue]) -> "SetFunction":
+        """The function that is ``values[codes[m]]`` on each mask m, with
+        its integer table (see :meth:`IntTable.from_codes`); raises when
+        every value is -inf."""
+        _check_some_finite(values)
+        table = tuple(np.array(values, dtype=object)[codes].tolist())
+        return cls._from_normalized(n, table, IntTable.from_codes(n, codes, values))
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "SetFunction":
@@ -184,10 +195,11 @@ class SetFamily:
         if not self.members:
             raise InputError("the family has no members")
         tab: list[ExtValue] = [NEG_INF] * (1 << self.n)
-        dom = self.sorted_members
-        for m in dom:
+        codes = bytearray(1 << self.n)
+        for m in self.members:
             tab[m] = _ZERO
-        ints = IntTable.from_parts(self.n, 1, dom, [0] * len(dom))
+            codes[m] = 1
+        ints = IntTable.from_codes(self.n, np.frombuffer(codes, dtype=np.uint8), (NEG_INF, _ZERO))
         return SetFunction._from_normalized(self.n, tuple(tab), ints)
 
     def __contains__(self, mask: int) -> bool:

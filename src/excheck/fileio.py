@@ -18,30 +18,31 @@ are pulled out with list calls, their types are tested on the raw lists
 key), and numpy turns the flattened elements into masks with a range test
 and an OR-against-sum test for a repeated element.  A code table over all
 2^n masks holds each entry's value code; it catches a repeated set, and
-its finite codes give the ascending domain.  Each distinct value is parsed
-once, and the rational table and the scaled numerators of the
-:class:`~excheck._fast.IntTable` are gathered by code.
+each distinct value is parsed once.
 
 Smaller files, and any file that fails a bulk test or holds a value that
 does not parse, go through the per-entry loop, which validates each entry
 in order through the general validators.  It is the one source of error
 messages, so every message, its order and the exit code are the same
-whichever path ran first.  A set family reads its members through the same
-chunked mask helper, with its own per-member loop as the error path.
+whichever path ran first.  It records a value code per entry as well, and
+both paths end in the same build from the code table: the rational table
+and the :class:`~excheck._fast.IntTable` are gathered by code
+(``SetFunction._from_codes``).  A set family reads its members through the
+same chunked mask helper, with its own per-member loop as the error path;
+both family paths end in ``SetFamily._from_sorted``.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from ._fast import IntTable
 from .core import MAX_GROUND_SIZE, SetFamily, SetFunction
 from .errors import InputError
 from .sets import elements_of, mask_from_elements, set_str
@@ -157,33 +158,20 @@ def _bulk_function(n: int, entries: list) -> SetFunction | None:
                                   count=len(vals))
     if np.count_nonzero(ctab) != len(entries):
         return None  # a repeated set
-    parsed: list[ExtValue] = [NEG_INF]
     try:
-        for v in code_of:
-            parsed.append(Fraction(v) if type(v) is int else as_ext_value(v))
-    except InputError:
+        parsed = [NEG_INF] + [Fraction(v) if type(v) is int else as_ext_value(v) for v in code_of]
+        return SetFunction._from_codes(n, ctab, parsed)
+    except InputError:  # a value that does not parse, or no finite one
         return None
-    finite = np.array([v is not NEG_INF for v in parsed])
-    dom = np.flatnonzero(finite[ctab])
-    if not dom.size:
-        return None
-    scale = lcm(*(v.denominator for v in parsed if v is not NEG_INF))
-    nums = [v if v is NEG_INF else v.numerator * (scale // v.denominator) for v in parsed]
-    ints = IntTable.from_parts(n, scale, dom, list(map(nums.__getitem__, ctab[dom].tolist())))
-    return SetFunction._from_normalized(n, tuple(map(parsed.__getitem__, ctab.tolist())), ints)
 
 
 def _loop_function(n: int, entries: list) -> SetFunction:
     """The function of ``entries``, built one entry at a time; the exact
     path for every error message and its order."""
-    size = 1 << n
-    table: list[ExtValue] = [NEG_INF] * size
-    nums: list = [None] * size  # JSON ints as they are, other values as Fractions
-    seen = bytearray(size)
-    parsed: dict = {}  # raw int or string -> its value; keyed only after a type test
-    dom: list[int] = []
+    codes = array("q", bytes(8 << n))  # value code (1, 2, ...) by mask, 0 when unlisted
+    values: list[ExtValue] = [NEG_INF]  # the value of each code
+    code_of: dict = {}  # raw int or string -> its code; keyed only after a type test
     dup = None
-    fractional = False
     for item in entries:
         if not isinstance(item, dict) or "set" not in item or "value" not in item:
             raise InputError(f"each entry needs 'set' and 'value', got {item!r}")
@@ -203,44 +191,24 @@ def _loop_function(n: int, entries: list) -> SetFunction:
                 mask |= 1 << (e - 1)
         if mask < 0 or mask.bit_count() != len(raw):  # a repeated element lowers the count
             mask = _element_list(raw, n)  # unusual input: raises the usual error
-        if type(value) is int:
-            v = parsed.get(value)
-            if v is None:
-                v = parsed[value] = Fraction(value)
-            num = value
-        else:
-            if type(value) is str:
-                v = parsed.get(value)
-                if v is None:
-                    v = parsed[value] = as_ext_value(value)
-            else:
-                v = as_ext_value(value)
-            num = v  # rescaled below, once the scale is known
-            fractional = fractional or v is not NEG_INF
-        if seen[mask]:
+        if type(value) is int or type(value) is str:
+            code = code_of.get(value)
+            if code is None:
+                code = code_of[value] = len(values)
+                values.append(Fraction(value) if type(value) is int else as_ext_value(value))
+        else:  # a Python value: a code of its own
+            code = len(values)
+            values.append(as_ext_value(value))
+        if codes[mask]:
             if dup is None:
                 dup = mask  # reported once every value has been parsed
             continue
-        seen[mask] = 1
-        if v is not NEG_INF:
-            table[mask] = v
-            nums[mask] = num
-            dom.append(mask)
+        codes[mask] = code
     if not entries:
         raise InputError("the function has no finite entries (empty effective domain)")
     if dup is not None:
         raise InputError(f"duplicate subset {set_str(dup)}")
-    if not dom:
-        raise InputError("effective domain is empty: every entry is -inf")
-    dom.sort()
-    scale = 1
-    if fractional:
-        scale = lcm(*(nums[m].denominator for m in dom if type(nums[m]) is not int))
-        for m in dom:
-            v = nums[m]
-            nums[m] = v * scale if type(v) is int else v.numerator * (scale // v.denominator)
-    ints = IntTable.from_parts(n, scale, dom, [nums[m] for m in dom])
-    return SetFunction._from_normalized(n, tuple(table), ints)
+    return SetFunction._from_codes(n, np.frombuffer(codes, dtype=np.int64), values)
 
 
 def obj_to_set_function(obj: dict) -> SetFunction:
@@ -277,7 +245,7 @@ def _loop_family(n: int, raw: list) -> SetFamily:
         if mask in members:
             raise InputError(f"duplicate member {sorted(item)}")
         members.add(mask)
-    return SetFamily(n, frozenset(members))
+    return SetFamily._from_sorted(n, tuple(sorted(members)))
 
 
 def obj_to_set_family(obj: dict) -> SetFamily:

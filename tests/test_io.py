@@ -6,7 +6,7 @@ from random import Random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from excheck import NEG_INF, InputError, SetFamily, SetFunction
 from excheck import fileio
@@ -20,6 +20,7 @@ from excheck.fileio import (
     save_set_function,
     set_function_to_obj,
 )
+from excheck.sets import elements_of
 
 
 def test_function_round_trip(tmp_path, wmat):
@@ -146,6 +147,39 @@ JSON_VALUES = st.one_of(
 )
 
 
+def _listed(pairs):
+    """Entries of the (mask, value) pairs, each set as its ascending element list."""
+    return [{"set": list(elements_of(m)), "value": v} for m, v in pairs]
+
+
+# (n, pairs) a table built from value codes can get wrong: one value on
+# many sets, two spellings of one value, an explicit -inf next to unlisted
+# sets, and {0, h} on either side of the int16, int32 and int64 rungs'
+# edges (4h + 2 = 2^14, 2^30, 2^62) and past 2^62, where the object route starts
+CODED_CASES = [
+    (5, [(m, "3/7") for m in range(32)]),
+    (3, [(0, "1/2"), (1, "2/4"), (3, 1), (6, "2/4")]),
+    (4, [(0, 2), (3, "-inf"), (5, "1/3"), (15, " -inf")]),
+    *((2, [(0, 0), (3, h)]) for h in (2**12 - 1, 2**12, 2**28 - 1, 2**28, 2**60 - 1, 2**60,
+                                      2**62 + 1)),
+]
+# Python values, which only the per-entry loop reads, below _BULK_MIN
+# entries and at it
+PYTHON_CASES = [
+    (3, [(m, Fraction(m, 3) if m % 3 else NEG_INF) for m in range(8)]),
+    (8, [(m, Fraction(m % 5, 1 + m % 4) if m % 7 else NEG_INF) for m in range(256)]),
+]
+
+
+def _examples(*args_list):
+    """Hypothesis examples, one per tuple of arguments."""
+    def run_each(test):
+        for args in args_list:
+            test = example(*args)(test)
+        return test
+    return run_each
+
+
 @st.composite
 def function_objects(draw):
     """An instance object with unsorted element lists and omitted sets,
@@ -162,8 +196,10 @@ def function_objects(draw):
 
 
 @given(function_objects())
+@_examples(*((({"kind": "set_function", "n": n, "entries": _listed(pairs)}, pairs),)
+             for n, pairs in CODED_CASES + PYTHON_CASES))
 @settings(max_examples=200, deadline=None)
-def test_loader_matches_from_entries(case):
+def test_loader_matches_from_entries(reference_fields, case):
     obj, pairs = case
     try:
         want = SetFunction.from_entries(obj["n"], pairs)
@@ -173,7 +209,7 @@ def test_loader_matches_from_entries(case):
         return
     f = obj_to_set_function(obj)
     assert f == want and f.table == want.table
-    assert _int_fields(f.ints) == _int_fields(IntTable(f))
+    assert _int_fields(f.ints) == _int_fields(IntTable(f)) == reference_fields(f)
     assert f.dom_masks == want.dom_masks and f.value_range == want.value_range
 
 
@@ -241,7 +277,7 @@ def test_loader_error_messages_after_the_bulk_path(entries, message, monkeypatch
     test_loader_error_messages(entries, message)
 
 
-def test_loader_seeds_the_integer_table():
+def test_loader_seeds_the_integer_table(reference_fields):
     obj = {"kind": "set_function", "n": 2,
            "entries": _entries(([2, 1], "3/4"), ([], -2), ([2], "-inf"), ([1], 2**70))}
     f = obj_to_set_function(obj)
@@ -250,7 +286,7 @@ def test_loader_seeds_the_integer_table():
     assert (t.scale, t.lo, t.hi, t.dom.tolist()) == (4, -8, 2**72, [0, 1, 3])
     assert t.sent.dtype == object  # 2^72 is past the int64 guard
     assert t.sent.tolist() == [-8, 2**72, t.neg, 3]
-    assert _int_fields(t) == _int_fields(IntTable(f))
+    assert _int_fields(t) == _int_fields(IntTable(f)) == reference_fields(f)
 
 
 # ----------------------------------------------------------------------
@@ -273,8 +309,9 @@ def _bulk(build, n, raw, chunk):
         return build(n, raw)
 
 
-def _same_function(f, g):
-    return f.n == g.n and f.table == g.table and _int_fields(f.ints) == _int_fields(g.ints)
+def _same_function(f, g, reference_fields):
+    return (f.n == g.n and f.table == g.table
+            and _int_fields(f.ints) == _int_fields(g.ints) == reference_fields(g))
 
 
 @st.composite
@@ -340,15 +377,17 @@ if not hasattr(sys, "get_int_max_str_digits"):  # no digit limit: a long p/q is 
 
 
 @given(raw_entries(), CHUNKS)
+@_examples(*(((n, _listed(pairs), None), chunk) for n, pairs in CODED_CASES
+             for chunk in (1, fileio._CHUNK)))
 @settings(max_examples=200, deadline=None)
-def test_bulk_build_matches_the_loop(case, chunk):
+def test_bulk_build_matches_the_loop(reference_fields, case, chunk):
     n, entries, _ = case
     want = _outcome(fileio._loop_function, n, entries)
     got = _bulk(fileio._bulk_function, n, entries, chunk)
     if isinstance(want, str):  # every listed value is -inf
         assert want == "effective domain is empty: every entry is -inf" and got is None
     else:
-        assert got is not None and _same_function(got, want)
+        assert got is not None and _same_function(got, want, reference_fields)
 
 
 @given(raw_entries(), st.lists(st.sampled_from(sorted(ENTRY_FAULTS)), min_size=1, max_size=2),
@@ -395,12 +434,12 @@ def _full_entries(n):
         ({"set": [2, 1], "value": 0}, "duplicate subset {1,2}"),
     ],
 )
-def test_bulk_build_falls_back_on_a_fault_in_the_second_chunk(fault, message):
+def test_bulk_build_falls_back_on_a_fault_in_the_second_chunk(fault, message, reference_fields):
     n = 13  # 8,192 entries: two chunks
     entries = _full_entries(n)
     assert len(entries) >= 2 * fileio._CHUNK > fileio._BULK_MIN
     want = obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
-    assert _same_function(fileio._bulk_function(n, entries), want)
+    assert _same_function(fileio._bulk_function(n, entries), want, reference_fields)
     entries.insert(fileio._CHUNK + 5, fault)
     assert fileio._bulk_function(n, entries) is None
     with pytest.raises(InputError) as exc:

@@ -1969,9 +1969,9 @@ MIXED = SetFunction(3, (Fraction(1, 2), NEG_INF, Fraction(-2, 3), Fraction(2**70
     (_loaded(MIXED), 0b011, 0b100, 0b011),
     (_scaled(with_value(_rank(4, 2), 0b0110, Fraction(1, 3)), C), 0b0011, 0b1100, 0b0001),
 ])
-def test_derived_functions_build_their_own_table(parent, X, Y, I):
+def test_derived_functions_build_their_own_table(parent, X, Y, I, reference_fields):
     t = parent.ints
-    assert _int_fields(t) == _int_fields(IntTable(parent))
+    assert _int_fields(t) == _int_fields(IntTable(parent)) == reference_fields(parent)
     assert t.sent.dtype == object  # the big-integer route
     n = parent.n
     sp = slice_pair(parent, X, Y, I)
@@ -1986,7 +1986,7 @@ def test_derived_functions_build_their_own_table(parent, X, Y, I):
     for g in derived:
         assert "ints" not in vars(g)
         assert g.ints is not t
-        assert _int_fields(g.ints) == _int_fields(IntTable(g))
+        assert _int_fields(g.ints) == _int_fields(IntTable(g)) == reference_fields(g)
         assert g.dom_masks == tuple(m for m, v in enumerate(g.table) if is_finite(v))
         finite = [v for v in g.table if is_finite(v)]
         assert g.value_range == (min(finite), max(finite))
