@@ -30,7 +30,7 @@ from .core import PriceVector, SetFamily, SetFunction
 from .econ import PriceSampler, check_snc, demand, equivalence_report
 from .duality import fenchel_gap
 from .errors import InputError, InternalCheckError
-from .fileio import load_instance, set_family_to_obj, set_function_to_obj
+from .fileio import _instance_text, load_instance, set_family_to_obj, set_function_to_obj
 from .generators import MatroidSpec, gen_modular_plus_concave, gen_rank_valuation, gen_weighted_matroid
 from .sets import elements_of, mask_from_elements, set_str
 from .values import ext_to_json, ext_to_str, parse_rational
@@ -344,7 +344,7 @@ def _cmd_gen(args) -> int:
             raise InputError("modular-concave generation needs --w and --g")
         w = PriceVector(tuple(_parse_rational_list(args.w, "--w")))
         g_seq = _parse_rational_list(args.g, "--g")
-        obj = set_function_to_obj(gen_modular_plus_concave(w, g_seq))
+        inst, to_obj = gen_modular_plus_concave(w, g_seq), set_function_to_obj
     else:
         if kind == "uniform":
             if args.k is None or args.n is None:
@@ -375,25 +375,21 @@ def _cmd_gen(args) -> int:
             spec = MatroidSpec.partition(blocks, caps, weights)
 
         if args.family:
-            obj = set_family_to_obj(spec.bases())
+            inst, to_obj = spec.bases(), set_family_to_obj
         elif args.rank:
-            obj = set_function_to_obj(gen_rank_valuation(spec))
+            inst, to_obj = gen_rank_valuation(spec), set_function_to_obj
         else:
             if spec.weights is None:
                 raise InputError("weighted generation needs --weights (or pass --rank / --family)")
-            obj = set_function_to_obj(gen_weighted_matroid(spec))
+            inst, to_obj = gen_weighted_matroid(spec), set_function_to_obj
 
-    text = json.dumps(obj, indent=2) + "\n"
+    text = _instance_text(to_obj, inst)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        report = {
-            "command": "gen",
-            "written": str(args.output),
-            "kind": obj["kind"],
-            "n": obj["n"],
-        }
-        _emit(args, report, [f"wrote {obj['kind']} (n={obj['n']}) to {args.output}"], started)
+        inst_kind = "set_family" if isinstance(inst, SetFamily) else "set_function"
+        report = {"command": "gen", "written": str(args.output), "kind": inst_kind, "n": inst.n}
+        _emit(args, report, [f"wrote {inst_kind} (n={inst.n}) to {args.output}"], started)
     else:
         sys.stdout.write(text)
     return 0

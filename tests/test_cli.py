@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 import excheck
-from excheck import SetFamily, SetFunction
+from excheck import MatroidSpec, SetFamily, SetFunction, gen_rank_valuation, gen_weighted_matroid
 from excheck.cli import main
 from excheck.fileio import save_set_family, save_set_function
 
@@ -260,6 +261,24 @@ def test_gen_family_and_rank(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["kind"] == "set_function" and obj["n"] == 3
+
+
+@pytest.mark.parametrize("flag", ["--weights", "--rank", "--family"])
+def test_gen_writes_the_bytes_of_the_library_savers(tmp_path, capsys, flag):
+    weights = "0,1/2,-3,7,5/3,2"
+    argv = ["gen", "--kind", "uniform", "--k", "3", "--n", "6"]
+    argv += ["--weights", weights] if flag == "--weights" else [flag]
+    spec = MatroidSpec.uniform(3, 6, [Fraction(w) for w in weights.split(",")])
+    if flag == "--family":
+        save_set_family(spec.bases(), tmp_path / "lib.json")
+    else:
+        gen = gen_weighted_matroid if flag == "--weights" else gen_rank_valuation
+        save_set_function(gen(spec), tmp_path / "lib.json")
+    want = (tmp_path / "lib.json").read_bytes()
+    code, _, _ = run(capsys, *argv, "--output", str(tmp_path / "gen.json"), "--no-timing")
+    assert code == 0 and (tmp_path / "gen.json").read_bytes() == want
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.encode() == want
 
 
 def test_gen_modular_concave(capsys):

@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import sys
+import threading
 from fractions import Fraction
 from random import Random
 
@@ -482,3 +484,194 @@ def test_bulk_family_matches_the_loop(case, faults, chunk):
         assert isinstance(want, str) and got is None
     else:
         assert got == want and got.sorted_members == want.sorted_members
+
+
+# ----------------------------------------------------------------------
+# reading and writing with the collector paused
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The collector switched on or off for the test, and restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+_BIG_N = 9  # 512 entries and members, at least _BULK_MIN
+
+
+def _big_function_obj():
+    return set_function_to_obj(SetFunction.from_callable(_BIG_N, lambda m: Fraction(m % 7, 3)))
+
+
+def _big_family_obj():
+    return {"kind": "set_family", "n": _BIG_N,
+            "members": [list(elements_of(m)) for m in range(1 << _BIG_N)]}
+
+
+def _with_repeated_element(obj):
+    """``obj`` with its last entry or member given a repeated element,
+    which passes the bulk type and range tests and fails the OR-against-sum
+    test, so the bulk build falls back to the loop, which raises."""
+    rows = obj.get("entries") or obj["members"]
+    last = rows[-1]
+    if isinstance(last, dict):
+        last["set"] = [1, 1]
+    else:
+        last[:] = [1, 1]
+    assert len(rows) >= fileio._BULK_MIN
+    return obj
+
+
+# text or bytes of each file the loaders read; None is a path that does not exist
+INSTANCE_FILES = {
+    "function": lambda: json.dumps(_big_function_obj()),
+    "family": lambda: json.dumps(_big_family_obj()),
+    "function, repeated element": lambda: json.dumps(_with_repeated_element(_big_function_obj())),
+    "family, repeated element": lambda: json.dumps(_with_repeated_element(_big_family_obj())),
+    "unreadable": lambda: None,
+    "not UTF-8": lambda: b'{"kind": "set_\xff"}',
+    "malformed JSON": lambda: "{not json",
+    "unknown kind": lambda: json.dumps({"kind": "mystery", "n": 2}),
+}
+LOADERS = {"load_set_function": load_set_function, "load_set_family": load_set_family,
+           "load_instance": load_instance}
+_STAGE_ERRORS = ["unreadable", "not UTF-8", "malformed JSON", "unknown kind"]
+# (loader, file, the class of what it returns or raises)
+LOAD_CASES = [
+    ("load_set_function", "function", SetFunction),
+    ("load_set_function", "function, repeated element", InputError),
+    ("load_set_family", "family", SetFamily),
+    ("load_set_family", "family, repeated element", InputError),
+    ("load_instance", "function", SetFunction),
+    ("load_instance", "family", SetFamily),
+    ("load_instance", "function, repeated element", InputError),
+    ("load_instance", "family, repeated element", InputError),
+    *((loader, name, InputError) for loader in LOADERS for name in _STAGE_ERRORS),
+]
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    return path
+
+
+@pytest.mark.parametrize("loader,name,outcome", LOAD_CASES)
+def test_loaders_leave_the_collector_as_they_found_it(tmp_path, collector, loader, name,
+                                                      outcome):
+    path = _write(tmp_path / "instance.json", INSTANCE_FILES[name]())
+    if outcome is InputError:
+        with pytest.raises(InputError) as exc:
+            LOADERS[loader](path)
+        if "repeated element" in name:
+            assert str(exc.value) == "duplicate element 1"  # the loop's message
+    else:
+        assert isinstance(LOADERS[loader](path), outcome)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("save,inst", [
+    (save_set_function, SetFunction.from_callable(3, lambda m: Fraction(m, 2))),
+    (save_set_family, SetFamily(3, frozenset({0b011, 0b101}))),
+    (save_set_function, None),  # fails inside the pause
+    (save_set_family, None),
+])
+@pytest.mark.parametrize("where", ["file", "missing directory"])
+def test_savers_leave_the_collector_as_they_found_it(tmp_path, collector, save, inst, where):
+    path = tmp_path / "out.json" if where == "file" else tmp_path / "missing" / "out.json"
+    if inst is None or where != "file":
+        with pytest.raises((AttributeError, OSError)):
+            save(inst, path)
+    else:
+        save(inst, path)
+        assert (load_set_function if save is save_set_function else load_set_family)(path) == inst
+    assert gc.isenabled() is collector
+
+
+def test_the_parsed_tree_is_freed_before_the_collector_resumes(tmp_path, monkeypatch):
+    live = []  # entry dicts of the tree alive at each resume
+
+    class Collector:  # the gc module, whose enable() first counts them
+        def __getattr__(self, name):
+            return getattr(gc, name)
+
+        def enable(self):
+            # every tracked object made in the pause is still in generation 0
+            live.append(sum(type(o) is dict and "set" in o for o in gc.get_objects(0)))
+            gc.enable()
+
+    monkeypatch.setattr(fileio, "gc", Collector())
+    path = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        f = load_instance(path)
+        save_set_function(f, tmp_path / "g.json")
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert live == [0, 0]
+
+
+def test_concurrent_loads_end_with_the_collector_on(tmp_path):
+    # the switch is process-wide: a load that finds it off leaves it alone,
+    # and each load that turned it off turns it back on, so it ends on
+    fpath = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
+    mpath = _write(tmp_path / "m.json", INSTANCE_FILES["family"]())
+    wants = [(fpath, load_instance(fpath)), (mpath, load_instance(mpath))]
+    same, errors = [], []
+
+    def work(path, want):
+        try:
+            for _ in range(5):
+                same.append(load_instance(path) == want)
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work, args=wants[i % 2]) for i in range(4)]
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    gc.enable()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        ended_on = gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and same == [True] * 20 and ended_on
+
+
+def test_bulk_loads_leave_no_cyclic_garbage(tmp_path):
+    fpath = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
+    mpath = _write(tmp_path / "m.json", INSTANCE_FILES["family"]())
+    gc.collect()
+    f, fam = load_set_function(fpath), load_set_family(mpath)
+    assert f.n == fam.n == _BIG_N and len(fam.sorted_members) == 1 << _BIG_N
+    del f, fam
+    assert gc.collect() == 0
+
+
+def test_large_round_trip_through_the_bulk_path(tmp_path, monkeypatch, reference_fields):
+    n = 15  # 30,720 listed sets: 8 chunks, the last one half full
+    f = SetFunction(n, tuple(Fraction(m * 7919 % 1001 - 500, 1 + m % 6) if m % 16 else NEG_INF
+                             for m in range(1 << n)))
+    path = tmp_path / "big.json"
+    save_set_function(f, path)
+    entries = json.loads(path.read_text())["entries"]
+    assert -(-len(entries) // fileio._CHUNK) == 8
+
+    def no_loop(n, entries):
+        raise AssertionError("the bulk build fell back to the loop")
+
+    monkeypatch.setattr(fileio, "_loop_function", no_loop)
+    back = load_instance(path)
+    assert back.table == f.table
+    assert _int_fields(back.ints) == reference_fields(f)
