@@ -16,9 +16,10 @@ exact fallback and the narrow dtypes only move fewer bytes per entry.
 There is one build, :meth:`IntTable.from_codes`: an integer code for
 each mask and the exact value of each code.  The scale, the range and the
 sentinel are worked out once per code, and the table is one gather of a
-per-code array.  The file loader hands over the value codes it parsed, a
-family's indicator its membership over (-inf, 0), and ``IntTable(f)``
-gives each mask of f's rational table its own code.
+per-code array.  The file loader hands over the value codes it parsed,
+and ``IntTable(f)`` gives each mask of f's rational table its own code.
+A set family builds none: the kernels read its membership directly, and
+its indicator function gets a table only when its ``ints`` are read.
 Each :class:`~excheck.core.SetFunction` keeps one table, built on first
 use or handed over by the file loader (see :attr:`SetFunction.ints`).
 The checkers, the dual sweep of ``fenchel_gap`` and the demand kernel all

@@ -6,31 +6,37 @@ both sides of the inequality so the violation can be replayed exactly.
 Quantified tuples are scanned in lexicographic bitmask order (X outer, Y
 middle, elements or I inner), so witnesses are canonical.
 
-One kernel runs every one-item scan: ``mnat-exc``, ``valuated-matroid``
-(which has no deletion branch), the family axiom ``b-exc`` and the domain
-check of ``local``, which a box domain (every set between the common part
-of the domain and its union) passes without a scan.  A family F is read
-as its indicator function (``SetFamily.indicator``: 0 on F, -inf
-elsewhere, so -1 in its integer table), on which ``b-exc`` is exactly
-``mnat-exc``; outside the kernels too, ``find_base_exchange`` is the J
-search of ``find_exchange_set`` on the indicator, and
-``maximizer_exchange`` the same on the indicator of the argmax family.
-The kernel reads the function's cached :class:`IntTable`
+One kernel runs every one-item scan: chunks of X rows, in order, against
+every Y, each element i on the grid of rows holding i and columns missing
+it.  A function (``mnat-exc``, and ``valuated-matroid``, which has no
+deletion branch) reaches it as its cached :class:`IntTable`
 (``SetFunction.ints``), so repeated checks of one function rescale it
-once, and runs on its one array: chunks of X rows, in order, against every
-Y, each element i on the grid of rows holding i and columns missing it.
-The array takes the narrowest of int16, int32 and int64 in which twice the
-largest magnitude among its entries and its ``-inf`` sentinel is below
-2^14, 2^30 or 2^62, so every two-term sum and every floor is exact, and is
-an object array of Python integers otherwise; the same kernel runs on
-every dtype, the object one being the exact fallback.  Its (X, Y) blocks
-are sized in bytes, so an int16 table sweeps four times the cells of an
-int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
-first chunk holding a violation is the first tuple of the lexicographic
-order, the first hit of the loop scan that the tests keep as the oracle.
+once.  The table's array takes the narrowest of int16, int32 and int64
+in which twice the largest magnitude among its entries and its ``-inf``
+sentinel is below 2^14, 2^30 or 2^62, so every two-term sum and every
+floor is exact, and is an object array of Python integers otherwise; the
+same kernel runs on every dtype, the object one being the exact fallback.
+Its (X, Y) blocks are sized in bytes, so an int16 table sweeps four times
+the cells of an int64 one per numpy call.  The least (row-major (X, Y)
+cell, i) of the first chunk holding a violation is the first tuple of the
+lexicographic order, the first hit of the loop scan that the tests keep
+as the oracle.
+
+A family reaches every kernel in one form: its boolean membership table
+over all 2^n masks, with its ascending members.  On the per-i grid of the
+one-item kernel, the family axioms ``b-exc`` and ``b-exc-pm`` and the
+domain check of ``local`` (which a box domain, every set between the
+common part of the domain and its union, passes without a scan) become
+bitmask tests of one sweep (see :func:`_scan_family`); ``b-exc`` is
+``mnat-exc`` on the family's indicator function (``SetFamily.indicator``:
+0 on the members, -inf elsewhere), which is built only to re-check a hit.
+``b-exc-m`` runs on the multi-item kernel as a stack of one membership
+row, and ``find_base_exchange`` and ``maximizer_exchange`` search J on
+the member set (of the argmax family for the latter).  No family builds
+an integer table.
 
 A second kernel runs every multi-item scan: ``mnat-exc-m`` (and so
-``snc``), ``b-exc-m`` on the indicator table, and the no-complementarities
+``snc``), ``b-exc-m`` on the membership row, and the no-complementarities
 conditions of :mod:`excheck.econ`.  It reads a stack of rows of one n,
 row r at offset r << n: a function or a family is a stack of one row, and
 a sampled price sweep passes one membership row per price, its demand set
@@ -54,17 +60,16 @@ exits of n = 14 scans several times slower.  On an equicardinal domain
 (matroid bases, weighted matroids, a stack whose members share one size)
 X-I+J lies in the domain only when |J| = |I|, so level 0 is skipped and
 level l runs only on the tuples with |I| = l.
-``b-exc-pm`` runs on the per-i grid of the one-item kernel, where both
-clauses become bitmask tests (see :func:`_scan_b_exc_pm`).
 
 One exact test, :func:`_exchange_verdict`, re-checks every exchange hit
 (X, Y, I) before it becomes a witness.  It reads two raw tables t1 and t2
-and a domain table in the form the kernels scan: a function's rational
-table three times, a family's indicator three times (``b-exc``,
-``b-exc-m``, ``local``'s domain), or the indicator as the domain and as one
-of the two tables against an all-zero one for the one-sided forms:
-(indicator, zero) for clause a of ``b-exc-pm`` and (zero, indicator) for
-clause b.  :func:`excheck.econ.check_nc_at` passes the indicator of D(p)
+and a domain table, exact forms of what the kernels scan: a function's
+rational table three times, a family's indicator (its membership as 0 and
+-inf) three times (``b-exc``, ``b-exc-m``, ``local``'s domain), or the
+indicator as the domain and as one of the two tables against an all-zero
+one for the one-sided forms: (indicator, zero) for clause a of
+``b-exc-pm`` and (zero, indicator) for clause b.
+:func:`excheck.econ.check_nc_at` passes the indicator of D(p)
 twice for NC-sim and (indicator, zero) for NC.  The hit holds when X and Y
 are in the domain, which a zero table cannot show, I is a nonempty part
 of X\\Y (one element for a one-item hit), and t1(X) + t2(Y) exceeds
@@ -95,8 +100,10 @@ such table in int64, with blocks of 2^16 cells, took 0.057-0.066 s,
 and 12, two processes per side, alternating; one scan per process, two
 per side, at n = 14).  A full ``mnat-exc-m`` scan of the same function
 takes about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at
-n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10); on the bases
-of U(6, 12), ``b-exc-pm`` takes 0.03 s.  Timed later, back to back with
+n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10).  On the
+bases of U(6, 12), ``b-exc`` on the membership grid takes 7-8 ms, where
+the one-item kernel on the indicator's int16 table took 12-21 ms, and
+``b-exc-pm`` 10-13 ms (best of 5, interleaved runs).  Timed later, back to back with
 the code they replaced, while the host ran about half as fast: ``local``
 on min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
 and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
@@ -104,9 +111,10 @@ and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
 before the level skip.  On object arrays (min(|S|, n/2) times 2^70) a
 full ``mnat-exc`` scan at n = 9 takes 0.32 s and ``mnat-exc-m`` at n = 7
 0.016 s, where the loops took 0.19 s and 0.057 s.  Each scan costs at
-least the fixed overhead of its numpy calls: ``b-exc`` on a family at
-n = 4 takes about 0.2 ms and ``b-exc-m`` 0.45 ms (0.02 and 0.04 ms as
-loops).
+least the fixed overhead of its numpy calls: on a family at n = 4,
+``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms and ``b-exc-m``
+0.31-0.41 ms (2,000 random families per run), where loops took about
+0.02 ms for ``b-exc`` and 0.04 ms for ``b-exc-m``.
 """
 
 from __future__ import annotations
@@ -239,7 +247,7 @@ class ExchangeCertificate:
 # tables are kept for the whole scan while they fit _GRID_CACHE_BYTES
 # (see _ElementGrids), else rebuilt per chunk.  The (X, Y) work arrays
 # hold one block of rows, at most _BLOCK_BYTES of cells or a single row:
-# 2^16 cells of an int64 or object table (or of b-exc-pm's int64 masks),
+# 2^16 cells of an int64 or object table (or of a family's int64 masks),
 # 2^18 of an int16 table.
 _FIRST_CHUNK_CELLS = 1 << 12
 _BLOCK_BYTES = 1 << 19
@@ -260,28 +268,28 @@ def _exchange_hit(t: IntTable, deletion: bool):
     return _scan_exchange_np(t.sent, t.dom, t.neg, floor)
 
 
-def _scan_per_element(da, n: int, prepare, itemsize: int):
-    """Earliest (X, Y, i-bit, tag) over X and Y in ``da`` that one of the per-i grids flags.
+def _scan_per_element(da, n: int, prepare, itemsize: int, col_bytes: int):
+    """Earliest (X, Y, i-bit) over X and Y in ``da`` that one of the per-i grids flags.
 
     ``prepare(b, yc)`` gets the bit b of i and the columns ``yc`` missing it
     and returns ``sweep(xr)``: for rows ``xr``, all holding i, the row-major
-    index and tag of the least flagged cell of the grid against ``yc``, or
-    None.  Tags order the conditions checked on one (X, Y, i).  The sweep's
-    (X, Y) work arrays have ``itemsize`` bytes per cell.  X rows go in
-    chunks, in order: the first of about _FIRST_CHUNK_CELLS cells, then
-    doubling up to one block of cells or _MIN_CAP_ROWS rows.
+    index of the least flagged cell of the grid against ``yc``, or None.
+    The sweep's (X, Y) work arrays have ``itemsize`` bytes per cell, and
+    the tables ``prepare`` keeps about ``col_bytes`` per column.  X rows
+    go in chunks, in order: the first of about _FIRST_CHUNK_CELLS cells,
+    then doubling up to one block of cells or _MIN_CAP_ROWS rows.
     """
     ncols = len(da)
     block = _BLOCK_BYTES // itemsize
     cap = max(_MIN_CAP_ROWS, block // ncols)
-    grids = _ElementGrids(da, n, prepare, itemsize)
+    grids = _ElementGrids(da, prepare, col_bytes)
     start, rows = 0, max(1, _FIRST_CHUNK_CELLS // ncols)
     while start < ncols:
         chunk = da[start : start + rows]
         hit = _grid_chunk(da, chunk, n, grids, block)
         if hit is not None:
-            r, c, i, tag = hit
-            return int(chunk[r]), int(da[c]), 1 << i, tag
+            r, c, i = hit
+            return int(chunk[r]), int(da[c]), 1 << i
         start, rows = start + rows, min(2 * rows, cap)
     return None
 
@@ -291,15 +299,14 @@ class _ElementGrids:
 
     Each pair is built on first use, so a scan that exits early builds no
     more than it reaches.  It is kept while the kept pairs fit
-    _GRID_CACHE_BYTES, estimated as n entries of the table's dtype and n
-    booleans per column (the n x columns tables of ``prepare``); past that
-    it is rebuilt on every use.
+    _GRID_CACHE_BYTES, estimated at ``col_bytes`` per column; past that it
+    is rebuilt on every use.
     """
 
-    def __init__(self, da, n: int, prepare, itemsize: int):
+    def __init__(self, da, prepare, col_bytes: int):
         self.da = da
         self.prepare = prepare
-        self.col_bytes = n * (itemsize + 1)
+        self.col_bytes = col_bytes
         self.room = _GRID_CACHE_BYTES
         self.kept = {}
 
@@ -317,12 +324,12 @@ class _ElementGrids:
 
 
 def _grid_chunk(da, xa, n: int, grids, block: int):
-    """Least (row, column, i, tag) of one chunk that a sweep flags, or None.
+    """Least (row, column, i) of one chunk that a sweep flags, or None.
 
     For each i the grid narrows to rows with i in X and columns with i not
     in Y, and is swept in blocks of rows, at most ``block`` cells each.
     Row-major order on the narrowed grid is the order on the full grid, so
-    the least (flat index, i, tag) over all i is the loop scan's first hit.
+    the least (flat index, i) over all i is the loop scan's first hit.
     """
     ncols = len(da)
     found = None
@@ -339,17 +346,16 @@ def _grid_chunk(da, xa, n: int, grids, block: int):
         step = max(1, block // ci.size)
         for lo in range(0, ri.size, step):
             rb = ri[lo : lo + step]
-            hit = sweep(xa[rb])
-            if hit is not None:
-                k, tag = hit
-                key = (int(rb[k // ci.size]) * ncols + int(ci[k % ci.size]), i, tag)
+            k = sweep(xa[rb])
+            if k is not None:
+                key = (int(rb[k // ci.size]) * ncols + int(ci[k % ci.size]), i)
                 if found is None or key < found:
                     found = key
                 break
     if found is None:
         return None
-    flat, i, tag = found
-    return flat // ncols, flat % ncols, i, tag
+    flat, i = found
+    return flat // ncols, flat % ncols, i
 
 
 @lru_cache(maxsize=None)
@@ -378,15 +384,10 @@ def _scan_exchange_np(sa, da, neg: int, floor):
         y_has = (yc & bits) != 0
         cv = np.where(y_has, sa[yi ^ bits], neg)
         sy, y_any = sa[yc], y_has.any(axis=1)
+        return lambda xr: _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
 
-        def sweep(xr):
-            k = _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
-            return None if k is None else (k, 0)
-
-        return sweep
-
-    hit = _scan_per_element(da, n, prepare, sa.itemsize)
-    return None if hit is None else hit[:3]
+    # charged per column: the n x columns tables that prepare builds, cv and y_has
+    return _scan_per_element(da, n, prepare, sa.itemsize, n * (sa.itemsize + 1))
 
 
 def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
@@ -419,15 +420,6 @@ def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
 # Chunks of X stop at this many (X, Y) cells (or one X), and one block of
 # a level of the J search holds at most this many (X, Y, I, J).
 _MULTI_BLOCK = 1 << 13
-
-
-def _multi_hit(t: IntTable):
-    """The earliest (X, Y, I) that no J repairs, or None.
-
-    The scan reads ``t`` as :func:`_exchange_hit` does; the tuple is
-    repaired by J inside Y\\X when s(X-I+J) + s(Y-J+I) >= s(X) + s(Y).
-    """
-    return _scan_multi_np(t.sent, t.sent, t.dom, t.n)
 
 
 def _stack_hit(mem, one_sided: bool):
@@ -624,42 +616,44 @@ def _pick(picks: dict, pc, k: int, size):
 # families on the kernels
 
 
-def _scan_b_exc_pm(mem, da, n: int):
-    """Earliest (X, Y, i-bit, clause) over X and Y in ``da`` that b-exc-pm fails.
+def _scan_family(mem, da, n: int, pm: bool):
+    """Earliest (X, Y, i-bit) over X and Y in ``da`` that b-exc, or with
+    ``pm`` b-exc-pm, fails.
 
     ``mem`` is the boolean membership table and ``da`` the ascending
-    members.  On the grid of element i, clause a fails when X-i is no
-    member and no j in Y\\X has X-i+j in the family: ``jmask`` packs the
-    j outside X with X-i+j a member, so the test is jmask & Y == 0.  Clause
-    b fails when Y+i is no member and no k in Y\\X has Y+i-k in the family:
-    ``kmask`` packs the k in Y with Y+i-k a member, tested against ~X.
-    Clause a comes first on one (X, Y, i).
+    members.  On the grid of element i, ``jmask`` packs, per row, the j
+    outside X with X-i+j a member, and ``kmask``, per column, the k in Y
+    with Y+i-k a member; so ``jmask & kmask`` packs the j in Y\\X that
+    keep both swapped sets in the family.  b-exc fails where X-i and Y+i
+    are not both members and ``jmask & kmask`` is zero.  b-exc-pm's
+    clause a fails where X-i is no member and jmask & Y == 0, clause b
+    where Y+i is no member and kmask & ~X == 0; the hit does not say
+    which.
     """
     bits = _element_bits(n)
 
     def prepare(b, yc):
         yi = yc | b
         kmask = np.where(((yc & bits) != 0) & mem[yi ^ bits], bits, 0).sum(axis=0)
-        b_open = ~mem[yi]
+        y_in = mem[yi]
 
         def sweep(xr):
             xi = xr ^ b
-            jmask = np.where(((xr & bits) == 0) & mem[xi | bits], bits, 0).sum(axis=0)
-            fail_a = ~mem[xi][:, None] & ((jmask[:, None] & yc) == 0)
-            fail_b = b_open & ((kmask & ~xr[:, None]) == 0)
-            bad = (fail_a | fail_b).ravel()
+            jmask = np.where(((xr & bits) == 0) & mem[xi | bits], bits, 0).sum(axis=0)[:, None]
+            x_in = mem[xi][:, None]
+            if pm:
+                bad = (~x_in & ((jmask & yc) == 0)) | (~y_in & ((kmask & ~xr[:, None]) == 0))
+            else:
+                bad = ~(x_in & y_in) & ((jmask & kmask) == 0)
+            bad = bad.ravel()
             k = int(bad.argmax())
-            if not bad[k]:
-                return None
-            return k, 0 if fail_a.flat[k] else 1
+            return k if bad[k] else None
 
         return sweep
 
-    hit = _scan_per_element(da, n, prepare, np.dtype(np.int64).itemsize)
-    if hit is None:
-        return None
-    X, Y, ib, tag = hit
-    return X, Y, ib, "ab"[tag]
+    # charged per column: yc, yi and kmask (int64) and y_in; it keeps no
+    # n x columns table
+    return _scan_per_element(da, n, prepare, 8, 25)
 
 
 # ----------------------------------------------------------------------
@@ -740,24 +734,16 @@ def find_exchange_set(f: SetFunction, X: int, Y: int, I: int) -> ExchangeCertifi
     certificate's two sides are read from the rational table.
     """
     validate_exchange_args(f, X, Y, I)
-    J = _exchange_set(f.ints.sent, X, Y, I)
-    if J is None:
-        return None
-    tab = f.table
-    return ExchangeCertificate(
-        j_set=J, lhs=tab[X] + tab[Y], rhs=tab[(X ^ I) | J] + tab[(Y & ~J) | I]
-    )
-
-
-def _exchange_set(s, X: int, Y: int, I: int) -> int | None:
-    """The search of :func:`find_exchange_set` on a sentinel table ``s``,
-    where a sum holding the sentinel is below every finite lhs.  Entries
-    are read as Python integers, so the sums are exact on every dtype."""
+    # entries are read as Python integers, so the sums are exact on every
+    # dtype, and a sum holding the sentinel is below every finite lhs
+    s = f.ints.sent
     lhs = s.item(X) + s.item(Y)
-    xmi = X ^ I
     for J in submasks_smallest_first(Y & ~X):
-        if s.item(xmi | J) + s.item((Y & ~J) | I) >= lhs:
-            return J
+        if s.item((X ^ I) | J) + s.item((Y & ~J) | I) >= lhs:
+            tab = f.table
+            return ExchangeCertificate(
+                j_set=J, lhs=tab[X] + tab[Y], rhs=tab[(X ^ I) | J] + tab[(Y & ~J) | I]
+            )
     return None
 
 
@@ -767,8 +753,9 @@ def check_multiple_exchange(f: SetFunction) -> Verdict:
     Worst-case cost grows as 4^n times the submask count of X\\Y, hence the
     documented exhaustive-scan cap.
     """
-    tab = f.table
-    return _exchange_verdict("mnat-exc-m", _multi_hit(f.ints), tab, tab, tab, values=True)
+    t, tab = f.ints, f.table
+    hit = _scan_multi_np(t.sent, t.sent, t.dom, t.n)
+    return _exchange_verdict("mnat-exc-m", hit, tab, tab, tab, values=True)
 
 
 # ----------------------------------------------------------------------
@@ -821,12 +808,10 @@ def check_local(f: SetFunction) -> Verdict:
     # passes without a scan: for i in X\Y, X - i still holds the common
     # part (i is not in Y) and Y + i stays inside the union (i is in X)
     if t.dom.size != 1 << (high & ~low).bit_count():
-        ind = effective_domain(f).indicator
-        hit = _exchange_hit(ind.ints, deletion=True)
-        dom = ind.table
-        v = _exchange_verdict("local:domain", hit, dom, dom, dom, one_item=True)
-        if not v:
-            return v
+        hit = _scan_family(t.sent != t.neg, t.dom, t.n, pm=False)
+        if hit is not None:
+            dom = effective_domain(f).indicator.table
+            return _exchange_verdict("local:domain", hit, dom, dom, dom, one_item=True)
 
     hit = _local_hit(t)
     if hit is None:
@@ -1011,14 +996,19 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 
 
 def _family_exchange(family: SetFamily, X: int, Y: int, I: int, not_member: str) -> int | None:
-    """The J that :func:`find_exchange_set` finds on the family's indicator,
-    after the membership checks (``not_member`` ends their message)."""
+    """The least J inside Y\\X by (|J|, mask) with X-I+J and Y-J+I both
+    members, after the membership checks (``not_member`` ends their
+    message)."""
+    members = family.members
     for name, S in (("X", X), ("Y", Y)):
-        if S not in family.members:
+        if S not in members:
             raise InputError(f"{name}={set_str(S)} {not_member}")
     if I & ~(X & ~Y):
         raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
-    return _exchange_set(family.indicator.ints.sent, X, Y, I)
+    for J in submasks_smallest_first(Y & ~X):
+        if ((X ^ I) | J) in members and ((Y & ~J) | I) in members:
+            return J
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -1038,25 +1028,29 @@ def check_family(family: SetFamily, axiom: str) -> Verdict:
         raise InputError(f"unknown family axiom {axiom!r}; expected one of {FAMILY_AXIOMS}")
     if not family.members:
         raise InputError("the family has no members")
-    if ax == "b-exc-pm":
-        da = np.array(family.sorted_members, dtype=np.int64)
-        mem = np.zeros(1 << family.n, dtype=bool)
-        mem[da] = True
-        hit = _scan_b_exc_pm(mem, da, family.n)
-        if hit is None:
-            return Verdict(True)
-        # clause a keeps X-i+J in the family, clause b Y+i-J
-        *hit, clause = hit
-        dom = family.indicator.table
-        zero = (0,) * len(dom)
-        t1, t2 = (dom, zero) if clause == "a" else (zero, dom)
-        return _exchange_verdict(f"bnat-exc-pm:{clause}", hit, t1, t2, dom, one_item=True)
-    ind = family.indicator
-    dom = ind.table
+    # the form in which a family reaches every kernel: its boolean
+    # membership table and its ascending members
+    da = np.array(family.sorted_members, dtype=np.int64)
+    mem = np.zeros(1 << family.n, dtype=bool)
+    mem[da] = True
+    if ax == "b-exc-m":
+        hit = _stack_hit(mem[None], one_sided=False)
+    else:
+        hit = _scan_family(mem, da, family.n, pm=ax == "b-exc-pm")
+    if hit is None:
+        return Verdict(True)
+    dom = family.indicator.table
+    if ax == "b-exc-m":
+        return _exchange_verdict("bnat-exc-m", hit[1:], dom, dom, dom)
     if ax == "b-exc":
-        hit = _exchange_hit(ind.ints, deletion=True)
         return _exchange_verdict("bnat-exc", hit, dom, dom, dom, one_item=True)
-    return _exchange_verdict("bnat-exc-m", _multi_hit(ind.ints), dom, dom, dom)
+    # clause a (X-i+J stays a member) comes first on one (X, Y, i); it
+    # fails unless X-i or some X-i+j with j in Y\X is a member
+    X, Y, ib = hit
+    zero = (0,) * len(dom)
+    if any(((X ^ ib) | j) in family.members for j in (0, *iter_bits(Y & ~X))):
+        return _exchange_verdict("bnat-exc-pm:b", hit, zero, dom, dom, one_item=True)
+    return _exchange_verdict("bnat-exc-pm:a", hit, dom, zero, dom, one_item=True)
 
 
 def is_generalized_matroid(family: SetFamily) -> bool:

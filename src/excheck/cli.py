@@ -57,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _parse_set(text: str, name: str) -> int:
+def _parse_set(text: str, name: str, n: int) -> int:
+    """The mask of a comma-separated element list, each label checked
+    against the ground-set size n before any bit is shifted."""
     s = text.strip()
     if s in ("", "-", "{}"):
         return 0
@@ -65,7 +67,19 @@ def _parse_set(text: str, name: str) -> int:
         elems = [int(part) for part in s.split(",")]
     except ValueError:
         raise InputError(f"{name} must be a comma-separated element list, got {text!r}") from None
-    return mask_from_elements(elems, None)
+    return mask_from_elements(elems, n)
+
+
+def _parse_sets(args, n: int) -> tuple[int, int, int]:
+    """X, Y and I of ``exchange`` and ``duality``, on a ground set of size n."""
+    return _parse_set(args.x, "--x", n), _parse_set(args.y, "--y", n), _parse_set(args.i, "--i", n)
+
+
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"bad {what}; use an integer") from None
 
 
 def _parse_rational_list(text: str, name: str) -> list[Fraction]:
@@ -168,9 +182,7 @@ def _humanize(witness) -> str:
 def _cmd_exchange(args) -> int:
     started = perf_counter()
     f = _load_function(args.file)
-    X = _parse_set(args.x, "--x")
-    Y = _parse_set(args.y, "--y")
-    I = _parse_set(args.i, "--i")
+    X, Y, I = _parse_sets(args, f.n)
     cert = find_exchange_set(f, X, Y, I)
     if cert is not None:
         report = {
@@ -212,9 +224,7 @@ def _cmd_exchange(args) -> int:
 def _cmd_duality(args) -> int:
     started = perf_counter()
     f = _load_function(args.file)
-    X = _parse_set(args.x, "--x")
-    Y = _parse_set(args.y, "--y")
-    I = _parse_set(args.i, "--i")
+    X, Y, I = _parse_sets(args, f.n)
     k = (Y & ~X).bit_count()
     if k > _DUALITY_CAP and not args.force:
         raise InputError(
@@ -369,9 +379,11 @@ def _cmd_gen(args) -> int:
             if not args.blocks or not args.caps:
                 raise InputError("partition generation needs --blocks '1,2|3' and --caps '1,1'")
             blocks = [
-                [int(e) for e in blk.split(",") if e.strip()] for blk in args.blocks.split("|")
+                [_parse_int(e, f"element {e!r} in block {blk!r} of --blocks")
+                 for e in blk.split(",") if e.strip()]
+                for blk in args.blocks.split("|")
             ]
-            caps = [int(c) for c in args.caps.split(",")]
+            caps = [_parse_int(c, f"capacity {c!r} in --caps") for c in args.caps.split(",")]
             spec = MatroidSpec.partition(blocks, caps, weights)
 
         if args.family:
@@ -385,8 +397,11 @@ def _cmd_gen(args) -> int:
 
     text = _instance_text(to_obj, inst)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.output}: {e}") from None
         inst_kind = "set_family" if isinstance(inst, SetFamily) else "set_function"
         report = {"command": "gen", "written": str(args.output), "kind": inst_kind, "n": inst.n}
         _emit(args, report, [f"wrote {inst_kind} (n={inst.n}) to {args.output}"], started)

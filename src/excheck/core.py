@@ -9,8 +9,10 @@ integers), built once on first use or handed over by the
 file loader; the checkers, ``fenchel_gap``, the demand kernel and
 ``dom_masks``/``value_range`` all read it.  Functions derived from another
 one (``with_value``, ``shift_by_price``, ``slice_pair``) build their own.
-A :class:`SetFamily` is read as its indicator function (0 on the members,
--inf elsewhere), built once per family.  :func:`shifted_argmax` is the one
+A :class:`SetFamily` reaches the checkers' kernels as its membership, with
+no integer table; its indicator function (0 on the members, -inf
+elsewhere), built once per family on first use, is the exact table that
+re-checks a family witness.  :func:`shifted_argmax` is the one
 exact argmax of f - p on the rational table, for conjugates and demand.
 All types are immutable after construction and safe to share between
 threads.
@@ -157,7 +159,7 @@ class SetFunction:
 
     @cached_property
     def argmax_family(self) -> "SetFamily":
-        """The maximizers as a family (its indicator serves ``maximizer_exchange``)."""
+        """The maximizers as a family (``maximizer_exchange`` searches its members)."""
         return SetFamily._from_sorted(self.n, self.argmax_masks)
 
 
@@ -190,17 +192,16 @@ class SetFamily:
 
     @cached_property
     def indicator(self) -> SetFunction:
-        """0 on the members, -inf elsewhere (integer table: scale 1, sentinel
-        -1): the function whose exchange axioms are the family's."""
+        """0 on the members, -inf elsewhere: the function whose exchange
+        axioms are the family's, and the exact table every family
+        re-check reads.  The kernels read membership instead, so no
+        integer table is built here; reading its ``ints`` builds one."""
         if not self.members:
             raise InputError("the family has no members")
         tab: list[ExtValue] = [NEG_INF] * (1 << self.n)
-        codes = bytearray(1 << self.n)
         for m in self.members:
             tab[m] = _ZERO
-            codes[m] = 1
-        ints = IntTable.from_codes(self.n, np.frombuffer(codes, dtype=np.uint8), (NEG_INF, _ZERO))
-        return SetFunction._from_normalized(self.n, tuple(tab), ints)
+        return SetFunction._from_normalized(self.n, tuple(tab))
 
     def __contains__(self, mask: int) -> bool:
         return mask in self.members

@@ -81,7 +81,7 @@ from .checkers import _exchange_verdict, _stack_hit
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
 from .errors import InputError, InternalCheckError
 from .sets import iter_bits
-from .values import NEG_INF, ExtValue
+from .values import ExtValue
 
 __all__ = [
     "DemandSet",
@@ -563,7 +563,7 @@ def check_nc_at(f: SetFunction, p: PriceVector, simultaneous: bool = False) -> V
     hit = _stack_hit(row, not simultaneous)
     if hit is None:
         return Verdict(True)
-    ind = [0 if m else NEG_INF for m in row[0].tolist()]
+    ind = SetFamily._from_sorted(f.n, tuple(members)).indicator.table
     t2 = ind if simultaneous else (0,) * len(ind)
     cond = "ncsim" if simultaneous else "nc"
     return _exchange_verdict(cond, hit[1:], ind, t2, ind, prices=(("p", p),))

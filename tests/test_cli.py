@@ -361,32 +361,64 @@ _DIGITS = "7" * 5000  # past the interpreter's default limit of 4300 digits per 
 _HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
 
 
+_CHECK = ("check", "{file}", "--property", "mnat-exc")
+_GEN_FREE = ("gen", "--kind", "free", "--n", "2", "--weights", "1,2")
+_GEN_PARTITION = ("gen", "--kind", "partition", "--rank")
+
+
 @pytest.mark.parametrize(
-    "content",
+    "content, argv, message",
     [
-        pytest.param(b'{"kind": "set_function", "n": 1, "entries": \xff}', id="not-utf8"),
-        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"kind": "set_function", "n": 1, "entries": \xff}', _CHECK, "",
+                     id="not-utf8"),
+        pytest.param(b"[" * 100_000, _CHECK, "", id="deep-nesting"),
         pytest.param(
             ('{"kind": "set_function", "n": 1, "entries": [{"set": [], "value": '
-             + _DIGITS + "}]}").encode(),
+             + _DIGITS + "}]}").encode(), _CHECK, "",
             id="long-int-literal",
             marks=pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit"),
         ),
         pytest.param(
             ('{"kind": "set_function", "n": 1, "entries": [{"set": [], "value": "1/'
-             + _DIGITS + '"}]}').encode(),
+             + _DIGITS + '"}]}').encode(), _CHECK, "",
             id="long-int-in-rational",
             marks=pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit"),
         ),
+        pytest.param(None, (*_GEN_FREE, "-o", "{dir}/missing/x.json"),
+                     "error: cannot write {dir}/missing/x.json: ", id="gen-output-in-missing-dir"),
+        pytest.param(None, (*_GEN_FREE, "-o", "{dir}"), "error: cannot write {dir}: ",
+                     id="gen-output-is-a-directory"),
+        pytest.param(None, (*_GEN_PARTITION, "--blocks", "1,a", "--caps", "1"),
+                     "error: bad element 'a' in block '1,a' of --blocks", id="gen-bad-block"),
+        pytest.param(None, (*_GEN_PARTITION, "--blocks", "1,2", "--caps", "x"),
+                     "error: bad capacity 'x' in --caps", id="gen-bad-capacity"),
     ],
 )
-def test_bad_input_exits_1_without_traceback(tmp_path, content):
+def test_bad_input_exits_1_without_traceback(tmp_path, content, argv, message):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
+    argv = [a.format(file=path, dir=tmp_path) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(Path(excheck.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-m", "excheck.cli", "check", str(path), "--property", "mnat-exc"],
+        [sys.executable, "-m", "excheck.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message.format(dir=tmp_path))
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("verb", ["exchange", "duality"])
+@pytest.mark.parametrize("flag", ["--x", "--y", "--i"])
+@pytest.mark.parametrize("label", [4, 300, 2 * 10**9])
+def test_set_labels_are_checked_against_the_ground_set(files, capsys, verb, flag, label):
+    # a label past n is refused before its bit is shifted, so the error
+    # names the label, not a mask (a label near 2e9 would be a 250 MB one)
+    sets = {"--x": "1", "--y": "2", "--i": ""}
+    sets[flag] = f"1,{label}" if flag == "--x" else str(label)
+    argv = [verb, files["rank2"], *(a for kv in sets.items() for a in kv)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: element {label} exceeds ground-set size 3\n"

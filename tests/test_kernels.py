@@ -585,12 +585,12 @@ def _count_table_builds(monkeypatch):
     builds = []
     scan = checkers._scan_per_element
 
-    def spy(da, n, prepare, itemsize):
+    def spy(da, n, prepare, *sizes):
         def counted(b, yc):
             builds.append(b)
             return prepare(b, yc)
 
-        return scan(da, n, counted, itemsize)
+        return scan(da, n, counted, *sizes)
 
     monkeypatch.setattr(checkers, "_scan_per_element", spy)
     return builds
@@ -678,6 +678,116 @@ def test_level_skip_on_weighted_uniform_matroids(n, monkeypatch):
             assert py == vec == _scan_b_exc_m(members, sorted(members))
             failing += py is not None
     assert (failing > 0) == (n >= 4) and flags and all(flags)
+
+
+# ----------------------------------------------------------------------
+# families past one chunk
+
+
+def _toggled_family(n: int, kind: str, toggles: int) -> SetFamily:
+    """The sets of size k - 1 or k (k = n // 2), the bases of U(k, n) or of
+    a partition matroid, with ``toggles`` seeded sets moved in or out."""
+    rng = Random(f"{n}:{kind}:{toggles}")
+    k = n // 2
+    if kind == "band":
+        members = {m for m in range(1 << n) if m.bit_count() in (k - 1, k)}
+    elif kind == "uniform":
+        members = {m for m in range(1 << n) if m.bit_count() == k}
+    else:
+        spec = MatroidSpec.partition([[1, 2, 3], [4, 5, 6], list(range(7, n + 1))], [2, 2, 1])
+        members = set(spec.bases().members)
+    for _ in range(toggles):
+        members ^= {rng.randrange(1 << n)}
+    return SetFamily(n, frozenset(members or {0}))
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record each call of the checkers function ``name`` (its first argument)."""
+    calls = []
+    fn = getattr(checkers, name)
+
+    def spy(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(checkers, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("toggles", range(4))
+@pytest.mark.parametrize("kind", ["band", "uniform", "partition"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_family_scans_past_one_chunk_against_oracle(n, kind, toggles, monkeypatch):
+    # small chunks, blocks and column-table budget: the scans read many
+    # chunks of X rows, sweep each grid in blocks of one or two rows and
+    # rebuild an element's column tables on every chunk
+    monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 1 << 10)
+    monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 1 << 8)
+    chunks = _count_calls(monkeypatch, "_grid_chunk")
+    multi_chunks = _count_calls(monkeypatch, "_multi_chunk")
+    builds = _count_table_builds(monkeypatch)
+    fam = _toggled_family(n, kind, toggles)
+    for axiom, condition in (("b-exc", "bnat-exc"), ("b-exc-pm", "bnat-exc-pm"),
+                             ("b-exc-m", "bnat-exc-m")):
+        for calls in (chunks, multi_chunks, builds):
+            calls.clear()
+        v = check_family(fam, axiom)
+        assert v == _oracle_family_verdict(fam, condition)
+        if toggles == 0:  # the untouched families pass, so every chunk is read
+            assert v.passed
+            if axiom == "b-exc-m":
+                assert len(multi_chunks) > 2
+            else:
+                assert len(chunks) > 2 and len(builds) > len(set(builds))
+    rng = Random(n)
+    f = SetFunction(n, tuple(Fraction(rng.randint(-3, 3)) if m in fam.members else NEG_INF
+                             for m in range(1 << n)))
+    oracle = _oracle_family_verdict(fam, "local:domain")
+    v = check_local(f)
+    if oracle.passed:
+        assert v.passed or v.witness.condition != "local:domain"
+    else:
+        assert v == oracle
+
+
+def test_family_column_tables_are_charged_their_own_size(monkeypatch):
+    # a family sweep keeps about 25 bytes per column and no n x columns
+    # table, so a budget of that size keeps every element's tables for the
+    # whole scan of a passing family: one build per element
+    n = 8
+    fam = _toggled_family(n, "band", 0)
+    da = np.array(fam.sorted_members)
+    columns = sum(int((da & (1 << i) == 0).sum()) for i in range(n))
+    monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 25 * columns)
+    monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
+    builds = _count_table_builds(monkeypatch)
+    assert check_family(fam, "b-exc").passed and check_family(fam, "b-exc-pm").passed
+    assert sorted(builds) == sorted(2 * [1 << i for i in range(n)])
+
+
+def test_no_family_builds_an_integer_table(monkeypatch):
+    # U(3, 6)'s bases without {1, 2, 3} and {1, 2, 4}: every family axiom
+    # and local's domain check fail, so each re-check reads the indicator
+    n = 6
+    fam = SetFamily(n, frozenset(m for m in range(1 << n) if m.bit_count() == 3) - {0b111, 0b1011})
+    f = SetFunction(n, tuple(Fraction(0) if m in fam.members else NEG_INF for m in range(1 << n)))
+    f.ints, f.argmax_family  # the function's own table is built before counting
+    builds = []
+    fill = IntTable._fill
+
+    def spy(self, *args):
+        builds.append(args[0])
+        fill(self, *args)
+
+    monkeypatch.setattr(IntTable, "_fill", spy)
+    assert not any(check_family(fam, axiom) for axiom in ("b-exc", "b-exc-m", "b-exc-pm"))
+    assert check_local(f).witness.condition == "local:domain"
+    for X, Y, I in [(0b10101, 0b101010, 0b1), (0b10101, 0b101010, 0b101),
+                    (0b11010, 0b100101, 0b10)]:
+        assert find_base_exchange(fam, X, Y, I) == maximizer_exchange(f, X, Y, I)
+    assert builds == []
+    assert "ints" not in fam.indicator.__dict__
 
 
 # ----------------------------------------------------------------------
