@@ -7,18 +7,20 @@ sets are an input error; decimal numbers are rejected.
 
 Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
 
-Files are read as UTF-8 and parsed with :func:`json.loads`; text that is
-not UTF-8, JSON nested past the recursion limit and an integer past the
-interpreter's digit limit are input errors like malformed JSON.
+Files are read as UTF-8.  A large set-function file in the text grammar
+below is read by a scanner, without a JSON tree; every other file is
+parsed with :func:`json.loads`.  Text that is not UTF-8, JSON nested past
+the recursion limit and an integer past the interpreter's digit limit are
+input errors like malformed JSON.
 
-A set function of at least ``_BULK_MIN`` entries is built in bulk, one
-chunk of ``_CHUNK`` entries at a time: the ``set`` lists and the values
-are pulled out with list calls, their types are tested on the raw lists
-(never on deduplicated keys, where ``True``, ``1`` and ``1.0`` are one
-key), and numpy turns the flattened elements into masks with a range test
-and an OR-against-sum test for a repeated element.  A code table over all
-2^n masks holds each entry's value code; it catches a repeated set, and
-each distinct value is parsed once.
+On the JSON path, a set function of at least ``_BULK_MIN`` entries is
+built in bulk, one chunk of ``_CHUNK`` entries at a time: the ``set``
+lists and the values are pulled out with list calls, their types are
+tested on the raw lists (never on deduplicated keys, where ``True``, ``1``
+and ``1.0`` are one key), and numpy turns the flattened elements into
+masks with a range test and an OR-against-sum test for a repeated element.
+A code table over all 2^n masks holds each entry's value code; it catches
+a repeated set, and each distinct value is parsed once.
 
 Smaller files, and any file that fails a bulk test or holds a value that
 does not parse, go through the per-entry loop, which validates each entry
@@ -31,9 +33,39 @@ and the :class:`~excheck._fast.IntTable` are gathered by code
 same chunked mask helper, with its own per-member loop as the error path;
 both family paths end in ``SetFamily._from_sorted``.
 
-Every load (read, parse and build) and every file text (object and
-``json.dumps``) runs with CPython's cyclic garbage collector paused, in
-``_gc_paused``.  A parse allocates a few containers per entry, and on
+The text path (``_scan_function``) takes a set-function file of at least
+``_BULK_MIN`` entries that is exactly ``{"kind": "set_function", "n": N,
+"entries": [...]}`` with entries ``{"set": [...], "value": v}``, keys in
+that order and JSON whitespace anywhere between tokens, so the compact
+``json.dumps`` layout, the ``indent=2`` layout of
+:func:`save_set_function` and any other indent qualify.  One compiled
+pattern splits the text into element-list texts and value tokens, and
+each piece between two entries must be a comma.  Numpy decodes the element
+lists one chunk of ``_CHUNK`` at a time: the numbers, their alternation
+with commas, the range 1..n and, by OR against sum, a repeated element.
+Each distinct value token is parsed once (an integer, or a string's
+contents through :func:`~excheck.values.as_ext_value`), and the build is
+``SetFunction._from_codes`` again.  The grammar is a strict subset of JSON
+whose :func:`json.loads` result is unambiguous: fixed keys (so none is
+repeated), strings without escapes or control characters, integers of at
+most 18 digits and no ``-0``, elements of one or two digits with no
+leading zero, and n in 1..``MAX_GROUND_SIZE``.  So where the scanner takes
+a text, the JSON path reads the same entries and builds the same function.
+It refuses everything else, unchanged, to the JSON path: any text outside
+the grammar and any semantic fault (an element out of range or repeated,
+a repeated set, a value that does not parse, no finite value), so every
+error message, its order and the exit code come from the code above.  The
+pattern starts at ``{``, not at whitespace, so its search reads a run of
+whitespace once and the scan stays linear in the text.  On refute's
+``mpc14_5`` (n = 14, 16,384 entries, 801 KB), a load took 27.3 ms
+through ``json.loads`` and the bulk build and 16.5 ms through the
+scanner, with a ``tracemalloc`` peak of 6.6 against 4.5 MB; an n = 12
+file of 4,096 entries took 6.0 against 3.7 ms (best of 15 in each of six
+interleaved rounds, Intel Xeon, CPython 3.11, numpy 2.4).
+
+Every load (read, scan or parse, and build) and every file text (object
+and ``json.dumps``) runs with CPython's cyclic garbage collector paused,
+in ``_gc_paused``.  A parse allocates a few containers per entry, and on
 refute's ``mpc14_2`` (n = 14, 16,384 entries) one load with the collector
 running set off 41-43 generation-0, 3-4 generation-1 and up to one full
 collection, each a walk over the tree parsed so far; ``gc.collect()``
@@ -48,6 +80,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
@@ -75,13 +108,16 @@ __all__ = [
 ]
 
 
-def _load_json(path) -> dict:
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise InputError(f"{path} is not UTF-8 text: {e}") from None
+
+
+def _parse_json(path, text: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -122,6 +158,17 @@ _BULK_MIN = 256
 _ELEMENT_BIT = np.array([0] + [1 << e for e in range(MAX_GROUND_SIZE)], dtype=np.int64)
 
 
+def _segment_masks(elems: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
+    """The OR of the bits of each run of ``lens`` elements, or None when an
+    element repeats in a run.  ``elems`` holds elements in 1..n followed by
+    one 0, which closes the last run when it is empty."""
+    bits = _ELEMENT_BIT[elems]
+    masks = np.bitwise_or.reduceat(bits, np.cumsum(lens) - lens)
+    masks[lens == 0] = 0  # reduceat reads one element for an empty segment
+    # OR and sum of a segment agree unless an element repeats in it
+    return masks if masks.sum() == bits.sum() else None
+
+
 def _chunk_masks(sets: list, n: int) -> np.ndarray | None:
     """The masks of ``sets`` as int64, or None unless each is a list of
     distinct ints in 1..n.  Types are tested on the raw lists, since a set
@@ -137,12 +184,7 @@ def _chunk_masks(sets: list, n: int) -> np.ndarray | None:
         return None
     if flat and (elems[:-1].min() < 1 or elems.max() > n):
         return None
-    bits = _ELEMENT_BIT[elems]
-    lens = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    masks = np.bitwise_or.reduceat(bits, np.cumsum(lens) - lens)
-    masks[lens == 0] = 0  # reduceat reads one element for an empty segment
-    # OR and sum of a segment agree unless an element repeats in it
-    return masks if masks.sum() == bits.sum() else None
+    return _segment_masks(elems, np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)))
 
 
 def _bulk_function(n: int, entries: list) -> SetFunction | None:
@@ -236,6 +278,93 @@ def obj_to_set_function(obj: dict) -> SetFunction:
     return f if f is not None else _loop_function(n, entries)
 
 
+_WS = r"[ \t\n\r]*"  # JSON whitespace: json.loads allows it between any two tokens
+
+
+def _spaced(*tokens: str) -> str:
+    """The pattern of the tokens in order, with JSON whitespace allowed
+    between them.  The patterns below are compiled through ``re``'s cache
+    on the first scan, so a process that never scans does not pay for it."""
+    return _WS.join(tokens)
+
+
+_HEAD = _spaced("", r"\{", '"kind"', ":", '"set_function"', ",", '"n"', ":", "([1-9][0-9]?)",
+                ",", '"entries"', ":", r"\[", "")
+# one entry: the inside of its element list (checked by _text_masks) and its
+# value, an integer of at most 18 digits or a string with no escape or
+# control character.  It starts at "{", not at whitespace, so a search
+# tries each whitespace run once, not once per character.
+_ENTRY = _spaced(r"\{", '"set"', ":", r"\[([0-9, \t\n\r]*)\]", ",", '"value"', ":",
+                 r'(0|-?[1-9][0-9]{0,17}|"[^"\\\x00-\x1f]*")', r"\}")
+_GAP = _spaced("", ",", "")
+_TAIL = _spaced("", r"\]", r"\}", "")
+
+
+def _text_masks(sets: list, n: int) -> np.ndarray | None:
+    """The masks of the element-list texts ``sets`` (each the inside of a
+    list's brackets, made of digits, commas and JSON whitespace), or None
+    unless each lists distinct elements in 1..n, comma-separated and each
+    written as one or two digits with no leading zero."""
+    raw = ("]" + "]".join(sets) + "]").encode("ascii")
+    digit = (np.frombuffer(raw, dtype=np.uint8) - ord("0")) < 10
+    numbers = np.count_nonzero(digit[1:] > digit[:-1])
+    buf = np.frombuffer(raw.translate(None, b" \t\n\r"), dtype=np.uint8)
+    val = buf - ord("0")  # a digit's value, and 10 or more for "," and "]"
+    digit = val < 10
+    first = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # the first digit of each number
+    if first.size != numbers:  # dropping whitespace joined two numbers
+        return None
+    second = val[first + 1]  # in range: the buffer ends with "]"
+    two = second < 10
+    commas = np.flatnonzero(buf == ord(","))
+    if (np.count_nonzero(digit) != first.size + np.count_nonzero(two)  # three digits or more
+            or not (digit[commas - 1].all() and digit[commas + 1].all())):
+        return None  # each comma lies between two numbers, so each number between commas or ends
+    tens = val[first]
+    elems = np.where(two, tens * 10 + second, tens)
+    if first.size and (tens.min() == 0 or elems.max() > n):  # a leading zero or out of range
+        return None
+    lens = np.diff(np.searchsorted(first, np.flatnonzero(buf == ord("]"))))
+    return _segment_masks(np.append(elems, 0), lens)
+
+
+def _scan_function(text: str) -> SetFunction | None:
+    """The function of a set-function file text, read without building a
+    JSON tree, or None unless the text is in the scanner's grammar (see the
+    module docstring), holds at least ``_BULK_MIN`` entries and builds
+    without an input error; the caller then parses the text as JSON."""
+    if text.count('"value"') < _BULK_MIN:  # in the grammar, one per entry
+        return None
+    parts = re.split(_ENTRY, text)  # head, then (set, value, gap) per entry; the last gap the tail
+    head = re.fullmatch(_HEAD, parts[0])
+    gaps = set(parts[3:-1:3])  # one or two strings in any one layout
+    if (head is None or re.fullmatch(_TAIL, parts[-1]) is None
+            or not all(re.fullmatch(_GAP, gap) for gap in gaps)):
+        return None
+    n = int(head[1])
+    if n > MAX_GROUND_SIZE:
+        return None
+    sets, vals = parts[1::3], parts[2::3]
+    del parts  # frees the gaps before the arrays are built
+    masks = np.empty(len(sets), dtype=np.int64)
+    for at in range(0, len(sets), _CHUNK):
+        chunk = _text_masks(sets[at : at + _CHUNK], n)
+        if chunk is None:
+            return None
+        masks[at : at + _CHUNK] = chunk
+    code_of = {tok: code for code, tok in enumerate(dict.fromkeys(vals), 1)}
+    ctab = np.zeros(1 << n, dtype=np.int32)  # value code (1, 2, ...) by mask, 0 when unlisted
+    ctab[masks] = np.fromiter(map(code_of.__getitem__, vals), dtype=np.int32, count=len(vals))
+    if np.count_nonzero(ctab) != len(vals):
+        return None  # a repeated set
+    try:
+        parsed = [NEG_INF] + [as_ext_value(tok[1:-1]) if tok[0] == '"' else Fraction(int(tok))
+                              for tok in code_of]
+        return SetFunction._from_codes(n, ctab, parsed)
+    except InputError:  # a value that does not parse, or no finite one
+        return None
+
+
 def _bulk_family(n: int, raw: list) -> SetFamily | None:
     """The family of the member lists ``raw``, or None when any member
     fails a bulk test or repeats."""
@@ -286,12 +415,15 @@ def _gc_paused():
         gc.enable()
 
 
-def _load(path, convert):
-    """``convert`` of the JSON object in ``path``, read, parsed and built
-    with the collector paused.  The object is a temporary of this call, so
-    the tree is freed before the pause ends."""
+def _load(path, convert, scan: bool = False):
+    """The instance in ``path``, read and built with the collector paused:
+    with ``scan``, by ``_scan_function`` of the text when it takes it, and
+    otherwise as ``convert`` of the parsed JSON object.  The object is a
+    temporary of this call, so the tree is freed before the pause ends."""
     with _gc_paused():
-        return convert(_load_json(path))
+        text = _read_text(path)
+        f = _scan_function(text) if scan else None
+        return f if f is not None else convert(_parse_json(path, text))
 
 
 def _obj_to_instance(obj: dict) -> SetFunction | SetFamily:
@@ -304,7 +436,7 @@ def _obj_to_instance(obj: dict) -> SetFunction | SetFamily:
 
 
 def load_set_function(path) -> SetFunction:
-    return _load(path, obj_to_set_function)
+    return _load(path, obj_to_set_function, scan=True)
 
 
 def load_set_family(path) -> SetFamily:
@@ -313,7 +445,7 @@ def load_set_family(path) -> SetFamily:
 
 def load_instance(path) -> SetFunction | SetFamily:
     """Load either kind, dispatching on the 'kind' field."""
-    return _load(path, _obj_to_instance)
+    return _load(path, _obj_to_instance, scan=True)
 
 
 def set_function_to_obj(f: SetFunction) -> dict:

@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 from random import Random
 
@@ -279,6 +280,18 @@ def test_loader_error_messages_after_the_bulk_path(entries, message, monkeypatch
     test_loader_error_messages(entries, message)
 
 
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent-2"])
+@pytest.mark.parametrize("entries,message", LOADER_ERRORS)
+def test_loader_error_messages_from_files(tmp_path, monkeypatch, entries, message, indent):
+    monkeypatch.setattr(fileio, "_BULK_MIN", 0)  # every size tries the scanner and the bulk build
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "set_function", "n": 3, "entries": entries},
+                               indent=indent))
+    with pytest.raises(InputError) as exc:
+        load_instance(path)
+    assert str(exc.value) == message
+
+
 def test_loader_seeds_the_integer_table(reference_fields):
     obj = {"kind": "set_function", "n": 2,
            "entries": _entries(([2, 1], "3/4"), ([], -2), ([2], "-inf"), ([1], 2**70))}
@@ -487,6 +500,201 @@ def test_bulk_family_matches_the_loop(case, faults, chunk):
 
 
 # ----------------------------------------------------------------------
+# the text scanner against the JSON parser it stands in for
+
+LAYOUTS = {
+    "compact": lambda obj: json.dumps(obj),
+    "indent 2": lambda obj: json.dumps(obj, indent=2),
+    "indent tab": lambda obj: json.dumps(obj, indent="\t"),
+    "no spaces": lambda obj: json.dumps(obj, separators=(",", ":")),
+    "CRLF": lambda obj: json.dumps(obj, indent=2).replace("\n", "\r\n"),
+}
+
+
+def _load_outcome(path, scan):
+    """What ``load_instance`` makes of ``path``, with or without the
+    scanner: the instance, or its error message."""
+    try:
+        return fileio._load(path, fileio._obj_to_instance, scan=scan)
+    except InputError as e:
+        return str(e)
+
+
+def _same_outcome(got, want, reference_fields):
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return _same_function(got, want, reference_fields)
+
+
+def _spy_on_scanner(mp):
+    """Patch the scanner with a spy; the list gets each call's result."""
+    built, scan = [], fileio._scan_function
+
+    def spy(text):
+        built.append(scan(text))
+        return built[-1]
+
+    mp.setattr(fileio, "_scan_function", spy)
+    return built
+
+
+def _scanner_took(text, path, reference_fields):
+    """Check that every loader gives the JSON path's outcome on ``text``
+    (written to ``path`` as UTF-8 bytes) and that the scanner, run directly,
+    builds nothing else; return whether the scanner read the text."""
+    path.write_bytes(text.encode("utf-8"))
+    want = _load_outcome(path, scan=False)
+    direct = fileio._scan_function(text)
+    if direct is not None:
+        assert _same_function(direct, obj_to_set_function(json.loads(text)), reference_fields)
+    with pytest.MonkeyPatch.context() as mp:
+        built = _spy_on_scanner(mp)
+        assert _same_outcome(_load_outcome(path, scan=True), want, reference_fields)
+        if not isinstance(want, str):
+            assert _same_function(load_set_function(path), want, reference_fields)
+            assert _same_function(load_instance(path), want, reference_fields)
+    # read_text turns CRLF into LF, so the loaders may read a text the
+    # direct call refused, never the other way round
+    assert direct is None or all(f is not None for f in built)
+    return bool(built) and all(f is not None for f in built)
+
+
+def _fits_the_scanner(entries):
+    """Whether the scanner reads these entries: each integer value has at
+    most 18 digits, and some value is finite."""
+    return (all(type(e["value"]) is not int or len(str(abs(e["value"]))) <= 18 for e in entries)
+            and any(str(e["value"]).strip() != "-inf" for e in entries))
+
+
+@given(raw_entries(), st.sampled_from(sorted(LAYOUTS)), CHUNKS)
+@settings(max_examples=200, deadline=None)
+def test_scanner_matches_the_json_path_in_every_layout(tmp_path_factory, reference_fields, case,
+                                                       layout, chunk):
+    n, entries, _ = case
+    text = LAYOUTS[layout]({"kind": "set_function", "n": n, "entries": entries})
+    path = tmp_path_factory.getbasetemp() / "layout.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BULK_MIN", 0)  # the scanner takes every size
+        mp.setattr(fileio, "_CHUNK", chunk)
+        read = _scanner_took(text, path, reference_fields)
+    assert read == _fits_the_scanner(entries)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_scanner_reads_two_digit_elements_in_every_layout(tmp_path, reference_fields, layout):
+    n = 12  # elements 10..12 take two digits; 3,276 of the 4,096 sets are listed
+    f = SetFunction.from_callable(
+        n, lambda m: Fraction(m % 11 - 5, 1 + m % 3) if m % 5 else NEG_INF)
+    text = LAYOUTS[layout](set_function_to_obj(f))
+    assert _scanner_took(text, tmp_path / "f.json", reference_fields)
+    assert load_instance(tmp_path / "f.json").table == f.table
+
+
+_SMALL_TEXT = (
+    '{"kind": "set_function", "n": 3, "entries": [{"set": [], "value": 0}, '
+    '{"set": [1], "value": 1}, {"set": [2], "value": "1/2"}, {"set": [1, 2], "value": 2}, '
+    '{"set": [3], "value": -1}, {"set": [1, 3], "value": 5}, {"set": [2, 3], "value": "-inf"}, '
+    '{"set": [1, 2, 3], "value": 3}]}'
+)
+
+# (text to replace in _SMALL_TEXT, its replacement): each result is valid
+# JSON outside the scanner's grammar, malformed JSON, or a table that is an
+# input error
+SCANNER_REFUSALS = {
+    "key order swapped": ('"kind": "set_function", "n": 3', '"n": 3, "kind": "set_function"'),
+    "entry keys swapped": ('{"set": [1], "value": 1}', '{"value": 1, "set": [1]}'),
+    "extra top-level key": ('"n": 3,', '"n": 3, "x": 1,'),
+    "extra key at the end": ('"value": 3}]}', '"value": 3}], "x": 1}'),
+    "duplicated set key": ('{"set": [1], "value": 1}', '{"set": [2], "set": [1], "value": 1}'),
+    "escaped key": ('{"set": [1], "value": 1}', '{"\\u0073et": [1], "value": 1}'),
+    "escaped slash": ('"1/2"', '"1\\/2"'),
+    "decimal value": ('"value": 1}', '"value": 1.0}'),
+    "exponent value": ('"value": 1}', '"value": 1e3}'),
+    "NaN value": ('"value": 1}', '"value": NaN}'),
+    "true value": ('"value": 1}', '"value": true}'),
+    "decimal element": ('[1]', '[1.0]'),
+    "exponent element": ('[1]', '[1e0]'),
+    "NaN element": ('[1]', '[NaN]'),
+    "true element": ('[1]', '[true]'),
+    "element 0": ('[1]', '[0]'),
+    "element 01": ('[1]', '[01]'),
+    "element 100": ('[1]', '[100]'),
+    "element n + 1": ('[1]', '[4]'),
+    "negative zero": ('"value": 0}', '"value": -0}'),
+    "19-digit value": ('"value": 1}', '"value": 1234567890123456789}'),
+    "n = 0": ('"n": 3', '"n": 0'),
+    "n = 21": ('"n": 3', '"n": 21'),
+    "UTF-8 BOM": ('{"kind"', '\ufeff{"kind"'),
+    "trailing data": ('"value": 3}]}', '"value": 3}]} 1'),
+    "no entries": (_SMALL_TEXT[_SMALL_TEXT.index("[{") :], "[]}"),
+    "missing comma": ('}, {"set": [1]', '} {"set": [1]'),
+    "trailing comma": ('"value": 3}]}', '"value": 3},]}'),
+    "trailing comma in a set": ('[1, 2]', '[1, 2,]'),
+    "numbers without a comma": ('[1, 2]', '[1 2]'),
+    "control character in a value": ('"1/2"', '"1/\t2"'),
+    "repeated element": ('[1, 2]', '[1, 2, 1]'),
+    "duplicate set": ('[2, 3]', '[3, 1]'),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCANNER_REFUSALS))
+def test_scanner_refuses_texts_outside_its_grammar(tmp_path, monkeypatch, reference_fields, fault):
+    monkeypatch.setattr(fileio, "_BULK_MIN", 0)
+    assert fileio._scan_function(_SMALL_TEXT) is not None
+    old, new = SCANNER_REFUSALS[fault]
+    assert _SMALL_TEXT.count(old) == 1
+    text = _SMALL_TEXT.replace(old, new)
+    assert fileio._scan_function(text) is None
+    assert not _scanner_took(text, tmp_path / "f.json", reference_fields)
+
+
+def test_scanner_reads_a_long_whitespace_run_once(monkeypatch):
+    # a search that tried an entry at each character of a run would take
+    # time quadratic in its length: hours for these 10^6 spaces
+    monkeypatch.setattr(fileio, "_BULK_MIN", 0)
+    for stray in ("x", '{"set": [1], "value": 1} '):
+        text = _SMALL_TEXT.replace('{"set": [1]', " " * 10**6 + stray + '{"set": [1]')
+        start = time.perf_counter()
+        assert fileio._scan_function(text) is None
+        assert time.perf_counter() - start < 5
+
+
+# a full table and a sparse one with two-digit elements
+_FUZZ_OBJECTS = [
+    json.loads(_SMALL_TEXT),
+    {"kind": "set_function", "n": 11, "entries": _entries(
+        ([], 4), ([10], "-3/4"), ([2, 11], -7), ([1, 10, 11], "5"), ([11], " -inf"), ([3, 5], 0))},
+]
+# what a mutation writes: digits and whitespace, which keep many texts in
+# the grammar, then JSON punctuation and a few characters outside it
+_FUZZ_CHARS = "0123456789" * 6 + " \t\r\n" * 6 + '{}[],:"-/.eE+\\utrNa\ufeff\x00\x7f'
+
+
+@given(st.sampled_from(range(len(_FUZZ_OBJECTS))), st.sampled_from(sorted(LAYOUTS)),
+       st.randoms(use_true_random=False), st.integers(1, 3), CHUNKS)
+@settings(max_examples=400, deadline=None)
+def test_mutated_texts_load_as_the_json_path_reads_them(tmp_path_factory, reference_fields,
+                                                       which, layout, rnd, mutations, chunk):
+    chars = list(LAYOUTS[layout](_FUZZ_OBJECTS[which]))
+    for _ in range(mutations):
+        at, op = rnd.randrange(len(chars)), rnd.choice("irdn")
+        if op == "i":
+            chars.insert(at, rnd.choice(_FUZZ_CHARS))
+        elif op == "r":
+            chars[at] = rnd.choice(_FUZZ_CHARS)
+        elif op == "d":
+            del chars[at]
+        else:  # a digit changed: a value, or an element that may repeat or leave 1..n
+            chars[rnd.choice([i for i, c in enumerate(chars) if c.isdigit()])] = rnd.choice(
+                "0123456789")
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_BULK_MIN", 0)
+        mp.setattr(fileio, "_CHUNK", chunk)
+        _scanner_took("".join(chars), path, reference_fields)
+
+
+# ----------------------------------------------------------------------
 # reading and writing with the collector paused
 
 
@@ -525,9 +733,16 @@ def _with_repeated_element(obj):
     return obj
 
 
+def _keys_reordered(obj):
+    """``obj`` with "n" first: the same instance, in a text the scanner
+    refuses, so loaders parse it as JSON."""
+    return {"n": obj["n"], **obj}
+
+
 # text or bytes of each file the loaders read; None is a path that does not exist
 INSTANCE_FILES = {
     "function": lambda: json.dumps(_big_function_obj()),
+    "function, keys reordered": lambda: json.dumps(_keys_reordered(_big_function_obj())),
     "family": lambda: json.dumps(_big_family_obj()),
     "function, repeated element": lambda: json.dumps(_with_repeated_element(_big_function_obj())),
     "family, repeated element": lambda: json.dumps(_with_repeated_element(_big_family_obj())),
@@ -546,6 +761,7 @@ LOAD_CASES = [
     ("load_set_family", "family", SetFamily),
     ("load_set_family", "family, repeated element", InputError),
     ("load_instance", "function", SetFunction),
+    ("load_instance", "function, keys reordered", SetFunction),
     ("load_instance", "family", SetFamily),
     ("load_instance", "function, repeated element", InputError),
     ("load_instance", "family, repeated element", InputError),
@@ -606,15 +822,19 @@ def test_the_parsed_tree_is_freed_before_the_collector_resumes(tmp_path, monkeyp
             gc.enable()
 
     monkeypatch.setattr(fileio, "gc", Collector())
+    # the scanner reads the first file without a tree; the second is parsed as JSON
     path = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
+    parsed_path = _write(tmp_path / "p.json", INSTANCE_FILES["function, keys reordered"]())
+    assert fileio._scan_function(parsed_path.read_text()) is None
     was = gc.isenabled()
     gc.enable()
     try:
         f = load_instance(path)
+        assert load_instance(parsed_path) == f
         save_set_function(f, tmp_path / "g.json")
     finally:
         (gc.enable if was else gc.disable)()
-    assert live == [0, 0]
+    assert live == [0, 0, 0]
 
 
 def test_concurrent_loads_end_with_the_collector_on(tmp_path):
@@ -650,12 +870,13 @@ def test_concurrent_loads_end_with_the_collector_on(tmp_path):
 
 
 def test_bulk_loads_leave_no_cyclic_garbage(tmp_path):
-    fpath = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
+    fpath = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())  # read by the scanner
+    ppath = _write(tmp_path / "p.json", INSTANCE_FILES["function, keys reordered"]())  # parsed
     mpath = _write(tmp_path / "m.json", INSTANCE_FILES["family"]())
     gc.collect()
-    f, fam = load_set_function(fpath), load_set_family(mpath)
-    assert f.n == fam.n == _BIG_N and len(fam.sorted_members) == 1 << _BIG_N
-    del f, fam
+    f, g, fam = load_set_function(fpath), load_set_function(ppath), load_set_family(mpath)
+    assert f == g and f.n == fam.n == _BIG_N and len(fam.sorted_members) == 1 << _BIG_N
+    del f, g, fam
     assert gc.collect() == 0
 
 
@@ -672,6 +893,8 @@ def test_large_round_trip_through_the_bulk_path(tmp_path, monkeypatch, reference
         raise AssertionError("the bulk build fell back to the loop")
 
     monkeypatch.setattr(fileio, "_loop_function", no_loop)
-    back = load_instance(path)
+    back = obj_to_set_function(json.loads(path.read_text()))  # load_instance would scan the text
     assert back.table == f.table
     assert _int_fields(back.ints) == reference_fields(f)
+    loaded = load_instance(path)
+    assert loaded.table == f.table and _int_fields(loaded.ints) == reference_fields(f)
