@@ -7,34 +7,33 @@ sets are an input error; decimal numbers are rejected.
 
 Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
 
-Files are read as UTF-8.  A large set-function file in the text grammar
-below is read by a scanner, without a JSON tree; every other file is
-parsed with :func:`json.loads`.  Text that is not UTF-8, JSON nested past
-the recursion limit and an integer past the interpreter's digit limit are
-input errors like malformed JSON.
+Files are read as UTF-8, by one of two paths.  A set-function file of at
+least ``_SCAN_MIN`` entries in the text grammar below is read by a scanner,
+without a JSON tree.  Every other file (every set family, every small
+function and every text outside the grammar) is parsed with
+:func:`json.loads` and read entry by entry.  Text that is not UTF-8, JSON
+nested past the recursion limit and an integer past the interpreter's
+digit limit are input errors like malformed JSON.
 
-On the JSON path, a set function of at least ``_BULK_MIN`` entries is
-built in bulk, one chunk of ``_CHUNK`` entries at a time: the ``set``
-lists and the values are pulled out with list calls, their types are
-tested on the raw lists (never on deduplicated keys, where ``True``, ``1``
-and ``1.0`` are one key), and numpy turns the flattened elements into
-masks with a range test and an OR-against-sum test for a repeated element.
-A code table over all 2^n masks holds each entry's value code; it catches
-a repeated set, and each distinct value is parsed once.
-
-Smaller files, and any file that fails a bulk test or holds a value that
-does not parse, go through the per-entry loop, which validates each entry
-in order through the general validators.  It is the one source of error
-messages, so every message, its order and the exit code are the same
-whichever path ran first.  It records a value code per entry as well, and
-both paths end in the same build from the code table: the rational table
-and the :class:`~excheck._fast.IntTable` are gathered by code
-(``SetFunction._from_codes``).  A set family reads its members through the
-same chunked mask helper, with its own per-member loop as the error path;
-both family paths end in ``SetFamily._from_sorted``.
+The per-entry loop validates each entry in order through the general
+validators, so it is the one source of error messages: every message, its
+order and the exit code are the same whether or not the scanner saw the
+file first.  One helper, ``_entry_mask``, reads each element list (a set's or a
+member's) with a fast test for distinct ints in 1..n, and leaves anything
+else to :func:`~excheck.sets.mask_from_elements` for its message.  The
+function loop records a value code per mask, each distinct value parsed
+once, and both function paths end in the same build from that code table:
+the rational table and the :class:`~excheck._fast.IntTable` are gathered by
+code (``SetFunction._from_codes``).  A family ends in
+``SetFamily._from_sorted``.  The loop is the slower path on large texts: on
+refute's ``mpc14_5`` (n = 14, 16,384 entries), the parsed object builds in
+15.6-17.3 ms, where a numpy build from the tree took 8.6-9.0 ms (best of 7;
+``json.loads`` itself takes 16-19 ms).  That build was deleted: the scanner
+reads every large text that :func:`save_set_function` or ``json.dumps``
+writes, so only a large text outside the grammar pays the difference.
 
 The text path (``_scan_function``) takes a set-function file of at least
-``_BULK_MIN`` entries that is exactly ``{"kind": "set_function", "n": N,
+``_SCAN_MIN`` entries that is exactly ``{"kind": "set_function", "n": N,
 "entries": [...]}`` with entries ``{"set": [...], "value": v}``, keys in
 that order and JSON whitespace anywhere between tokens, so the compact
 ``json.dumps`` layout, the ``indent=2`` layout of
@@ -54,14 +53,15 @@ a text, the JSON path reads the same entries and builds the same function.
 It refuses everything else, unchanged, to the JSON path: any text outside
 the grammar and any semantic fault (an element out of range or repeated,
 a repeated set, a value that does not parse, no finite value), so every
-error message, its order and the exit code come from the code above.  The
+error message, its order and the exit code come from the loop.  The
 pattern starts at ``{``, not at whitespace, so its search reads a run of
 whitespace once and the scan stays linear in the text.  On refute's
-``mpc14_5`` (n = 14, 16,384 entries, 801 KB), a load took 27.3 ms
-through ``json.loads`` and the bulk build and 16.5 ms through the
-scanner, with a ``tracemalloc`` peak of 6.6 against 4.5 MB; an n = 12
-file of 4,096 entries took 6.0 against 3.7 ms (best of 15 in each of six
-interleaved rounds, Intel Xeon, CPython 3.11, numpy 2.4).
+``mpc14_5`` (801 KB), a load takes 30.5-34.5 ms through ``json.loads`` and
+the per-entry loop and 14.5-22.2 ms through the scanner, with a
+``tracemalloc`` peak of 6.6 against 4.3 MB; an n = 12 file of 4,096
+entries takes 7.7-9.2 against 4.9-5.8 ms (best of 15 in each of three
+rounds).  All timings here are on an Intel Xeon under CPython 3.11 and
+numpy 2.4.
 
 Every load (read, scan or parse, and build) and every file text (object
 and ``json.dumps``) runs with CPython's cyclic garbage collector paused,
@@ -84,8 +84,6 @@ import re
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -138,20 +136,34 @@ def _ground_size(obj) -> int:
     return n
 
 
-def _element_list(raw, n: int) -> int:
-    if not isinstance(raw, list):
+def _entry_mask(raw, n: int) -> int:
+    """The mask of the element list ``raw``: a list of distinct ints in
+    1..n is read by the fast loop, and anything else is left to the list
+    test and :func:`mask_from_elements`, which raise the usual errors."""
+    if type(raw) is list:
+        mask = 0
+        for e in raw:
+            if type(e) is not int or not 0 < e <= n:
+                break
+            mask |= 1 << (e - 1)
+        else:
+            if mask.bit_count() == len(raw):  # a repeated element lowers the count
+                return mask
+    elif not isinstance(raw, list):
         raise InputError(f"subsets are JSON lists of elements, got {raw!r}")
     return mask_from_elements(raw, n)
 
 
-# Entries per chunk of the bulk paths: each chunk's flat element list
-# and arrays stay small next to the parsed JSON they are read from.
+# Entries per chunk of the scanner: each chunk's byte buffer and arrays
+# stay small next to the text they are read from.
 _CHUNK = 4096
-# Below this many entries (or members) the per-entry loop is about as fast
-# as the bulk path, whose fixed cost is a few dozen array calls: on an Intel
-# Xeon under CPython 3.11 and numpy 2.4, the bulk build took 3-13% longer at
-# 128 entries and 6-17% less at 256.
-_BULK_MIN = 256
+# Below this many entries the scanner is about as fast as ``json.loads`` and
+# the per-entry loop, since its fixed cost is a few dozen array calls: on an
+# Intel Xeon under CPython 3.11 and numpy 2.4 (best of 200, six runs), an
+# indent-2 text of 256 entries took 0.29-0.35 ms through the scanner and
+# 0.37-0.43 ms through the JSON path, and at 128 entries neither won
+# (0.19-0.22 against 0.20-0.23 ms).
+_SCAN_MIN = 256
 
 
 # 1 << (e - 1) at index e, 0 at index 0
@@ -169,61 +181,9 @@ def _segment_masks(elems: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
     return masks if masks.sum() == bits.sum() else None
 
 
-def _chunk_masks(sets: list, n: int) -> np.ndarray | None:
-    """The masks of ``sets`` as int64, or None unless each is a list of
-    distinct ints in 1..n.  Types are tested on the raw lists, since a set
-    or dict of the elements would let a bool hide behind an equal int."""
-    if set(map(type, sets)) != {list}:
-        return None
-    flat = list(chain.from_iterable(sets))
-    if list(map(type, flat)).count(int) != len(flat):
-        return None
-    try:  # a trailing 0 closes the last segment
-        elems = np.frombuffer(bytes(flat) + b"\0", dtype=np.uint8)
-    except ValueError:  # an element outside 0..255
-        return None
-    if flat and (elems[:-1].min() < 1 or elems.max() > n):
-        return None
-    return _segment_masks(elems, np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)))
-
-
-def _bulk_function(n: int, entries: list) -> SetFunction | None:
-    """The function of ``entries``, built chunk by chunk in arrays, or None
-    when any entry fails a bulk test; the caller then runs the per-entry
-    loop, which reports the first fault."""
-    size = 1 << n
-    ctab = np.zeros(size, dtype=np.int32)  # value code (1, 2, ...) by mask, 0 when unlisted
-    code_of: dict = {}  # raw int or string -> its code, keyed only after the type test
-    for at in range(0, len(entries), _CHUNK):
-        chunk = entries[at : at + _CHUNK]
-        if set(map(type, chunk)) != {dict}:
-            return None
-        try:
-            sets = list(map(itemgetter("set"), chunk))
-            vals = list(map(itemgetter("value"), chunk))
-        except KeyError:
-            return None
-        if not set(map(type, vals)) <= {int, str}:
-            return None
-        masks = _chunk_masks(sets, n)
-        if masks is None:
-            return None
-        for v in dict.fromkeys(vals):
-            code_of.setdefault(v, len(code_of) + 1)
-        ctab[masks] = np.fromiter(map(code_of.__getitem__, vals), dtype=np.int32,
-                                  count=len(vals))
-    if np.count_nonzero(ctab) != len(entries):
-        return None  # a repeated set
-    try:
-        parsed = [NEG_INF] + [Fraction(v) if type(v) is int else as_ext_value(v) for v in code_of]
-        return SetFunction._from_codes(n, ctab, parsed)
-    except InputError:  # a value that does not parse, or no finite one
-        return None
-
-
 def _loop_function(n: int, entries: list) -> SetFunction:
-    """The function of ``entries``, built one entry at a time; the exact
-    path for every error message and its order."""
+    """The function of ``entries``, built one entry at a time; the one
+    source of every error message and its order."""
     codes = array("q", bytes(8 << n))  # value code (1, 2, ...) by mask, 0 when unlisted
     values: list[ExtValue] = [NEG_INF]  # the value of each code
     code_of: dict = {}  # raw int or string -> its code; keyed only after a type test
@@ -236,17 +196,7 @@ def _loop_function(n: int, entries: list) -> SetFunction:
             raise InputError(
                 f"decimal value {value!r} rejected; use an integer or a 'p/q' string"
             )
-        raw = item["set"]
-        mask = -1
-        if type(raw) is list:
-            mask = 0
-            for e in raw:
-                if type(e) is not int or not 0 < e <= n:
-                    mask = -1
-                    break
-                mask |= 1 << (e - 1)
-        if mask < 0 or mask.bit_count() != len(raw):  # a repeated element lowers the count
-            mask = _element_list(raw, n)  # unusual input: raises the usual error
+        mask = _entry_mask(item["set"], n)
         if type(value) is int or type(value) is str:
             code = code_of.get(value)
             if code is None:
@@ -274,8 +224,7 @@ def obj_to_set_function(obj: dict) -> SetFunction:
     entries = obj.get("entries")
     if not isinstance(entries, list):
         raise InputError("'entries' must be a list")
-    f = _bulk_function(n, entries) if len(entries) >= _BULK_MIN else None
-    return f if f is not None else _loop_function(n, entries)
+    return _loop_function(n, entries)
 
 
 _WS = r"[ \t\n\r]*"  # JSON whitespace: json.loads allows it between any two tokens
@@ -331,9 +280,9 @@ def _text_masks(sets: list, n: int) -> np.ndarray | None:
 def _scan_function(text: str) -> SetFunction | None:
     """The function of a set-function file text, read without building a
     JSON tree, or None unless the text is in the scanner's grammar (see the
-    module docstring), holds at least ``_BULK_MIN`` entries and builds
+    module docstring), holds at least ``_SCAN_MIN`` entries and builds
     without an input error; the caller then parses the text as JSON."""
-    if text.count('"value"') < _BULK_MIN:  # in the grammar, one per entry
+    if text.count('"value"') < _SCAN_MIN:  # in the grammar, one per entry
         return None
     parts = re.split(_ENTRY, text)  # head, then (set, value, gap) per entry; the last gap the tail
     head = re.fullmatch(_HEAD, parts[0])
@@ -365,26 +314,12 @@ def _scan_function(text: str) -> SetFunction | None:
         return None
 
 
-def _bulk_family(n: int, raw: list) -> SetFamily | None:
-    """The family of the member lists ``raw``, or None when any member
-    fails a bulk test or repeats."""
-    seen = np.zeros(1 << n, dtype=bool)
-    for at in range(0, len(raw), _CHUNK):
-        masks = _chunk_masks(raw[at : at + _CHUNK], n)
-        if masks is None:
-            return None
-        seen[masks] = True
-    if np.count_nonzero(seen) != len(raw):
-        return None
-    return SetFamily._from_sorted(n, tuple(np.flatnonzero(seen).tolist()))
-
-
 def _loop_family(n: int, raw: list) -> SetFamily:
-    """The family of ``raw``, read one member at a time; the exact path for
+    """The family of ``raw``, read one member at a time; the one source of
     every error message and its order."""
     members = set()
     for item in raw:
-        mask = _element_list(item, n)
+        mask = _entry_mask(item, n)
         if mask in members:
             raise InputError(f"duplicate member {sorted(item)}")
         members.add(mask)
@@ -398,8 +333,7 @@ def obj_to_set_family(obj: dict) -> SetFamily:
     raw = obj.get("members")
     if not isinstance(raw, list):
         raise InputError("'members' must be a list of subsets")
-    fam = _bulk_family(n, raw) if len(raw) >= _BULK_MIN else None
-    return fam if fam is not None else _loop_family(n, raw)
+    return _loop_family(n, raw)
 
 
 @contextmanager

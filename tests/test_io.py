@@ -23,7 +23,7 @@ from excheck.fileio import (
     save_set_function,
     set_function_to_obj,
 )
-from excheck.sets import elements_of
+from excheck.sets import elements_of, mask_from_elements
 
 
 def test_function_round_trip(tmp_path, wmat):
@@ -166,8 +166,7 @@ CODED_CASES = [
     *((2, [(0, 0), (3, h)]) for h in (2**12 - 1, 2**12, 2**28 - 1, 2**28, 2**60 - 1, 2**60,
                                       2**62 + 1)),
 ]
-# Python values, which only the per-entry loop reads, below _BULK_MIN
-# entries and at it
+# Python values, which no file holds, so only obj_to_set_function reads them
 PYTHON_CASES = [
     (3, [(m, Fraction(m, 3) if m % 3 else NEG_INF) for m in range(8)]),
     (8, [(m, Fraction(m % 5, 1 + m % 4) if m % 7 else NEG_INF) for m in range(256)]),
@@ -273,23 +272,26 @@ def test_loader_error_messages(entries, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("entries,message", LOADER_ERRORS)
-def test_loader_error_messages_after_the_bulk_path(entries, message, monkeypatch):
-    monkeypatch.setattr(fileio, "_BULK_MIN", 0)  # every size tries the bulk build first
-    assert fileio._bulk_function(3, entries) is None
-    test_loader_error_messages(entries, message)
-
-
 @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indent-2"])
 @pytest.mark.parametrize("entries,message", LOADER_ERRORS)
 def test_loader_error_messages_from_files(tmp_path, monkeypatch, entries, message, indent):
-    monkeypatch.setattr(fileio, "_BULK_MIN", 0)  # every size tries the scanner and the bulk build
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)  # every size tries the scanner first
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"kind": "set_function", "n": 3, "entries": entries},
                                indent=indent))
     with pytest.raises(InputError) as exc:
         load_instance(path)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("entries,message", LOADER_ERRORS)
+def test_loader_error_messages_after_the_scanner(tmp_path, monkeypatch, entries, message):
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)  # every size tries the scanner first
+    text = json.dumps({"kind": "set_function", "n": 3, "entries": entries}, indent="\t")
+    assert fileio._scan_function(text) is None  # no fault builds: the loop reports it
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert _message(load_set_function, path) == _message(load_instance, path) == message
 
 
 def test_loader_seeds_the_integer_table(reference_fields):
@@ -305,23 +307,16 @@ def test_loader_seeds_the_integer_table(reference_fields):
 
 
 # ----------------------------------------------------------------------
-# the bulk paths against the per-entry loops they fall back to
+# the faults the per-entry loops report: catalogues of Python objects
 
 CHUNKS = st.sampled_from([1, 3, 64, fileio._CHUNK])  # small chunks put faults past the first
 
 
-def _outcome(build, n, raw):
-    """What ``build`` makes of ``raw``: the instance, or its error message."""
-    try:
-        return build(n, raw)
-    except InputError as e:
-        return str(e)
-
-
-def _bulk(build, n, raw, chunk):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_CHUNK", chunk)
-        return build(n, raw)
+def _message(load, *args):
+    """The message of the input error ``load(*args)`` raises."""
+    with pytest.raises(InputError) as exc:
+        load(*args)
+    return str(exc.value)
 
 
 def _same_function(f, g, reference_fields):
@@ -389,77 +384,13 @@ ENTRY_FAULTS = {
 }
 if not hasattr(sys, "get_int_max_str_digits"):  # no digit limit: a long p/q is valid
     del ENTRY_FAULTS["long p/q"]
-
-
-@given(raw_entries(), CHUNKS)
-@_examples(*(((n, _listed(pairs), None), chunk) for n, pairs in CODED_CASES
-             for chunk in (1, fileio._CHUNK)))
-@settings(max_examples=200, deadline=None)
-def test_bulk_build_matches_the_loop(reference_fields, case, chunk):
-    n, entries, _ = case
-    want = _outcome(fileio._loop_function, n, entries)
-    got = _bulk(fileio._bulk_function, n, entries, chunk)
-    if isinstance(want, str):  # every listed value is -inf
-        assert want == "effective domain is empty: every entry is -inf" and got is None
-    else:
-        assert got is not None and _same_function(got, want, reference_fields)
-
-
-@given(raw_entries(), st.lists(st.sampled_from(sorted(ENTRY_FAULTS)), min_size=1, max_size=2),
-       CHUNKS)
-@settings(max_examples=300, deadline=None)
-def test_bulk_build_falls_back_on_every_fault(case, faults, chunk):
-    n, entries, rnd = case
-    for fault in faults:
-        ENTRY_FAULTS[fault](n, entries, rnd)
-    want = _outcome(fileio._loop_function, n, entries)
-    assert isinstance(want, str)
-    assert _bulk(fileio._bulk_function, n, entries, chunk) is None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_BULK_MIN", 0)
-        mp.setattr(fileio, "_CHUNK", chunk)
-        with pytest.raises(InputError) as exc:
-            obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
-    assert str(exc.value) == want
-
-
-@pytest.mark.parametrize("chunk", [1, 5, fileio._CHUNK])
-@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
-def test_bulk_build_falls_back_on_each_fault(fault, chunk):
-    # the subsets of {2, 3, 4}: no fault's element list is already listed
-    entries = [{"set": [e for e in (2, 3, 4) if m >> (e - 2) & 1], "value": m} for m in range(8)]
-    rnd = Random(fault)
-    ENTRY_FAULTS[fault](4, entries, rnd)
-    assert isinstance(_outcome(fileio._loop_function, 4, entries), str)
-    assert _bulk(fileio._bulk_function, 4, entries, chunk) is None
+# faults no file can hold: json.dumps writes a tuple as a list
+_PYTHON_ONLY_FAULTS = {"tuple set"}
 
 
 def _full_entries(n):
     f = SetFunction.from_callable(n, lambda m: Fraction(m.bit_count() * (n - m.bit_count()), 2))
     return set_function_to_obj(f)["entries"]
-
-
-@pytest.mark.parametrize(
-    "fault,message",
-    [
-        ({"set": [1, True], "value": 0}, "element labels are positive integers, got True"),
-        ({"set": [2, 14], "value": 0}, "element 14 exceeds ground-set size 13"),
-        ({"set": [3], "value": True}, "boolean is not a value: True"),
-        ({"set": [3], "value": "1/x"}, "not an exact rational (use an integer or 'p/q'): '1/x'"),
-        ({"set": [2, 1], "value": 0}, "duplicate subset {1,2}"),
-    ],
-)
-def test_bulk_build_falls_back_on_a_fault_in_the_second_chunk(fault, message, reference_fields):
-    n = 13  # 8,192 entries: two chunks
-    entries = _full_entries(n)
-    assert len(entries) >= 2 * fileio._CHUNK > fileio._BULK_MIN
-    want = obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
-    assert _same_function(fileio._bulk_function(n, entries), want, reference_fields)
-    entries.insert(fileio._CHUNK + 5, fault)
-    assert fileio._bulk_function(n, entries) is None
-    with pytest.raises(InputError) as exc:
-        obj_to_set_function({"kind": "set_function", "n": n, "entries": entries})
-    assert str(exc.value) == message
 
 
 @st.composite
@@ -483,20 +414,6 @@ MEMBER_FAULTS = {
     "string member": lambda n, ms, r: _insert(ms, r, "1"),
     "repeated member": lambda n, ms, r: _insert(ms, r, *_twice(_some_set(n, r))),
 }
-
-
-@given(raw_members(), st.lists(st.sampled_from(sorted(MEMBER_FAULTS)), max_size=2), CHUNKS)
-@settings(max_examples=200, deadline=None)
-def test_bulk_family_matches_the_loop(case, faults, chunk):
-    n, members, rnd = case
-    for fault in faults:
-        MEMBER_FAULTS[fault](n, members, rnd)
-    want = _outcome(fileio._loop_family, n, members)
-    got = _bulk(fileio._bulk_family, n, members, chunk)
-    if faults:
-        assert isinstance(want, str) and got is None
-    else:
-        assert got == want and got.sorted_members == want.sorted_members
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +491,7 @@ def test_scanner_matches_the_json_path_in_every_layout(tmp_path_factory, referen
     text = LAYOUTS[layout]({"kind": "set_function", "n": n, "entries": entries})
     path = tmp_path_factory.getbasetemp() / "layout.json"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_BULK_MIN", 0)  # the scanner takes every size
+        mp.setattr(fileio, "_SCAN_MIN", 0)  # the scanner takes every size
         mp.setattr(fileio, "_CHUNK", chunk)
         read = _scanner_took(text, path, reference_fields)
     assert read == _fits_the_scanner(entries)
@@ -639,7 +556,7 @@ SCANNER_REFUSALS = {
 
 @pytest.mark.parametrize("fault", sorted(SCANNER_REFUSALS))
 def test_scanner_refuses_texts_outside_its_grammar(tmp_path, monkeypatch, reference_fields, fault):
-    monkeypatch.setattr(fileio, "_BULK_MIN", 0)
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)
     assert fileio._scan_function(_SMALL_TEXT) is not None
     old, new = SCANNER_REFUSALS[fault]
     assert _SMALL_TEXT.count(old) == 1
@@ -651,7 +568,7 @@ def test_scanner_refuses_texts_outside_its_grammar(tmp_path, monkeypatch, refere
 def test_scanner_reads_a_long_whitespace_run_once(monkeypatch):
     # a search that tried an entry at each character of a run would take
     # time quadratic in its length: hours for these 10^6 spaces
-    monkeypatch.setattr(fileio, "_BULK_MIN", 0)
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)
     for stray in ("x", '{"set": [1], "value": 1} '):
         text = _SMALL_TEXT.replace('{"set": [1]', " " * 10**6 + stray + '{"set": [1]')
         start = time.perf_counter()
@@ -689,9 +606,108 @@ def test_mutated_texts_load_as_the_json_path_reads_them(tmp_path_factory, refere
                 "0123456789")
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fileio, "_BULK_MIN", 0)
+        mp.setattr(fileio, "_SCAN_MIN", 0)
         mp.setattr(fileio, "_CHUNK", chunk)
         _scanner_took("".join(chars), path, reference_fields)
+
+
+# ----------------------------------------------------------------------
+# every fault through files, and families in every layout
+
+@given(raw_entries(), st.lists(st.sampled_from(sorted(ENTRY_FAULTS)), min_size=1, max_size=2),
+       st.sampled_from(sorted(LAYOUTS)), CHUNKS)
+@settings(max_examples=300, deadline=None)
+def test_loaders_report_every_fault_from_files(tmp_path_factory, case, faults, layout, chunk):
+    n, entries, rnd = case
+    for fault in faults:
+        ENTRY_FAULTS[fault](n, entries, rnd)
+    obj = {"kind": "set_function", "n": n, "entries": entries}
+    want = _message(fileio._loop_function, n, entries)
+    assert _message(obj_to_set_function, obj) == want
+    if not _PYTHON_ONLY_FAULTS.isdisjoint(faults):
+        return
+    text = LAYOUTS[layout](obj)
+    assert _message(obj_to_set_function, json.loads(text)) == want
+    path = tmp_path_factory.getbasetemp() / "fault.json"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_SCAN_MIN", 0)  # the scanner sees every size first
+        mp.setattr(fileio, "_CHUNK", chunk)
+        assert _message(load_instance, path) == _message(load_set_function, path) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 5, fileio._CHUNK])
+@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
+def test_loaders_report_each_fault_from_files(tmp_path, monkeypatch, fault, chunk):
+    # the subsets of {2, 3, 4}: no fault's element list is already listed
+    entries = [{"set": [e for e in (2, 3, 4) if m >> (e - 2) & 1], "value": m} for m in range(8)]
+    ENTRY_FAULTS[fault](4, entries, Random(fault))
+    obj = {"kind": "set_function", "n": 4, "entries": entries}
+    want = _message(fileio._loop_function, 4, entries)
+    assert _message(obj_to_set_function, obj) == want
+    if fault in _PYTHON_ONLY_FAULTS:
+        return
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)  # the scanner sees every size first
+    monkeypatch.setattr(fileio, "_CHUNK", chunk)
+    for layout, dump in sorted(LAYOUTS.items()):
+        text = dump(obj)
+        assert fileio._scan_function(text) is None, layout
+        path = tmp_path / "f.json"
+        path.write_bytes(text.encode("utf-8"))
+        assert _message(load_instance, path) == _message(load_set_function, path) == want, layout
+
+
+# (fault, its message, whether the scanner read each chunk it decoded): the
+# fault is the second chunk's sixth entry, and the 8,193 entries make three chunks
+SECOND_CHUNK_FAULTS = [
+    ({"set": [1, True], "value": 0}, "element labels are positive integers, got True", []),
+    ({"set": [3], "value": True}, "boolean is not a value: True", []),
+    ({"set": [2, 14], "value": 0}, "element 14 exceeds ground-set size 13", [True, False]),
+    ({"set": [2, 1, 2], "value": 0}, "duplicate element 2", [True, False]),
+    ({"set": [3], "value": "1/x"}, "not an exact rational (use an integer or 'p/q'): '1/x'",
+     [True, True, True]),
+    ({"set": [2, 1], "value": 0}, "duplicate subset {1,2}", [True, True, True]),
+]
+
+
+@pytest.mark.parametrize("fault,message,chunks", SECOND_CHUNK_FAULTS)
+def test_scanner_refuses_a_fault_in_the_second_chunk(tmp_path, monkeypatch, reference_fields,
+                                                     fault, message, chunks):
+    n = 13  # 8,192 entries: two chunks
+    obj = {"kind": "set_function", "n": n, "entries": _full_entries(n)}
+    assert len(obj["entries"]) == 2 * fileio._CHUNK > fileio._SCAN_MIN
+    assert _scanner_took(json.dumps(obj, indent=2), tmp_path / "f.json", reference_fields)
+    obj["entries"].insert(fileio._CHUNK + 5, fault)
+    text = json.dumps(obj, indent=2)
+    decoded, decode = [], fileio._text_masks
+    monkeypatch.setattr(fileio, "_text_masks",
+                        lambda sets, n: decoded.append(decode(sets, n)) or decoded[-1])
+    assert fileio._scan_function(text) is None
+    assert [masks is not None for masks in decoded] == chunks
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    assert _message(load_instance, path) == message
+
+
+@given(raw_members(), st.lists(st.sampled_from(sorted(MEMBER_FAULTS)), max_size=2),
+       st.sampled_from(sorted(LAYOUTS)))
+@settings(max_examples=200, deadline=None)
+def test_family_loaders_match_an_independent_build_in_every_layout(tmp_path_factory, case,
+                                                                    faults, layout):
+    n, members, rnd = case
+    for fault in faults:
+        MEMBER_FAULTS[fault](n, members, rnd)
+    path = tmp_path_factory.getbasetemp() / "family.json"
+    path.write_bytes(LAYOUTS[layout]({"kind": "set_family", "n": n, "members": members})
+                     .encode("utf-8"))
+    if faults:
+        want = _message(fileio._loop_family, n, members)
+        assert _message(load_set_family, path) == _message(load_instance, path) == want
+    else:
+        want = SetFamily(n, frozenset(mask_from_elements(m, n) for m in members))
+        for load in (load_set_family, load_instance):
+            got = load(path)
+            assert got == want and got.sorted_members == want.sorted_members
 
 
 # ----------------------------------------------------------------------
@@ -707,7 +723,7 @@ def collector(request):
     (gc.enable if was else gc.disable)()
 
 
-_BIG_N = 9  # 512 entries and members, at least _BULK_MIN
+_BIG_N = 9  # 512 entries and members, at least _SCAN_MIN
 
 
 def _big_function_obj():
@@ -720,16 +736,15 @@ def _big_family_obj():
 
 
 def _with_repeated_element(obj):
-    """``obj`` with its last entry or member given a repeated element,
-    which passes the bulk type and range tests and fails the OR-against-sum
-    test, so the bulk build falls back to the loop, which raises."""
+    """``obj`` with its last entry or member given a repeated element: the
+    scanner refuses a function text so, and the per-entry loop raises."""
     rows = obj.get("entries") or obj["members"]
     last = rows[-1]
     if isinstance(last, dict):
         last["set"] = [1, 1]
     else:
         last[:] = [1, 1]
-    assert len(rows) >= fileio._BULK_MIN
+    assert len(rows) >= fileio._SCAN_MIN
     return obj
 
 
@@ -869,7 +884,7 @@ def test_concurrent_loads_end_with_the_collector_on(tmp_path):
     assert errors == [] and same == [True] * 20 and ended_on
 
 
-def test_bulk_loads_leave_no_cyclic_garbage(tmp_path):
+def test_large_loads_leave_no_cyclic_garbage(tmp_path):
     fpath = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())  # read by the scanner
     ppath = _write(tmp_path / "p.json", INSTANCE_FILES["function, keys reordered"]())  # parsed
     mpath = _write(tmp_path / "m.json", INSTANCE_FILES["family"]())
@@ -880,21 +895,17 @@ def test_bulk_loads_leave_no_cyclic_garbage(tmp_path):
     assert gc.collect() == 0
 
 
-def test_large_round_trip_through_the_bulk_path(tmp_path, monkeypatch, reference_fields):
+def test_large_round_trip_through_the_scanner(tmp_path, monkeypatch, reference_fields):
     n = 15  # 30,720 listed sets: 8 chunks, the last one half full
     f = SetFunction(n, tuple(Fraction(m * 7919 % 1001 - 500, 1 + m % 6) if m % 16 else NEG_INF
                              for m in range(1 << n)))
     path = tmp_path / "big.json"
     save_set_function(f, path)
-    entries = json.loads(path.read_text())["entries"]
-    assert -(-len(entries) // fileio._CHUNK) == 8
+    assert -(-len(json.loads(path.read_text())["entries"]) // fileio._CHUNK) == 8
 
-    def no_loop(n, entries):
-        raise AssertionError("the bulk build fell back to the loop")
+    def no_parse(path, text):
+        raise AssertionError("the scanner left the text to the JSON parser")
 
-    monkeypatch.setattr(fileio, "_loop_function", no_loop)
-    back = obj_to_set_function(json.loads(path.read_text()))  # load_instance would scan the text
-    assert back.table == f.table
-    assert _int_fields(back.ints) == reference_fields(f)
+    monkeypatch.setattr(fileio, "_parse_json", no_parse)
     loaded = load_instance(path)
     assert loaded.table == f.table and _int_fields(loaded.ints) == reference_fields(f)
