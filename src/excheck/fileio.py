@@ -7,17 +7,18 @@ sets are an input error; decimal numbers are rejected.
 
 Set family: ``{"kind": "set_family", "n": N, "members": [[...], ...]}``.
 
-Files are read as UTF-8, by one of two paths.  A set-function file of at
-least ``_SCAN_MIN`` entries in the text grammar below is read by a scanner,
-without a JSON tree.  Every other file (every set family, every small
-function and every text outside the grammar) is parsed with
-:func:`json.loads` and read entry by entry.  Text that is not UTF-8, JSON
-nested past the recursion limit and an integer past the interpreter's
-digit limit are input errors like malformed JSON.
+Files are read as bytes, by one of two paths.  A set-function file of at
+least ``_SCAN_MIN`` entries in the grammar below is read by a byte-level
+reader, without a JSON tree.  Every other file (every set family, every
+small function and every text outside the grammar) is decoded as UTF-8
+with universal newlines, as :meth:`pathlib.Path.read_text` decodes it,
+parsed with :func:`json.loads` and read entry by entry.  Bytes that are
+not UTF-8, JSON nested past the recursion limit and an integer past the
+interpreter's digit limit are input errors like malformed JSON.
 
 The per-entry loop validates each entry in order through the general
 validators, so it is the one source of error messages: every message, its
-order and the exit code are the same whether or not the scanner saw the
+order and the exit code are the same whether or not the reader saw the
 file first.  One helper, ``_entry_mask``, reads each element list (a set's or a
 member's) with a fast test for distinct ints in 1..n, and leaves anything
 else to :func:`~excheck.sets.mask_from_elements` for its message.  The
@@ -28,40 +29,54 @@ code (``SetFunction._from_codes``).  A family ends in
 ``SetFamily._from_sorted``.  The loop is the slower path on large texts: on
 refute's ``mpc14_5`` (n = 14, 16,384 entries), the parsed object builds in
 15.6-17.3 ms, where a numpy build from the tree took 8.6-9.0 ms (best of 7;
-``json.loads`` itself takes 16-19 ms).  That build was deleted: the scanner
-reads every large text that :func:`save_set_function` or ``json.dumps``
+``json.loads`` itself takes 16-19 ms).  That build was deleted: the reader
+takes every large text that :func:`save_set_function` or ``json.dumps``
 writes, so only a large text outside the grammar pays the difference.
 
-The text path (``_scan_function``) takes a set-function file of at least
+The byte path (``_scan_function``) takes a set-function file of at least
 ``_SCAN_MIN`` entries that is exactly ``{"kind": "set_function", "n": N,
 "entries": [...]}`` with entries ``{"set": [...], "value": v}``, keys in
-that order and JSON whitespace anywhere between tokens, so the compact
+that order and JSON whitespace between tokens, so the compact
 ``json.dumps`` layout, the ``indent=2`` layout of
-:func:`save_set_function` and any other indent qualify.  One compiled
-pattern splits the text into element-list texts and value tokens, and
-each piece between two entries must be a comma.  Numpy decodes the element
-lists one chunk of ``_CHUNK`` at a time: the numbers, their alternation
-with commas, the range 1..n and, by OR against sum, a repeated element.
-Each distinct value token is parsed once (an integer, or a string's
-contents through :func:`~excheck.values.as_ext_value`), and the build is
-``SetFunction._from_codes`` again.  The grammar is a strict subset of JSON
-whose :func:`json.loads` result is unambiguous: fixed keys (so none is
-repeated), strings without escapes or control characters, integers of at
-most 18 digits and no ``-0``, elements of one or two digits with no
-leading zero, and n in 1..``MAX_GROUND_SIZE``.  So where the scanner takes
-a text, the JSON path reads the same entries and builds the same function.
-It refuses everything else, unchanged, to the JSON path: any text outside
-the grammar and any semantic fault (an element out of range or repeated,
-a repeated set, a value that does not parse, no finite value), so every
-error message, its order and the exit code come from the loop.  The
-pattern starts at ``{``, not at whitespace, so its search reads a run of
-whitespace once and the scan stays linear in the text.  On refute's
-``mpc14_5`` (801 KB), a load takes 30.5-34.5 ms through ``json.loads`` and
-the per-entry loop and 14.5-22.2 ms through the scanner, with a
-``tracemalloc`` peak of 6.6 against 4.3 MB; an n = 12 file of 4,096
-entries takes 7.7-9.2 against 4.9-5.8 ms (best of 15 in each of three
-rounds).  All timings here are on an Intel Xeon under CPython 3.11 and
-numpy 2.4.
+:func:`save_set_function` and any other indent qualify.  It drops the
+whitespace with ``bytes.translate`` and refuses a compact text with a byte
+outside printable ASCII.  The brackets tile what is left: each entry owns
+one ``[`` and one ``]``, each list closes after it opens, the head up to
+the first entry's list is one pattern, the ten bytes ``],"value":`` after
+each list and ``},{"set":[`` before each list but the first are compared
+in one gather each, and the text ends with ``}]}``.  Numpy decodes the
+element lists one chunk of ``_CHUNK`` entries at a time: an element is
+one or two digits after ``[`` or ``,``; the elements, each with the byte
+after it, must cover the lists exactly (one length identity per chunk),
+and each must be in 1..n, without a leading zero and, by OR against sum,
+not repeated in its list.  The value tokens, the bytes between each
+``"value":`` and its ``}``, are packed into words of zero-padded bytes
+and numbered with ``np.unique``; each distinct token must be an integer of
+at most 18 digits or a string of at most ``_WIDE`` bytes without escapes
+or the bytes ``, : [ ] { }``, and is parsed once.  The build is
+``SetFunction._from_codes`` again.  No dropped whitespace may have been
+inside a token: the compact text holds one run of string and number bytes
+per token (5 in the head, and per entry its key ``"set"``, its elements,
+``"value"`` and the value), and the file, counted in slices of ``_SLICE``
+bytes, must hold as many, since whitespace inside a string or a number
+would split one.  The grammar is a strict subset of JSON whose
+:func:`json.loads` result is unambiguous: fixed keys (so none is
+repeated), strings without escapes, whitespace or control characters,
+integers of at most 18 digits and no ``-0``, elements of one or two
+digits with no leading zero, and n in 1..``MAX_GROUND_SIZE``.  So where
+the reader takes a text, the JSON path reads the same entries and builds
+the same function.  It refuses everything else, unchanged, to the JSON
+path: any text outside the grammar and any semantic fault (an element out
+of range or repeated, a repeated set, a value that does not parse, no
+finite value), so every error message, its order and the exit code come
+from the loop.  Each step is linear in the text.  On refute's
+``mpc14_5`` (801 KB), a load takes about 31 ms through ``json.loads`` and
+the per-entry loop, and 7.4 ms through the reader against 13.9 ms through
+the regular-expression scanner it replaced, with a ``tracemalloc`` peak
+of 2.9 against 4.5 MB; a 256-entry file of the dual workload (9 KB) loads
+in 0.22-0.23 ms against 0.26 ms (best of 200, the two readers
+alternating).  All timings here are on an Intel Xeon under CPython 3.11
+and numpy 2.4.
 
 Every load (read, scan or parse, and build) and every file text (object
 and ``json.dumps``) runs with CPython's cyclic garbage collector paused,
@@ -72,8 +87,8 @@ collection, each a walk over the tree parsed so far; ``gc.collect()``
 right after it freed 0 objects.  The pause is safe: the parsed tree has
 no cycles, reference counting frees it, and it is a temporary of the
 paused call, so it is released before the collector resumes and no later
-collection walks it.  The collector is switched off only if it was on,
-and back on in a ``finally``.
+collection walks it.  The collector is switched back on, in a
+``finally``, only if it was on.
 """
 
 from __future__ import annotations
@@ -106,18 +121,13 @@ __all__ = [
 ]
 
 
-def _read_text(path) -> str:
+def _parse_json(path, data: bytes) -> dict:
+    """The object in the file bytes ``data``, decoded as ``Path.read_text``
+    decodes them: UTF-8, with universal newlines."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+        obj = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except UnicodeDecodeError as e:
         raise InputError(f"{path} is not UTF-8 text: {e}") from None
-
-
-def _parse_json(path, text: str) -> dict:
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
@@ -154,31 +164,21 @@ def _entry_mask(raw, n: int) -> int:
     return mask_from_elements(raw, n)
 
 
-# Entries per chunk of the scanner: each chunk's byte buffer and arrays
-# stay small next to the text they are read from.
-_CHUNK = 4096
-# Below this many entries the scanner is about as fast as ``json.loads`` and
+# Entries per chunk of the reader's element-list decoder: each chunk's
+# temporaries stay small next to the text.
+_CHUNK = 1024
+# Below this many entries the reader is about as fast as ``json.loads`` and
 # the per-entry loop, since its fixed cost is a few dozen array calls: on an
-# Intel Xeon under CPython 3.11 and numpy 2.4 (best of 200, six runs), an
-# indent-2 text of 256 entries took 0.29-0.35 ms through the scanner and
-# 0.37-0.43 ms through the JSON path, and at 128 entries neither won
-# (0.19-0.22 against 0.20-0.23 ms).
+# Intel Xeon under CPython 3.11 and numpy 2.4 (best of 400, three runs), an
+# indent-2 text of 256 entries took 0.34-0.36 ms through the reader and
+# 0.46-0.48 ms through the JSON path, and at 128 entries the JSON path won
+# (0.27-0.28 against 0.29 ms).
 _SCAN_MIN = 256
-
-
-# 1 << (e - 1) at index e, 0 at index 0
-_ELEMENT_BIT = np.array([0] + [1 << e for e in range(MAX_GROUND_SIZE)], dtype=np.int64)
-
-
-def _segment_masks(elems: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
-    """The OR of the bits of each run of ``lens`` elements, or None when an
-    element repeats in a run.  ``elems`` holds elements in 1..n followed by
-    one 0, which closes the last run when it is empty."""
-    bits = _ELEMENT_BIT[elems]
-    masks = np.bitwise_or.reduceat(bits, np.cumsum(lens) - lens)
-    masks[lens == 0] = 0  # reduceat reads one element for an empty segment
-    # OR and sum of a segment agree unless an element repeats in it
-    return masks if masks.sum() == bits.sum() else None
+# Bytes per slice of the reader's whitespace test.
+_SLICE = 1 << 16
+# The widest value token the reader reads, a multiple of 8 bytes; a wider
+# one sends the text to the JSON path.
+_WIDE = 32
 
 
 def _loop_function(n: int, entries: list) -> SetFunction:
@@ -227,89 +227,110 @@ def obj_to_set_function(obj: dict) -> SetFunction:
     return _loop_function(n, entries)
 
 
-_WS = r"[ \t\n\r]*"  # JSON whitespace: json.loads allows it between any two tokens
+# 1 for a byte of a string or a number, 0 for whitespace and , : [ ] { }
+_TOKEN_BYTE = bytes(int(b > 32 and b not in b",:[]{}") for b in range(256))
+# a digit's value, 10 for "[" and ",", which come before an element, 11 otherwise
+_DIGIT = bytes(b - 48 if 48 <= b < 58 else 10 if b in b"[," else 11 for b in range(256))
+# the element that starts with the _DIGIT codes d and e, read as the
+# little-endian word d + 256e: d, or 10d + e when e is a digit too, and 0
+# when d is 0 (a leading zero, or the element 0)
+_ELEMENT = np.array([0 if not 0 < w % 256 < 10 else w % 256 if w >> 8 > 9
+                     else 10 * (w % 256) + (w >> 8) for w in range(12 << 8)], dtype=np.uint8)
+# 1 << (e - 1) at index e, 0 at index 0
+_ELEMENT_BIT = np.array([0] + [1 << e for e in range(MAX_GROUND_SIZE)], dtype=np.int64)
+# a word with its low min(t, 8) bytes set at index t, and none at a negative t
+_LOW_BYTES = np.array([(1 << 8 * min(t, 8)) - 1 for t in range(_WIDE + 1)] + [0] * _WIDE, "u8")
+# The two patterns are compiled through ``re``'s cache on first use, so a
+# process that reads no large function file does not pay for them.
+_HEAD = rb'\{"kind":"set_function","n":([1-9][0-9]?),"entries":\[\{"set":\['
+# an integer of at most 18 digits, or a string without escapes or , : [ ] { }
+_VALUE = rb'0|-?[1-9][0-9]{0,17}|"[^"\\,:\[\]{}]*"'
 
 
-def _spaced(*tokens: str) -> str:
-    """The pattern of the tokens in order, with JSON whitespace allowed
-    between them.  The patterns below are compiled through ``re``'s cache
-    on the first scan, so a process that never scans does not pay for it."""
-    return _WS.join(tokens)
-
-
-_HEAD = _spaced("", r"\{", '"kind"', ":", '"set_function"', ",", '"n"', ":", "([1-9][0-9]?)",
-                ",", '"entries"', ":", r"\[", "")
-# one entry: the inside of its element list (checked by _text_masks) and its
-# value, an integer of at most 18 digits or a string with no escape or
-# control character.  It starts at "{", not at whitespace, so a search
-# tries each whitespace run once, not once per character.
-_ENTRY = _spaced(r"\{", '"set"', ":", r"\[([0-9, \t\n\r]*)\]", ",", '"value"', ":",
-                 r'(0|-?[1-9][0-9]{0,17}|"[^"\\\x00-\x1f]*")', r"\}")
-_GAP = _spaced("", ",", "")
-_TAIL = _spaced("", r"\]", r"\}", "")
-
-
-def _text_masks(sets: list, n: int) -> np.ndarray | None:
-    """The masks of the element-list texts ``sets`` (each the inside of a
-    list's brackets, made of digits, commas and JSON whitespace), or None
-    unless each lists distinct elements in 1..n, comma-separated and each
-    written as one or two digits with no leading zero."""
-    raw = ("]" + "]".join(sets) + "]").encode("ascii")
-    digit = (np.frombuffer(raw, dtype=np.uint8) - ord("0")) < 10
-    numbers = np.count_nonzero(digit[1:] > digit[:-1])
-    buf = np.frombuffer(raw.translate(None, b" \t\n\r"), dtype=np.uint8)
-    val = buf - ord("0")  # a digit's value, and 10 or more for "," and "]"
-    digit = val < 10
-    first = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # the first digit of each number
-    if first.size != numbers:  # dropping whitespace joined two numbers
+def _list_masks(buf: bytes, lb: np.ndarray, rb: np.ndarray, a: int, b: int,
+                n: int) -> tuple[np.ndarray, int] | None:
+    """The masks of entries a..b-1, whose element lists open at ``lb[a:b]``
+    and close at ``rb[a-1:b-1]`` in the compact text ``buf``, and their
+    number of elements; or None unless each list holds distinct elements in
+    1..n, comma-separated and each one or two digits with no leading zero."""
+    digits = buf[lb[a] : rb[b - 2] + 1].translate(_DIGIT)
+    d = np.frombuffer(digits, dtype=np.uint8)
+    before = np.flatnonzero((d[1:] < 10) & (d[:-1] == 10))  # the "[" or "," before each element
+    # the 2 bytes from each offset after the first; in range, as the slice ends with "]"
+    pairs = np.ndarray((d.size - 2,), dtype="<u2", buffer=digits, offset=1, strides=(1,))
+    elems = _ELEMENT[pairs[before]]
+    opens, closes = lb[a:b] - lb[a], rb[a - 1 : b - 1] - lb[a]  # offsets in the slice
+    segs = np.searchsorted(before, opens)  # where each list's elements start
+    lens = np.searchsorted(before, closes) - segs
+    # the elements, each with the byte after it, and each empty list's "]"
+    # cover the lists' insides and "]"s exactly when no other byte is there;
+    # _ELEMENT is 0 for a leading zero
+    if (2 * before.size + np.count_nonzero(elems > 9) + lens.size - np.count_nonzero(lens)
+            != (closes - opens).sum()
+            or before.size and not 0 < elems.min() <= elems.max() <= n):
         return None
-    second = val[first + 1]  # in range: the buffer ends with "]"
-    two = second < 10
-    commas = np.flatnonzero(buf == ord(","))
-    if (np.count_nonzero(digit) != first.size + np.count_nonzero(two)  # three digits or more
-            or not (digit[commas - 1].all() and digit[commas + 1].all())):
-        return None  # each comma lies between two numbers, so each number between commas or ends
-    tens = val[first]
-    elems = np.where(two, tens * 10 + second, tens)
-    if first.size and (tens.min() == 0 or elems.max() > n):  # a leading zero or out of range
-        return None
-    lens = np.diff(np.searchsorted(first, np.flatnonzero(buf == ord("]"))))
-    return _segment_masks(np.append(elems, 0), lens)
+    bits = _ELEMENT_BIT[np.append(elems, 0)]  # the 0 closes the last list when it is empty
+    masks = np.bitwise_or.reduceat(bits, segs)
+    masks[lens == 0] = 0  # reduceat reads one element for an empty list
+    # OR and sum of a list agree unless an element repeats in it
+    return (masks, before.size) if masks.sum() == bits.sum() else None
 
 
-def _scan_function(text: str) -> SetFunction | None:
-    """The function of a set-function file text, read without building a
-    JSON tree, or None unless the text is in the scanner's grammar (see the
-    module docstring), holds at least ``_SCAN_MIN`` entries and builds
-    without an input error; the caller then parses the text as JSON."""
-    if text.count('"value"') < _SCAN_MIN:  # in the grammar, one per entry
-        return None
-    parts = re.split(_ENTRY, text)  # head, then (set, value, gap) per entry; the last gap the tail
-    head = re.fullmatch(_HEAD, parts[0])
-    gaps = set(parts[3:-1:3])  # one or two strings in any one layout
-    if (head is None or re.fullmatch(_TAIL, parts[-1]) is None
-            or not all(re.fullmatch(_GAP, gap) for gap in gaps)):
+def _token_runs(data: bytes) -> int:
+    """The number of runs of string and number bytes in ``data`` that
+    start after its first byte, counted in slices of ``_SLICE`` bytes."""
+    flags = (np.frombuffer(data[max(at - 1, 0) : at + _SLICE].translate(_TOKEN_BYTE), dtype=bool)
+             for at in range(0, len(data), _SLICE))
+    return sum(np.count_nonzero(t[1:] > t[:-1]) for t in flags)
+
+
+def _scan_function(data: bytes) -> SetFunction | None:
+    """The function of the bytes of a set-function file, read without
+    building a JSON tree, or None unless the text is in the reader's
+    grammar (see the module docstring), holds at least ``_SCAN_MIN``
+    entries and builds without an input error; the caller then parses the
+    text as JSON."""
+    buf = data.translate(None, b" \t\n\r") + bytes(_WIDE)  # compact, then zeros for the views
+    c = np.frombuffer(buf, dtype=np.uint8)[:-_WIDE]
+    lb, rb = np.flatnonzero(c == ord("[")), np.flatnonzero(c == ord("]"))
+    k = lb.size - 1  # one "[" per entry, and one opens the entries
+    head = re.match(_HEAD, buf)  # up to the first entry's "[", so lb[0] and lb[1] are its own
+    if k < max(_SCAN_MIN, 1) or rb.size != k + 1 or head is None:
         return None
     n = int(head[1])
-    if n > MAX_GROUND_SIZE:
+    ten = np.ndarray((c.size,), dtype="V10", buffer=buf, strides=(1,))  # 10 bytes per offset
+    start = rb[:-1] + 10  # each value token, from after its list to before "}"
+    width = np.append(lb[2:] - 9, c.size - 3) - start  # the windows cannot overlap, so >= 0
+    if (n > MAX_GROUND_SIZE or buf[c.size - 3 : c.size] != b"}]}" or c.min() < 33
+            or c.max() > 126 or width.max() > _WIDE or (rb[:-1] <= lb[1:]).any()
+            or ten[rb[:-1]].tobytes() != b'],"value":' * k
+            or ten[lb[2:] - 9].tobytes() != b'},{"set":[' * (k - 1)):
         return None
-    sets, vals = parts[1::3], parts[2::3]
-    del parts  # frees the gaps before the arrays are built
-    masks = np.empty(len(sets), dtype=np.int64)
-    for at in range(0, len(sets), _CHUNK):
-        chunk = _text_masks(sets[at : at + _CHUNK], n)
-        if chunk is None:
+    chunks = []
+    for at in range(1, k + 1, _CHUNK):
+        chunks.append(_list_masks(buf, lb, rb, at, min(at + _CHUNK, k + 1), n))
+        if chunks[-1] is None:
             return None
-        masks[at : at + _CHUNK] = chunk
-    code_of = {tok: code for code, tok in enumerate(dict.fromkeys(vals), 1)}
+    # the compact text has one run of string or number bytes per token,
+    # 5 in the head and 3 + its elements per entry; whitespace dropped
+    # inside a token would have split one in the file
+    if _token_runs(data) != 5 + 3 * k + sum(count for _, count in chunks):
+        return None
+    # each token as q words padded with zero bytes (one word, or a string of
+    # q), the words read from a view of the 8 bytes from each offset
+    q = -(-int(width.max()) // 8)
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    keys = np.stack([words[start + 8 * j] & _LOW_BYTES[width - 8 * j] for j in range(q)], 1)
+    tokens, codes = np.unique(keys[:, 0] if q == 1 else keys.view(f"S{8 * q}")[:, 0],
+                              return_inverse=True)
     ctab = np.zeros(1 << n, dtype=np.int32)  # value code (1, 2, ...) by mask, 0 when unlisted
-    ctab[masks] = np.fromiter(map(code_of.__getitem__, vals), dtype=np.int32, count=len(vals))
-    if np.count_nonzero(ctab) != len(vals):
-        return None  # a repeated set
+    ctab[np.concatenate([masks for masks, _ in chunks])] = codes + 1
+    tokens = tokens.view(f"S{8 * q}").tolist()  # an empty token is b"", outside the grammar
+    if np.count_nonzero(ctab) != k or not all(re.fullmatch(_VALUE, t) for t in tokens):
+        return None  # a repeated set, or a value outside the grammar
     try:
-        parsed = [NEG_INF] + [as_ext_value(tok[1:-1]) if tok[0] == '"' else Fraction(int(tok))
-                              for tok in code_of]
-        return SetFunction._from_codes(n, ctab, parsed)
+        return SetFunction._from_codes(n, ctab, [NEG_INF] + [as_ext_value(json.loads(t))
+                                                             for t in tokens])
     except InputError:  # a value that does not parse, or no finite one
         return None
 
@@ -338,26 +359,30 @@ def obj_to_set_family(obj: dict) -> SetFamily:
 
 @contextmanager
 def _gc_paused():
-    """Run the body with the cyclic garbage collector off, if it was on."""
-    if not gc.isenabled():
-        yield
-        return
+    """Run the body with the cyclic garbage collector off, and switch it
+    back on after the body only if it was on before."""
+    was_on = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
-        gc.enable()
+        if was_on:
+            gc.enable()
 
 
 def _load(path, convert, scan: bool = False):
     """The instance in ``path``, read and built with the collector paused:
-    with ``scan``, by ``_scan_function`` of the text when it takes it, and
-    otherwise as ``convert`` of the parsed JSON object.  The object is a
-    temporary of this call, so the tree is freed before the pause ends."""
+    with ``scan``, by ``_scan_function`` of the file's bytes when it takes
+    them, and otherwise as ``convert`` of the parsed JSON object.  The
+    object is a temporary of this call, so the tree is freed before the
+    pause ends."""
     with _gc_paused():
-        text = _read_text(path)
-        f = _scan_function(text) if scan else None
-        return f if f is not None else convert(_parse_json(path, text))
+        try:
+            data = Path(path).read_bytes()
+        except OSError as e:
+            raise InputError(f"cannot read {path}: {e}") from None
+        f = _scan_function(data) if scan else None
+        return f if f is not None else convert(_parse_json(path, data))
 
 
 def _obj_to_instance(obj: dict) -> SetFunction | SetFamily:

@@ -288,7 +288,7 @@ def test_loader_error_messages_from_files(tmp_path, monkeypatch, entries, messag
 def test_loader_error_messages_after_the_scanner(tmp_path, monkeypatch, entries, message):
     monkeypatch.setattr(fileio, "_SCAN_MIN", 0)  # every size tries the scanner first
     text = json.dumps({"kind": "set_function", "n": 3, "entries": entries}, indent="\t")
-    assert fileio._scan_function(text) is None  # no fault builds: the loop reports it
+    assert fileio._scan_function(text.encode()) is None  # no fault builds: the loop reports it
     path = tmp_path / "f.json"
     path.write_text(text)
     assert _message(load_set_function, path) == _message(load_instance, path) == message
@@ -461,7 +461,7 @@ def _scanner_took(text, path, reference_fields):
     builds nothing else; return whether the scanner read the text."""
     path.write_bytes(text.encode("utf-8"))
     want = _load_outcome(path, scan=False)
-    direct = fileio._scan_function(text)
+    direct = fileio._scan_function(text.encode("utf-8"))
     if direct is not None:
         assert _same_function(direct, obj_to_set_function(json.loads(text)), reference_fields)
     with pytest.MonkeyPatch.context() as mp:
@@ -470,16 +470,19 @@ def _scanner_took(text, path, reference_fields):
         if not isinstance(want, str):
             assert _same_function(load_set_function(path), want, reference_fields)
             assert _same_function(load_instance(path), want, reference_fields)
-    # read_text turns CRLF into LF, so the loaders may read a text the
-    # direct call refused, never the other way round
-    assert direct is None or all(f is not None for f in built)
+    # the loaders hand the reader the file's bytes, so it takes the text
+    # there exactly when it takes it here
+    assert all((f is not None) == (direct is not None) for f in built)
     return bool(built) and all(f is not None for f in built)
 
 
 def _fits_the_scanner(entries):
     """Whether the scanner reads these entries: each integer value has at
-    most 18 digits, and some value is finite."""
+    most 18 digits, no string value holds whitespace, and some value is
+    finite."""
     return (all(type(e["value"]) is not int or len(str(abs(e["value"]))) <= 18 for e in entries)
+            and all(type(e["value"]) is not str or re.search(r"\s", e["value"]) is None
+                    for e in entries)
             and any(str(e["value"]).strip() != "-inf" for e in entries))
 
 
@@ -505,6 +508,46 @@ def test_scanner_reads_two_digit_elements_in_every_layout(tmp_path, reference_fi
     text = LAYOUTS[layout](set_function_to_obj(f))
     assert _scanner_took(text, tmp_path / "f.json", reference_fields)
     assert load_instance(tmp_path / "f.json").table == f.table
+
+
+# value tokens wider than one 8-byte word, up to 29 bytes, next to narrow ones
+WIDE_VALUES = st.one_of(
+    st.integers(10**17, 10**18 - 1),  # 18 digits
+    st.integers(-(10**18) + 1, -(10**17)),
+    st.just(-123456789012345678),
+    st.builds("{}/{}".format, st.integers(-(10**12), 10**12), st.integers(10**8, 10**12)),
+    st.just("-inf"),
+    st.integers(-9, 9),
+)
+
+
+@given(st.integers(1, 6), st.data(), st.sampled_from(sorted(LAYOUTS)), CHUNKS)
+@settings(max_examples=150, deadline=None)
+def test_scanner_reads_value_tokens_wider_than_a_word(tmp_path_factory, reference_fields, n,
+                                                      data, layout, chunk):
+    pool = data.draw(st.lists(WIDE_VALUES, min_size=1, max_size=4))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, min_size=1))
+    entries = [{"set": list(elements_of(m)), "value": data.draw(st.sampled_from(pool))}
+               for m in masks]
+    text = LAYOUTS[layout]({"kind": "set_function", "n": n, "entries": entries})
+    path = tmp_path_factory.getbasetemp() / "wide.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_SCAN_MIN", 0)
+        mp.setattr(fileio, "_CHUNK", chunk)
+        read = _scanner_took(text, path, reference_fields)
+    assert read == any(e["value"] != "-inf" for e in entries)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_scanner_refuses_a_value_token_past_its_width(tmp_path, monkeypatch, reference_fields,
+                                                      layout):
+    monkeypatch.setattr(fileio, "_SCAN_MIN", 0)
+    for width, took in ((fileio._WIDE, True), (fileio._WIDE + 1, False)):
+        value = "1/" + "3" * (width - 4)  # with its quotes, ``width`` bytes
+        obj = json.loads(_SMALL_TEXT)
+        obj["entries"][3]["value"] = value
+        assert _scanner_took(LAYOUTS[layout](obj), tmp_path / "f.json", reference_fields) is took
+        assert load_instance(tmp_path / "f.json").table[0b011] == Fraction(1, int(value[2:]))
 
 
 _SMALL_TEXT = (
@@ -549,6 +592,21 @@ SCANNER_REFUSALS = {
     "trailing comma in a set": ('[1, 2]', '[1, 2,]'),
     "numbers without a comma": ('[1, 2]', '[1 2]'),
     "control character in a value": ('"1/2"', '"1/\t2"'),
+    "whitespace in a key": ('{"set": [1], "value": 1}', '{"se t": [1], "value": 1}'),
+    "whitespace in a value string": ('"1/2"', '"1 /2"'),
+    "whitespace after a minus sign": ('"value": -1}', '"value": - 1}'),
+    "comma in a value string": ('"1/2"', '"1,/2"'),
+    "[ in a value string": ('"1/2"', '"[1/2"'),
+    "] in a value string": ('"1/2"', '"1/2]"'),
+    "non-ASCII character in a value string": ('"1/2"', '"\u00bd"'),
+    "NUL between tokens": ('"value": 1}', '"value":\x00 1}'),
+    "DEL between tokens": ('"value": 1}', '"value": 1\x7f}'),
+    "form feed after the closing brace": ('"value": 3}]}', '"value": 3}]}\x0c'),
+    # str.strip would drop it, but JSON refuses a control character in a string
+    "vertical tab in a value string": ('"1/2"', '"\x0b1/2"'),
+    # as many "[" as "]", but a list closes before it opens
+    "lists closed before they open": ('[2], "value": "1/2"}, {"set": [1, 2]',
+                                      '2], "value": "1/2"}, {"set": [1, 2'),
     "repeated element": ('[1, 2]', '[1, 2, 1]'),
     "duplicate set": ('[2, 3]', '[3, 1]'),
 }
@@ -557,22 +615,24 @@ SCANNER_REFUSALS = {
 @pytest.mark.parametrize("fault", sorted(SCANNER_REFUSALS))
 def test_scanner_refuses_texts_outside_its_grammar(tmp_path, monkeypatch, reference_fields, fault):
     monkeypatch.setattr(fileio, "_SCAN_MIN", 0)
-    assert fileio._scan_function(_SMALL_TEXT) is not None
+    assert fileio._scan_function(_SMALL_TEXT.encode()) is not None
     old, new = SCANNER_REFUSALS[fault]
     assert _SMALL_TEXT.count(old) == 1
     text = _SMALL_TEXT.replace(old, new)
-    assert fileio._scan_function(text) is None
+    for chunk in (1, fileio._CHUNK):  # one list per chunk, and all in one
+        monkeypatch.setattr(fileio, "_CHUNK", chunk)
+        assert fileio._scan_function(text.encode("utf-8")) is None
     assert not _scanner_took(text, tmp_path / "f.json", reference_fields)
 
 
 def test_scanner_reads_a_long_whitespace_run_once(monkeypatch):
-    # a search that tried an entry at each character of a run would take
+    # a reader that went back over a run at each of its bytes would take
     # time quadratic in its length: hours for these 10^6 spaces
     monkeypatch.setattr(fileio, "_SCAN_MIN", 0)
     for stray in ("x", '{"set": [1], "value": 1} '):
         text = _SMALL_TEXT.replace('{"set": [1]', " " * 10**6 + stray + '{"set": [1]')
         start = time.perf_counter()
-        assert fileio._scan_function(text) is None
+        assert fileio._scan_function(text.encode()) is None
         assert time.perf_counter() - start < 5
 
 
@@ -651,17 +711,20 @@ def test_loaders_report_each_fault_from_files(tmp_path, monkeypatch, fault, chun
     monkeypatch.setattr(fileio, "_CHUNK", chunk)
     for layout, dump in sorted(LAYOUTS.items()):
         text = dump(obj)
-        assert fileio._scan_function(text) is None, layout
+        assert fileio._scan_function(text.encode()) is None, layout
         path = tmp_path / "f.json"
         path.write_bytes(text.encode("utf-8"))
         assert _message(load_instance, path) == _message(load_set_function, path) == want, layout
 
 
 # (fault, its message, whether the scanner read each chunk it decoded): the
-# fault is the second chunk's sixth entry, and the 8,193 entries make three chunks
+# fault is the second chunk's sixth entry, and the 8,193 entries make three
+# chunks of 4,096.  The element lists are decoded before the values are
+# read, so a bad value is refused after the last chunk
 SECOND_CHUNK_FAULTS = [
-    ({"set": [1, True], "value": 0}, "element labels are positive integers, got True", []),
-    ({"set": [3], "value": True}, "boolean is not a value: True", []),
+    ({"set": [1, True], "value": 0}, "element labels are positive integers, got True",
+     [True, False]),
+    ({"set": [3], "value": True}, "boolean is not a value: True", [True, True, True]),
     ({"set": [2, 14], "value": 0}, "element 14 exceeds ground-set size 13", [True, False]),
     ({"set": [2, 1, 2], "value": 0}, "duplicate element 2", [True, False]),
     ({"set": [3], "value": "1/x"}, "not an exact rational (use an integer or 'p/q'): '1/x'",
@@ -673,16 +736,17 @@ SECOND_CHUNK_FAULTS = [
 @pytest.mark.parametrize("fault,message,chunks", SECOND_CHUNK_FAULTS)
 def test_scanner_refuses_a_fault_in_the_second_chunk(tmp_path, monkeypatch, reference_fields,
                                                      fault, message, chunks):
+    monkeypatch.setattr(fileio, "_CHUNK", 4096)
     n = 13  # 8,192 entries: two chunks
     obj = {"kind": "set_function", "n": n, "entries": _full_entries(n)}
     assert len(obj["entries"]) == 2 * fileio._CHUNK > fileio._SCAN_MIN
     assert _scanner_took(json.dumps(obj, indent=2), tmp_path / "f.json", reference_fields)
     obj["entries"].insert(fileio._CHUNK + 5, fault)
     text = json.dumps(obj, indent=2)
-    decoded, decode = [], fileio._text_masks
-    monkeypatch.setattr(fileio, "_text_masks",
-                        lambda sets, n: decoded.append(decode(sets, n)) or decoded[-1])
-    assert fileio._scan_function(text) is None
+    decoded, decode = [], fileio._list_masks
+    monkeypatch.setattr(fileio, "_list_masks",
+                        lambda *args: decoded.append(decode(*args)) or decoded[-1])
+    assert fileio._scan_function(text.encode()) is None
     assert [masks is not None for masks in decoded] == chunks
     path = tmp_path / "g.json"
     path.write_text(text)
@@ -763,12 +827,16 @@ INSTANCE_FILES = {
     "family, repeated element": lambda: json.dumps(_with_repeated_element(_big_family_obj())),
     "unreadable": lambda: None,
     "not UTF-8": lambda: b'{"kind": "set_\xff"}',
+    # big enough for the reader, which refuses it for a byte past ASCII
+    "function, not UTF-8": lambda: json.dumps(_big_function_obj()).encode().replace(
+        b'"1/3"', b'"1/\xff3"', 1),
     "malformed JSON": lambda: "{not json",
     "unknown kind": lambda: json.dumps({"kind": "mystery", "n": 2}),
 }
 LOADERS = {"load_set_function": load_set_function, "load_set_family": load_set_family,
            "load_instance": load_instance}
-_STAGE_ERRORS = ["unreadable", "not UTF-8", "malformed JSON", "unknown kind"]
+_STAGE_ERRORS = ["unreadable", "not UTF-8", "function, not UTF-8", "malformed JSON",
+                 "unknown kind"]
 # (loader, file, the class of what it returns or raises)
 LOAD_CASES = [
     ("load_set_function", "function", SetFunction),
@@ -801,9 +869,26 @@ def test_loaders_leave_the_collector_as_they_found_it(tmp_path, collector, loade
             LOADERS[loader](path)
         if "repeated element" in name:
             assert str(exc.value) == "duplicate element 1"  # the loop's message
+        if "not UTF-8" in name:  # the message of Path.read_text's error, position and all
+            with pytest.raises(UnicodeDecodeError) as decode:
+                path.read_text(encoding="utf-8")
+            assert str(exc.value) == f"{path} is not UTF-8 text: {decode.value}"
     else:
         assert isinstance(LOADERS[loader](path), outcome)
     assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_json_errors_count_lines_as_read_text_does(tmp_path, newline):
+    # the JSON path reads the file's bytes with read_text's universal
+    # newlines, so an error's line, column and offset are the same
+    text = json.dumps(json.loads(_SMALL_TEXT), indent=2).replace('"value": 5', '"value": 5,,')
+    path = tmp_path / "f.json"
+    path.write_bytes(text.replace("\n", newline).encode())
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(path.read_text(encoding="utf-8"))
+    assert want.value.lineno > 1
+    assert _message(load_instance, path) == f"{path} is not valid JSON: {want.value}"
 
 
 @pytest.mark.parametrize("save,inst", [
@@ -840,7 +925,7 @@ def test_the_parsed_tree_is_freed_before_the_collector_resumes(tmp_path, monkeyp
     # the scanner reads the first file without a tree; the second is parsed as JSON
     path = _write(tmp_path / "f.json", INSTANCE_FILES["function"]())
     parsed_path = _write(tmp_path / "p.json", INSTANCE_FILES["function, keys reordered"]())
-    assert fileio._scan_function(parsed_path.read_text()) is None
+    assert fileio._scan_function(parsed_path.read_bytes()) is None
     was = gc.isenabled()
     gc.enable()
     try:
@@ -896,7 +981,7 @@ def test_large_loads_leave_no_cyclic_garbage(tmp_path):
 
 
 def test_large_round_trip_through_the_scanner(tmp_path, monkeypatch, reference_fields):
-    n = 15  # 30,720 listed sets: 8 chunks, the last one half full
+    n = 13  # 7,680 listed sets: 8 chunks, the last one half full
     f = SetFunction(n, tuple(Fraction(m * 7919 % 1001 - 500, 1 + m % 6) if m % 16 else NEG_INF
                              for m in range(1 << n)))
     path = tmp_path / "big.json"
