@@ -49,17 +49,33 @@ bits, and X & ~Y cancels the row offset, so only the forming of cells
 knows the stack: each X in a chunk, in order, is paired with the members
 Y of its own row.  Cells with X\\Y empty are dropped and the rest
 grouped by (|X\\Y|, |Y\\X|).  Each cell expands to its (X, Y, I) tuples,
-I over the nonzero submasks of X\\Y in ascending order, and the J inside
-Y\\X are tried level by level: every J with |J| = 0, then 1, and so on,
-each level only on the tuples that no smaller J repaired.  Tuples left after
-the last level are violations, and the least ((X, Y) cell, I) of the
-first chunk holding one is again the loop scan's first hit, and on a
-stack the least failing row.  Levels keep early exits cheap: most tuples
-are repaired by a small J, and trying every J at once made the early
-exits of n = 14 scans several times slower.  On an equicardinal domain
+I over the nonzero submasks of X\\Y in ascending order (half of them,
+below, when one table is read twice), and the J inside Y\\X are tried
+level by level: every J with |J| = 0, then 1, and so on, each level only
+on the tuples that no smaller J repaired.  Tuples left after the last
+level are violations, and the least ((X, Y) cell, I) of the first chunk
+holding one is again the loop scan's first hit, and on a stack the least
+failing row.  Levels keep early exits cheap: most tuples are repaired by
+a small J, and trying every J at once made the early exits of n = 14
+scans several times slower.  On an equicardinal domain
 (matroid bases, weighted matroids, a stack whose members share one size)
 X-I+J lies in the domain only when |J| = |I|, so level 0 is skipped and
 level l runs only on the tuples with |I| = l.
+
+With one table on both sides (``s2 is s1``: every form but NC) half the
+I are scanned.  For I' = (X\\Y)\\I and J' = (Y\\X)\\J, X-I'+J' is
+Y-J+I and Y-J'+I' is X-I+J, so J repairs (X, Y, I) exactly when J'
+repairs (X, Y, I'): the same sum of the same two entries, on every
+dtype.  I = X\\Y is repaired by J = Y\\X, whose sum is lhs itself.  So
+if the least failing I of a cell held X\\Y's top element, its
+complement would be a smaller failing I, nonempty; hence the least
+failing I is among the nonzero submasks of X\\Y without its top
+element, 2^(a-1) - 1 of the 2^a - 1 for a = |X\\Y|, and only these are
+built.  Cells with |X\\Y| = 1 have none and are dropped, and on an
+equicardinal domain the level |I| = a has no tuples.  The first hit is
+still that of the loop scan, which tries every I.  NC's one-sided test
+is not symmetric and scans every I: on D = {{2}, {1,2}, {3}} its first
+hit is I = {2}, the top element of X\\Y = {1, 2}.
 
 One exact test, :func:`_exchange_verdict`, re-checks every exchange hit
 (X, Y, I) before it becomes a witness.  It reads two raw tables t1 and t2
@@ -98,10 +114,14 @@ timed back to back, each run in a fresh process, the code that kept every
 such table in int64, with blocks of 2^16 cells, took 0.057-0.066 s,
 1.28-1.40 s and 13.9 s (medians of 7 and 3 scans per process at n = 10
 and 12, two processes per side, alternating; one scan per process, two
-per side, at n = 14).  A full ``mnat-exc-m`` scan of the same function
-takes about 0.04 s at n = 8, 0.22 s at n = 9, 1.2 s at n = 10 and 5.6 s at
-n = 11 (the loops took 0.3 s, 1.3 s and 10 s up to n = 10).  On the
-bases of U(6, 12), ``b-exc`` on the membership grid takes 7-8 ms, where
+per side, at n = 14).  A full ``mnat-exc-m`` scan of the same function,
+building half the I, takes 0.012-0.013 s at n = 8, 0.06 s at n = 9,
+0.30-0.33 s at n = 10, 1.4-1.6 s at n = 11 and 7.0-7.4 s at n = 12; the
+code that built every I took 0.024-0.043 s, 0.12-0.20 s, 0.61-1.04 s,
+3.3-3.8 s and 14.7-15.7 s (best of 3 up to n = 10, one scan at n = 11 and
+12; two processes per side, alternating), and the loops 0.3 s, 1.3 s and
+10 s up to n = 10.
+On the bases of U(6, 12), ``b-exc`` on the membership grid takes 7-8 ms, where
 the one-item kernel on the indicator's int16 table took 12-21 ms, and
 ``b-exc-pm`` 10-13 ms (best of 5, interleaved runs).  Timed later, back to back with
 the code they replaced, while the host ran about half as fast: ``local``
@@ -110,7 +130,11 @@ and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
 18 ms; ``b-exc-m`` on the bases of U(6, 12) takes 0.83 s, from 1.7 s
 before the level skip.  On object arrays (min(|S|, n/2) times 2^70) a
 full ``mnat-exc`` scan at n = 9 takes 0.32 s and ``mnat-exc-m`` at n = 7
-0.016 s, where the loops took 0.19 s and 0.057 s.  Each scan costs at
+0.016 s, where the loops took 0.19 s and 0.057 s.  Building half the I,
+``b-exc-m`` on the bases of U(6, 12) takes 0.38-0.50 s, against
+0.71-0.77 s for the code that built every I, and ``mnat-exc-m`` on that
+object table at n = 7 takes 0.0046 s, against 0.011-0.013 s (best of 3
+and of 5, two processes per side, alternating).  Each scan costs at
 least the fixed overhead of its numpy calls: on a family at n = 4,
 ``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms and ``b-exc-m``
 0.31-0.41 ms (2,000 random families per run), where loops took about
@@ -488,10 +512,13 @@ def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
     (X, Y) order within a group; I runs over the nonzero submasks of X\\Y
     in ascending order.  So the least (cell, I) over all groups is the
     loop scan's first hit, and once a group has one, later groups need
-    only the cells before it.
+    only the cells before it.  With ``s2 is s1`` a cell's I and its
+    complement in X\\Y fail together (see the module docstring), and
+    the only I of a cell with |X\\Y| = 1 is repaired by J = Y\\X, so
+    those cells are dropped.
     """
     xd = X & ~Y
-    cell = np.flatnonzero(xd)
+    cell = np.flatnonzero(xd & (xd - 1) if s2 is s1 else xd)
     X, Y, xd = X[cell], Y[cell], xd[cell]
     yd = Y & ~X
     width = len(pc).bit_length()  # exceeds every |Y\X|
@@ -520,20 +547,25 @@ def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
 def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
 
-    The group's cells go in blocks of whole cells.  Level l tries every J
-    of size l, only on the (X, Y, I) tuples that no smaller J repaired, so
-    a tuple repaired early costs little; the tuples left after level b are
-    violations.  On an ``equi``-cardinal domain X-I+J is in the domain only
-    when |J| = |I|, so level 0 repairs nothing and level l tries only the
-    tuples with |I| = l.  Work arrays put the I or J index first, so the
-    test over all J of a level is a reduction across rows.
+    With ``s2 is s1`` the I are built from the a - 1 lowest bits of X\\Y:
+    an I holding the top bit fails only when its complement, a smaller I,
+    does (see the module docstring), so the least failing I is among
+    these.  The one-sided form builds every I.  The group's cells go in
+    blocks of whole cells.  Level l tries every J of size l, only on the
+    (X, Y, I) tuples that no smaller J repaired, so a tuple repaired early
+    costs little; the tuples left after level b are violations.  On an
+    ``equi``-cardinal domain X-I+J is in the domain only when |J| = |I|, so
+    level 0 repairs nothing and level l tries only the tuples with
+    |I| = l, up to the largest |I| built.  Work arrays put the I or J index
+    first, so the test over all J of a level is a reduction across rows.
     """
     lhs = s1[X] + s2[Y]
-    per_cell = (1 << a) - 1
+    k = a - 1 if s2 is s1 else a  # I is built from the k lowest bits of X\Y
+    per_cell = (1 << k) - 1
     step = max(1, _MULTI_BLOCK // per_cell)
     for lo in range(0, X.size, step):
         hi = lo + step
-        I = _pick(picks, pc, a, None) @ _low_bits(xd[lo:hi], a)  # row t: the t-th I of each cell
+        I = _pick(picks, pc, k, None) @ _low_bits(xd[lo:hi], k)  # row t: the t-th I of each cell
         cells = I.shape[1]
         xi = X[lo:hi] ^ I
         yi = Y[lo:hi] | I
@@ -544,7 +576,7 @@ def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
             open_ = np.concatenate([
                 _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
                             _pick(picks, pc, b, size))
-                for size in range(1, b + 1)
+                for size in range(1, k + 1)
             ])
         else:
             open_ = np.flatnonzero(s1[xi] + s2[yi] < lhs[lo:hi])
@@ -750,8 +782,10 @@ def find_exchange_set(f: SetFunction, X: int, Y: int, I: int) -> ExchangeCertifi
 def check_multiple_exchange(f: SetFunction) -> Verdict:
     """Check the multi-item exchange axiom over every (X, Y, I).
 
-    Worst-case cost grows as 4^n times the submask count of X\\Y, hence the
-    documented exhaustive-scan cap.
+    Worst-case cost grows as the sum over (X, Y) of
+    (2^(|X\\Y|-1) - 1) * 2^|Y\\X|, the I without X\\Y's top element
+    times the J: about 6^n / 2 on the full cube, hence the documented
+    exhaustive-scan cap.
     """
     t, tab = f.ints, f.table
     hit = _scan_multi_np(t.sent, t.sent, t.dom, t.n)

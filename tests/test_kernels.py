@@ -650,7 +650,8 @@ def test_multi_hit_in_a_later_chunk_after_deep_levels():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_level_skip_on_weighted_uniform_matroids(n, monkeypatch):
     # the bases of U(k, n) are equicardinal, so the multi-item kernel
-    # skips level 0 and tries level l only on the tuples with |I| = l
+    # skips level 0 and tries level l only on the tuples with |I| = l;
+    # below n = 4 every cell has |X\Y| = 1 and is dropped, so no group runs
     flags = []
     group = checkers._multi_group
 
@@ -677,7 +678,58 @@ def test_level_skip_on_weighted_uniform_matroids(n, monkeypatch):
             py, vec = _multi_routes(SetFamily(n, members).indicator.ints)
             assert py == vec == _scan_b_exc_m(members, sorted(members))
             failing += py is not None
-    assert (failing > 0) == (n >= 4) and flags and all(flags)
+    assert (failing > 0) == (n >= 4) and all(flags) and bool(flags) == (n >= 4)
+
+
+# ----------------------------------------------------------------------
+# the complement identity of the multi-item scan
+
+
+def _repaired(s, X, Y, I):
+    """Whether some J inside Y\\X repairs (X, Y, I) on the table ``s`` (a list)."""
+    lhs = s[X] + s[Y]
+    return any(s[(X ^ I) | J] + s[(Y & ~J) | I] >= lhs for J in iter_submasks(Y & ~X))
+
+
+@given(st.one_of(near_concave(max_n=5), near_valuated_matroid(max_n=5)), SHIFTS)
+@settings(max_examples=60, deadline=None)
+def test_complement_identity_on_the_loop_oracle(f, c):
+    # J repairs (X, Y, I) exactly when (Y\X)\J repairs (X, Y, (X\Y)\I):
+    # the two swapped sets trade places, so both sums read the same two
+    # entries; I = X\Y is repaired by J = Y\X, so the least failing I of
+    # a cell never holds X\Y's top element
+    t = IntTable(_shifted(f, c))
+    s, dom = t.sent.tolist(), t.dom.tolist()
+    for X in dom:
+        for Y in dom:
+            xd = X & ~Y
+            for I in iter_submasks(xd):
+                assert _repaired(s, X, Y, I) == _repaired(s, X, Y, xd ^ I)
+    hit = _scan_multi_py(s, dom)
+    assert hit == _scan_multi_np(t.sent, t.sent, t.dom, t.n)
+    if hit is not None:
+        X, Y, I = hit
+        assert I < 1 << ((X & ~Y).bit_length() - 1)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "rank"])
+def test_canonical_witness_past_two_items(kind, multi_block):
+    if kind == "uniform":
+        # the bases of U(3, 6), f({4, 5, 6}) raised: an equicardinal table,
+        # whose last level (|I| = |X\Y| = 3) has no tuples left to try
+        f = with_value(_uniform_weighted(6, 3, W8[:6]), 0b111000, Fraction(17))
+        want = (0b111, 0b111000, 0b1)
+    else:
+        # min(|S|, 4) on n = 6, f({1, 3, 4, 6}) and f({1, 5, 6}) lowered by
+        # one: the least failing cell has |X\Y| = 3 and |Y\X| = 1, and
+        # its least failing I two elements
+        f = _rank(6, 4)
+        for m in (0b101101, 0b110001):
+            f = with_value(f, m, f.table[m] - 1)
+        want = (0b11101, 0b100001, 0b1100)
+    hit = _assert_multi_routes_agree(f)
+    assert hit == want and (hit[0] & ~hit[1]).bit_count() == 3
+    assert check_multiple_exchange(f) == _mnat_m_verdict(f, hit)
 
 
 # ----------------------------------------------------------------------
@@ -1658,6 +1710,61 @@ def test_stacked_kernel_on_every_small_family(one_sided, multi_block):
         assert _assert_stack_agrees(n, passing, one_sided) is None
         if failing:
             assert _assert_stack_agrees(n, passing + failing[::-1], one_sided)[0] == len(passing)
+
+
+@pytest.mark.parametrize("one_sided,want", [(True, 0b010), (False, 0b001)], ids=["nc", "ncsim"])
+def test_one_sided_scan_keeps_every_i(one_sided, want, multi_block):
+    # D = {{2}, {1, 2}, {3}}: at (X, Y) = ({1, 2}, {3}) NC's least failing I
+    # is {2}, X\Y's top element, so a scan of half the I would miss it;
+    # NC-sim fails at I = {1} and, as the complement identity says, at {2}
+    row = _stack(3, [[0b010, 0b011, 0b100]])
+    assert _stack_hit(row, one_sided) == (0, 0b011, 0b100, want)
+
+
+def _spy_i_bits(monkeypatch) -> list:
+    """Record each group the multi-item kernel runs: whether it reads one
+    table on both sides, its |X\\Y|, and, per cell, X\\Y and the bits of
+    it that the cell's I are built from."""
+    groups = []
+    group, low_bits = checkers._multi_group, checkers._low_bits
+
+    def spy_group(s1, s2, X, Y, xd, yd, a, *rest):
+        groups.append((s2 is s1, a, xd, []))
+        return group(s1, s2, X, Y, xd, yd, a, *rest)
+
+    def spy_bits(v, k):
+        out = low_bits(v, k)
+        _, _, xd, built = groups[-1]
+        if np.shares_memory(v, xd):  # a block of X\Y, not of Y\X
+            built += zip(v.tolist(), np.bitwise_or.reduce(out, axis=0).tolist())
+        return out
+
+    monkeypatch.setattr(checkers, "_multi_group", spy_group)
+    monkeypatch.setattr(checkers, "_low_bits", spy_bits)
+    return groups
+
+
+def test_symmetric_scans_build_half_the_i(monkeypatch):
+    # one table on both sides: no group with |X\Y| = 1 runs and no I holds
+    # X\Y's top element; the one-sided form keeps both
+    groups = _spy_i_bits(monkeypatch)
+    n = 3
+    for bits in range(1, 1 << (1 << n)):
+        row = _stack(n, [[m for m in range(1 << n) if bits >> m & 1]])
+        for one_sided in (False, True):
+            _stack_hit(row, one_sided)
+    for _, f in CASES:
+        check_multiple_exchange(f)
+    sym = [a for symmetric, a, _, _ in groups if symmetric]
+    one = [a for symmetric, a, _, _ in groups if not symmetric]
+    assert min(sym) == 2 and min(one) == 1
+    cells = 0
+    for symmetric, _, _, built in groups:
+        for xd, used in built:
+            top = 1 << (xd.bit_length() - 1)
+            assert used == (xd ^ top if symmetric else xd)
+            cells += 1
+    assert cells
 
 
 def _sample_family(rng: Random, n: int) -> list[int]:
