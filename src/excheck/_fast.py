@@ -23,7 +23,10 @@ its indicator function gets a table only when its ``ints`` are read.
 Each :class:`~excheck.core.SetFunction` keeps one table, built on first
 use or handed over by the file loader (see :attr:`SetFunction.ints`).
 The checkers, the dual sweep of ``fenchel_gap`` and the demand kernel all
-read that array.
+read that array.  The dual sweep and the demand kernel copy what they
+read into arrays of their own, of the dtype :func:`int_dtype` admits for
+the bounds of their own arithmetic, so every integer kernel follows the
+one rule: the narrowest integer dtype, else the object route.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .values import NEG_INF, ExtValue
 if TYPE_CHECKING:
     from .core import SetFunction
 
-__all__ = ["IntTable", "fits_int64", "int_dtype"]
+__all__ = ["IntTable", "int_dtype"]
 
 # The integer dtypes, narrowest first, each with the bound that twice the
 # largest magnitude must stay below: a two-term sum of such values, or a
@@ -57,13 +60,6 @@ def int_dtype(*values: int):
         if top < safe:
             return dtype
     return object
-
-
-def fits_int64(*values: int) -> bool:
-    """Whether :func:`int_dtype` admits ``values`` on some integer dtype,
-    so their two-term sums are exact in int64; for callers whose arrays
-    are int64 or object."""
-    return int_dtype(*values) is not object
 
 
 class IntTable:

@@ -17,9 +17,9 @@ the table's {0, 1} axis into the grid axis q_c with one max-plus pass,
 max(h(J), h(J + e_c) -/+ q_c), last coordinate first.  The passes down to
 coordinate 2 run once per slab and leave 2 m^(k-2) entries; the last
 pass, for coordinate 1, runs block by block over consecutive rows of the
-grid axis q_1, each block at most 256 KB of int64 entries or one row of
-m^(k-2), and each block of the two sides is summed in place and
-minimized before the next is written.  So a side holds about
+grid axis q_1, each block at most 2^15 entries (256 KB at 8 bytes an
+entry) or one row of m^(k-2), and each block of the two sides is summed
+in place and minimized before the next is written.  So a side holds about
 2 m^(k-2) entries plus one block, where a whole slab held m^(k-1) in
 each of its buffers.  The last pass writes m^(k-1) entries per slab twice
 (an add and a max) and each earlier pass a factor of about m/2 fewer, so
@@ -27,14 +27,20 @@ a slab costs about 2 m^(k-1) element operations per conjugate plus the
 sum and its minimum: under 8 m^k for the whole box, where one pass per
 finite slice entry cost 2 (|dom f1| + |dom f2|) m^k.  Entries off the
 domain hold the sentinel -2*bound - 1, below every finite entry at every
-grid point (bound = max |value| + R*k).  The same program runs on int64
-arrays while 2*bound stays below 2^60 and on numpy object arrays of
-Python integers above that, so both routes are exact; an object block
-holds an eighth of the entries of an int64 one.  A box whose slab holds
-more than 2 * 10^8 entries on the int64 route, or 2.5 * 10^7 on the
-object route, where an entry takes about seven times the memory, is
-refused with :class:`InputError` before any array is allocated, as is one
-of more than 10^10 points, or whose points plus 1000 per slab (a slab's
+grid point (bound = max |value| + R*k).  A slab entry then lies in
+[-3*bound - 1, bound] and the total of the two sides in
+[-6*bound - 2, 2*bound], so the same program runs on the narrowest of
+int16, int32 and int64 that :func:`~excheck._fast.int_dtype` admits for
+4*bound (8*bound below 2^14, 2^30 or 2^62), the rule of the exchange
+scans' tables, and past that on numpy object arrays of Python integers,
+so every route is exact.  Blocks are sized at 8 bytes per entry on every
+integer dtype, so the block schedule, the early exit and the points
+visited do not depend on it; an object block holds an eighth of those
+entries.  A box whose slab holds more than 2 * 10^8 entries on an
+integer route, or 2.5 * 10^7 on the object route, where an entry takes
+about seven times the memory of an int64 one, is refused with
+:class:`InputError` before any array is allocated, as is one of more
+than 10^10 points, or whose points plus 1000 per slab (a slab's
 fixed cost of a few numpy calls) exceed 10^10: a box of k = 1 at radius
 10^9 has 2 * 10^9 + 1 one-point slabs, hours of sweeping.  The slab caps
 predate the blocks and still bound the time of one slab.
@@ -52,15 +58,17 @@ would reach some minimizer, but the report names the lexicographically
 first one, which can sit at the end of a line of minimizers.
 
 Measured on a 2-core host with CPython 3.11 and numpy 2.4, one
-``fenchel_gap`` call on min(|S|, 3) with the default radius (m = 15):
-k = 6 0.022 s at a peak RSS of 33 MB (43 MB with whole slabs), from 1.9 s
-with one pass per slice entry; k = 7 0.43 s at 68 MB (0.94 s at 230 MB
-with whole slabs).  On min(|S|, 7) with k = 5 (31^5 points, closing at
-q = (1, ..., 1)) the traced peak allocation is 1.6 MB, from 15.2 MB with
-whole slabs.  The k = 5 positive-gap instance of the benchmark's dual corpus
-(full box) takes 4 ms, from 62 ms with one pass per slice entry.  On the
-object route a full 15^5 box with values near 2^70 takes 0.15-0.3 s,
-where the point-by-point loop it replaced took 50-68 s.
+``fenchel_gap`` call on min(|S|, 3) with the default radius (m = 15),
+each in a fresh process, runs on int16: k = 6 takes 0.0036-0.0038 s at a
+peak RSS of 30 MB, from 0.016-0.018 s at 33 MB on int64 (1.9 s with one
+pass per slice entry); k = 7 takes 0.087-0.089 s at 40 MB, from
+0.37 s at 68 MB on int64 (0.94 s at 230 MB with whole slabs), with the
+same 85,809,375 points visited.  A full 15^7 box on int16 costs about
+1.0 ns a point, against 4.1 ns on int64.  On min(|S|, 7) with k = 5
+(31^5 points, closing at q = (1, ..., 1)) the traced peak allocation is
+0.42 MB on int16, from 1.6 MB on int64 and 15.2 MB with whole slabs.  On
+the object route a full 15^5 box with values near 2^70 takes
+0.15-0.3 s, where the point-by-point loop it replaced took 50-68 s.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from math import floor
 
 import numpy as np
 
-from ._fast import fits_int64
+from ._fast import int_dtype
 from .checkers import Verdict, Witness
 from .core import (
     PriceVector,
@@ -97,7 +105,7 @@ __all__ = [
 
 _MAX_BOX_POINTS = 10**10
 # a slab's fixed cost, a few numpy calls (about 10 us on a 2-core host),
-# in box points (about 6 ns each on the int64 route)
+# in box points (about 1 ns each on int16 and 4 ns on int64)
 _SLAB_POINTS = 1000
 _MAX_SLAB_ENTRIES = 2 * 10**8
 # an object slab entry (a pointer and a Python integer) takes about seven
@@ -191,10 +199,14 @@ def _dual_sweep(items1, items2, k, radius, primal_int):
     # k = 0 runs as k = 1 with a coordinate no domain set contains, fixed at 0
     kk = max(k, 1)
     bound = max(abs(v) for _, v in items1 + items2) + radius * k
-    # 2 * bound < 2^60: a slab entry is at least the sentinel less the price
-    # terms, -3 * bound - 1, so the totals of two sides stay far inside int64
-    dtype = np.int64 if fits_int64(4 * bound) else object
-    cap = _MAX_SLAB_ENTRIES if dtype is np.int64 else _MAX_OBJECT_SLAB_ENTRIES
+    # numpy wraps integer overflow without a warning, so this bound is the
+    # only guard.  A slab entry is a table entry or the sentinel
+    # -2 * bound - 1 plus at most k price terms of magnitude R, so it lies in
+    # [-3 * bound - 1, bound], and the total of the two sides in
+    # [-6 * bound - 2, 2 * bound].  int_dtype(4 * bound) keeps 8 * bound below
+    # 2^14, 2^30 or 2^62, so every such value is inside int16, int32 or int64
+    dtype = int_dtype(4 * bound)
+    cap = _MAX_OBJECT_SLAB_ENTRIES if dtype is object else _MAX_SLAB_ENTRIES
     if m ** (kk - 1) > cap:
         raise InputError(
             f"dual box slab has {m}^{kk - 1} entries, more than {cap}; "
@@ -233,15 +245,16 @@ class _SlabConjugate:
     block by block over the grid axis q_1.
 
     The scaled slice table is dense over the 2^k subsets, with ``sentinel``
-    off the domain, in arrays of ``dtype`` (int64, or object for Python
-    integers).  ``slab(a)`` folds coordinate 0 into the table,
-    h_a(J) = max(t(J), t(J + e_0) + sign * a) over J without element 0;
+    off the domain, in arrays of ``dtype`` (int16, int32 or int64, or
+    object for Python integers).  ``slab(a)`` folds coordinate 0 into the
+    table, h_a(J) = max(t(J), t(J + e_0) + sign * a) over J without element 0;
     then each further coordinate c, last first down to 2, replaces the
     table's {0, 1} axis by the grid axis q_c: max(h(J), h(J + e_c) + sign * q_c).
     ``block(start)`` runs the same pass for coordinate 1 on the rows
     q_1 = start - R, ... of the grid, at most ``_SWEEP_BLOCK_BYTES`` of
-    entries (or one row), and returns them with axes q_1, ..., q_{k-1} in
-    order, so a C-order index enumerates the block lexicographically; the
+    entries counted at 8 bytes an integer entry (or one row), and returns
+    them with axes q_1, ..., q_{k-1} in order, so a C-order index
+    enumerates the block lexicographically; the
     block starts of one slab are ``starts``.  All arrays are reused, and the
     block is overwritten by the next call.
     """
@@ -279,9 +292,12 @@ class _SlabConjugate:
             self.final = None
             return
         row = m ** (k - 2)
-        # an object entry (a pointer and a Python integer) takes about eight
-        # times the memory of an int64 one, as in the slab caps
-        entry = 8 if dtype is np.int64 else 64
+        # blocks are sized at 8 bytes per integer entry on every integer
+        # dtype, so the block schedule, and with it the early exit and
+        # ``points_visited``, does not depend on the dtype; an object entry
+        # (a pointer and a Python integer) counts eight times that, as in
+        # the slab caps
+        entry = 64 if dtype is object else 8
         rows = min(m, max(1, _SWEEP_BLOCK_BYTES // (entry * row)))
         self.starts = range(0, m, rows)
         self.final = (cur[0:1], cur[1:2], steps.reshape((m,) + (1,) * (k - 2)),
@@ -314,20 +330,21 @@ def fenchel_gap(
     primal side enumerates J over subsets of Y\\X; the dual side
     minimizes g1(q) + g2(-q) over integer q in a box, after clearing
     denominators, with the slab-by-slab subset DP described in the module
-    docstring, on int64 arrays or, for values of 2^60 and beyond, on
-    object arrays of Python integers.  Each slab is evaluated in blocks of
-    rows of its second coordinate, and the sweep stops after the first
-    block whose minimum reaches the primal, so a closing gap usually costs
-    a fraction of the box (see ``points_visited``), and ``q_star`` is the
+    docstring, on the narrowest of int16, int32 and int64 that holds
+    8 times the sweep's bound or, past int64, on object arrays of Python
+    integers.  Each slab is evaluated in blocks of rows of its second
+    coordinate, and the sweep stops after the first block whose minimum
+    reaches the primal, so a closing gap usually costs a fraction of the
+    box (see ``points_visited``), and ``q_star`` is the
     lexicographically first minimizer of the box either way.  The default
     radius is twice the finite value range plus one (in cleared units); a
     caller-supplied ``box_radius`` is interpreted in original units and
     floored onto the integer grid.  Cost grows as about 8 m^k for
     m = 2R + 1 values per coordinate, and memory as O(2 m^(k-2) + block)
-    per side: k = 6 with m = 15 takes about 0.02 s and k = 7 about 0.4 s
-    at a peak RSS of 68 MB, and a full 15^5 box on the object route
-    0.15-0.3 s.  A box whose slab (m^(k-1) entries) exceeds 2 * 10^8
-    raises :class:`InputError` before anything is allocated.
+    per side: on int16, k = 6 with m = 15 takes about 0.004 s and k = 7
+    about 0.09 s at a peak RSS of 40 MB, and a full 15^5 box on the
+    object route 0.15-0.3 s.  A box whose slab (m^(k-1) entries) exceeds
+    2 * 10^8 raises :class:`InputError` before anything is allocated.
     """
     validate_exchange_args(f, X, Y, I)
     t = f.ints

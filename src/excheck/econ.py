@@ -26,14 +26,17 @@ rows whose demand set has two or more members (a singleton cannot
 violate) to the multi-item exchange kernel of :mod:`excheck.checkers` as
 one stack of membership rows, and the least failing row is the first
 hit.  A J that repairs NC-sim repairs NC, so a sweep running both skips
-NC on a chunk where NC-sim finds no failing row.  When |values| +
-n * |price bound| stays below 2^61 every value of the demand kernel is
-exact in int64; otherwise it runs on numpy object arrays of Python
-integers, so both routes are exact.
+NC on a chunk where NC-sim finds no failing row.  The sentinel's
+magnitude, |values| + n * |price bound| + 1, bounds every value, price
+sum and shifted value of the demand kernel, so its arrays take the
+dtype that :func:`~excheck._fast.int_dtype` admits for it, the price
+unit and the price bound: int16, int32 or int64, the rule of the
+exchange scans' tables, and past int64 numpy object arrays of Python
+integers, so every route is exact.
 
-A sampled sweep reads its price stream as blocks of grid integers, int64
-or Python integers as the kernel's route needs, in chunks that start small
-and double up to about 2^15 entries per work array; random rows are drawn
+A sampled sweep reads its price stream as blocks of grid integers in the
+kernel's dtype, in chunks that start small and double up to about 2^15
+entries per work array; random rows are drawn
 a chunk ahead, and only when a chunk needs them, so an early exit draws
 little.  The integer sweep's rows are computed from their index in
 ``product`` order.  The random rows hold what the per-call loops of
@@ -62,6 +65,9 @@ and the whole twelve reports 0.19-0.29 s, from 0.42-0.47 s.  Exact demand
 at n = 12 takes about 0.8 ms per call on a function whose integer table
 exists, as it does for every loaded file (23-29 ms as a loop over
 rationals); building the table from the rationals first adds 2-4 ms.
+On min(|S|, 6) at n = 12, which passes, the shared SI/NC/NC-sim sweep
+and the GS sweep over 2,000 prices and 2,000 pairs take 0.47-0.53 s on
+int16 arrays, from 0.83-1.14 s on int64.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from random import Random
 import numpy as np
 
 from ._draws import pair_draws, price_draws
-from ._fast import fits_int64
+from ._fast import int_dtype
 from .checkers import Verdict, Witness, check_multiple_exchange
 from .checkers import _exchange_verdict, _stack_hit
 from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
@@ -128,9 +134,10 @@ class _DemandKernel:
     magnitude.  Values and prices share the scale lcm(d, denominators of
     f): the cached integer table of f times lcm(scale, d) // scale.  Every
     shifted value lies strictly above ``sent``, the value given to masks
-    off the effective domain.  The arrays are int64 when
-    :func:`~excheck._fast.fits_int64` admits ``sent`` and the price unit,
-    else Python integers.
+    off the effective domain.  The arrays take the dtype
+    :func:`~excheck._fast.int_dtype` admits for ``sent``, the price unit
+    and ``bound``: int16, int32 or int64, else object arrays of Python
+    integers.
     """
 
     def __init__(self, f: SetFunction, d: int, bound: int):
@@ -140,13 +147,17 @@ class _DemandKernel:
         self.unit = self.scale // d
         mult = self.scale // t.scale
         self.sent = -(max(abs(t.lo), abs(t.hi)) * mult + f.n * bound * self.unit + 1)
-        # |sent| bounds every value, price sum and shifted value; the unit
-        # must fit as well, since it scales the price rows
-        self.dtype = np.int64 if fits_int64(self.sent, self.unit) else object
+        # numpy wraps integer overflow without a warning, so these bounds are
+        # the only guard.  |sent| bounds every scaled value, price entry times
+        # the unit, price sum and shifted value f - p.  The unit must fit as
+        # well, since it scales the price rows, and so must ``bound``, which
+        # bounds the grid integers of the rows before scaling and the
+        # multipliers that build them (|sent| exceeds it unless n = 0)
+        self.dtype = int_dtype(self.sent, self.unit, bound)
         self.dom = np.zeros(1 << f.n, dtype=bool)
         self.dom[t.dom] = True
         self.vals = np.where(self.dom, t.sent, 0).astype(self.dtype)
-        if t.lo or t.hi:  # mult fits int64 unless every value is 0, which it keeps
+        if t.lo or t.hi:  # mult is below |sent| unless every value is 0, which it keeps
             self.vals *= mult
         self.masks = np.arange(1 << f.n)
 

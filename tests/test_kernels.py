@@ -13,8 +13,11 @@ table, with the price streams drawn the way those loops drew them, one
 ``randint`` or ``random()`` call at a time; the sweeps' price blocks are
 compared against those streams.  The subset-DP dual sweep, on int64 and
 on object arrays, is compared against the per-item grid sweep and the
-point-by-point loop kept below.  The rational exchange searches on family
-indicators are compared against membership searches.
+point-by-point loop kept below.  ``fenchel_gap``, ``demand`` and the
+sampled checks run on instances moved to either side of each integer
+rung's edge, each against the same call forced onto the object route,
+and the widest int16 instances against the loops.  The rational exchange
+searches on family indicators are compared against membership searches.
 """
 
 from dataclasses import replace
@@ -66,7 +69,7 @@ from excheck import (
     slice_pair,
     with_value,
 )
-from excheck._fast import IntTable, fits_int64
+from excheck._fast import IntTable, int_dtype
 from excheck.checkers import (
     _FIRST_CHUNK_CELLS,
     _exchange_verdict,
@@ -876,8 +879,8 @@ CASES = [
 @pytest.mark.parametrize("check,f", CASES)
 def test_scaled_table_takes_big_int_route(check, f):
     t, tc = IntTable(f), IntTable(_scaled(f, C))
-    assert fits_int64(t.neg, t.lo, t.hi) and t.sent.dtype == np.int16
-    assert not fits_int64(tc.neg, tc.lo, tc.hi) and tc.sent.dtype == object
+    assert int_dtype(t.neg, t.lo, t.hi) is not object and t.sent.dtype == np.int16
+    assert int_dtype(tc.neg, tc.lo, tc.hi) is object and tc.sent.dtype == object
     assert IntTable(_scaled(f, 2**40)).sent.dtype == np.int64
     v = check(f)
     for c in (2**40, C):
@@ -1607,31 +1610,46 @@ def test_big_integer_demand():
 
 
 def test_route_guard_boundary():
-    # |values| = 0, n = 1, scale 1: the sentinel is -(bound + 1), and int64
-    # holds while twice its magnitude stays below 2^62
+    # |values| = 0, n = 1, scale 1: the sentinel is -(bound + 1), and each
+    # rung holds while twice its magnitude stays below 2^14, 2^30 or 2^62
     f = SetFunction(1, (Fraction(0), Fraction(0)))
-    assert _DemandKernel(f, 1, 2**61 - 2).dtype is np.int64
-    assert _DemandKernel(f, 1, 2**61 - 1).dtype is object
-    for k in (2**61 - 2, 2**61 - 1, -(2**61) + 2, -(2**61) + 1):
-        p = PriceVector((Fraction(k),))
-        d = demand(f, p)
-        assert (d.members.members, d.value) == _oracle_demand(f, p)
-    # small scaled values but a price unit past int64, even at price zero
-    g = SetFunction(1, (Fraction(0), Fraction(1, 3**50)))
-    assert _DemandKernel(g, 1, 0).dtype is object
-    assert _DemandKernel(g, 3**50, 0).dtype is np.int64
-    for p in (PriceVector((0,)), PriceVector((Fraction(1, 3**50),))):
-        d = demand(g, p)
-        assert (d.members.members, d.value) == _oracle_demand(g, p)
+    for edge, below, above in ((2**13, np.int16, np.int32), (2**29, np.int32, np.int64),
+                               (2**61, np.int64, object)):
+        assert _DemandKernel(f, 1, edge - 2).dtype is below
+        assert _DemandKernel(f, 1, edge - 1).dtype is above
+        for k in (edge - 2, edge - 1, -edge + 2, -edge + 1):
+            p = PriceVector((Fraction(k),))
+            d = demand(f, p)
+            assert (d.members.members, d.value) == _oracle_demand(f, p)
+    # small scaled values but a price unit past each rung, even at price zero
+    for den, want in ((2**13 - 1, np.int16), (2**13, np.int32), (2**29 - 1, np.int32),
+                      (2**29, np.int64), (3**50, object)):
+        g = SetFunction(1, (Fraction(0), Fraction(1, den)))
+        assert _DemandKernel(g, 1, 0).dtype is want
+        assert _DemandKernel(g, den, 0).dtype is np.int16
+        for p in (PriceVector((0,)), PriceVector((Fraction(1, den),))):
+            d = demand(g, p)
+            assert (d.members.members, d.value) == _oracle_demand(g, p)
 
 
 def test_demand_scale_set_by_the_price_alone():
-    # an all-zero table times a multiplier past int64 stays zero on int64
+    # an all-zero table times a multiplier past any rung stays zero on int16
     z = SetFunction(2, (Fraction(0),) * 4)
-    assert _DemandKernel(z, 3**50, 1).dtype is np.int64
-    for p in (PriceVector((Fraction(1, 3**50), 0)), PriceVector((1, Fraction(-2, 3**50)))):
-        d = demand(z, p)
-        assert (d.members.members, d.value) == _oracle_demand(z, p)
+    for den in (2**13, 2**29, 2**61, 3**50):
+        assert _DemandKernel(z, den, 1).dtype is np.int16
+        for p in (PriceVector((Fraction(1, den), 0)), PriceVector((1, Fraction(-2, den)))):
+            d = demand(z, p)
+            assert (d.members.members, d.value) == _oracle_demand(z, p)
+
+
+def test_empty_ground_set_kernel_holds_its_price_rows():
+    # with n = 0 the sentinel has no price terms, so the bound on the grid
+    # integers sets the dtype: the integer sweep scales its rows by d
+    f = SetFunction(0, (Fraction(0),))
+    sampler = PriceSampler(seed=1, count=5, grid_step=Fraction(1, 10**5))
+    assert sampler._kernel(f).dtype is np.int32
+    for check in (check_gs_sampled, check_si_sampled, check_nc_sampled):
+        assert check(f, sampler).passed
 
 
 def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
@@ -2238,3 +2256,149 @@ def test_demand_and_gap_read_the_cached_table(fp, data):
     box = product(range(-r, r + 1), repeat=len(sp.elements))
     prices = [PriceVector(tuple(Fraction(v, t.scale) for v in q)) for q in box]
     assert rep.dual == min(conjugate(sp.f1, q) + conjugate(sp.f2, -q) for q in prices)
+
+
+# ----------------------------------------------------------------------
+# the dual sweep and the demand kernel on every rung of int_dtype
+
+# each integer rung's edge from both sides, with instances moved up
+# (sign 1) or down (-1) to it: below the edge a kernel takes the rung,
+# past it the next one, and past int64's edge the object route
+DTYPE_EDGES = [(rung, above, sign) for rung in (np.int16, np.int32, np.int64)
+               for above in (False, True) for sign in (1, -1)]
+EDGE_IDS = [f"{np.dtype(r).name}-{'above' if a else 'below'}-{'up' if s > 0 else 'down'}"
+            for r, a, s in DTYPE_EDGES]
+
+
+def _edge_value(rung) -> int:
+    """The largest magnitude v for which int_dtype(v) is ``rung``."""
+    return (1 << (EDGE_BITS[rung] - 1)) - 1
+
+
+def _run_on(call, rule=int_dtype):
+    """(call(), the set of dtypes taken) with the dual sweep and the demand
+    kernel picking their dtype by ``rule``."""
+    seen = set()
+
+    def pick(*values):
+        dtype = rule(*values)
+        seen.add(dtype)
+        return dtype
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(duality, "int_dtype", pick)
+        mp.setattr(econ, "int_dtype", pick)
+        return call(), seen
+
+
+def _both_kernel_routes(call, want):
+    """call() on the dtype the rule picks, which must be ``want``, and on
+    the object route; the two results must be equal."""
+    got, seen = _run_on(call)
+    assert seen == {want}
+    assert got == _run_on(call, lambda *values: object)[0]
+    return got
+
+
+def _gap_instance(k, items1, items2, lift):
+    """(f, X, Y, I) on k + 2 elements whose exchange slices are the two
+    tables lifted by ``lift``: X = {1, 2}, I = {1} and Y = {3, ..., k + 2},
+    so f({2} u J) = items1[J] and f({1} u (Y\\J)) = items2[J].  X and Y
+    carry the first entry of items1 and every other mask is -inf, so the
+    value range is the tables'."""
+    y0 = ((1 << k) - 1) << 2
+    tab = [NEG_INF] * (1 << (k + 2))
+    for mask, v in items1:
+        tab[0b10 | mask << 2] = Fraction(v + lift)
+    for mask, v in items2:
+        tab[0b01 | (y0 ^ mask << 2)] = Fraction(v + lift)
+    tab[0b11] = tab[y0] = Fraction(items1[0][1] + lift)
+    return SetFunction(k + 2, tuple(tab)), 0b11, y0, 0b01
+
+
+@pytest.mark.parametrize("edge", DTYPE_EDGES, ids=EDGE_IDS)
+@given(tables=slice_tables(max_k=4), radius=st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_fenchel_gap_on_every_dtype_matches_the_object_route(edge, tables, radius):
+    # the sweep's bound, max |value| + R * k, lands just inside or just past
+    # the rung: int_dtype(4 * bound) takes it while bound <= edge // 4
+    rung, above, sign = edge
+    k, items1, items2 = tables
+    vals = [v for _, v in items1 + items2]
+    room = _edge_value(rung) // 4 - radius * k - (max(vals) if sign > 0 else -min(vals))
+    lift = sign * (room + above)
+    f, X, Y, I = _gap_instance(k, items1, items2, lift)
+    rep = _both_kernel_routes(lambda: fenchel_gap(f, X, Y, I, box_radius=radius),
+                              RUNGS[RUNGS.index(rung) + above])
+    if (rung, above) == (np.int16, False):
+        # the widest int16 box against the point-by-point sweep
+        lifted = [[(mask, v + lift) for mask, v in items] for items in (items1, items2)]
+        primal = _slice_primal(*lifted)
+        dual, q = _dual_sweep_py(*lifted, k, radius, primal)
+        assert (rep.dual, rep.primal) == (dual, NEG_INF if primal is None else primal)
+        assert rep.q_star is None or rep.q_star.entries == q
+
+
+def _demand_shift(f: SetFunction, kern: _DemandKernel, rung, above: bool, sign: int) -> int:
+    """The integer c for which the demand kernel of f + c, on the price
+    grid and bound of ``kern`` (f's kernel), has its sentinel just inside
+    ``rung`` or, with ``above``, just past it."""
+    t = f.ints
+    mult = kern.scale // t.scale
+    rest = -kern.sent - max(abs(t.lo), abs(t.hi)) * mult  # the price terms and 1
+    top = (_edge_value(rung) - rest) // mult  # the largest scaled |value| inside
+    room = top - (t.hi if sign > 0 else -t.lo)
+    return sign * (room // t.scale + above)
+
+
+def _plus(f: SetFunction, c: int) -> SetFunction:
+    """f + c on the domain: its demand sets and default price radius stay."""
+    return SetFunction(f.n, tuple(v + c if is_finite(v) else NEG_INF for v in f.table))
+
+
+# small values and prices, so the price terms of the sentinel stay far
+# below int16's edge
+HALVES = st.sampled_from([Fraction(v, 2) for v in range(-8, 9)])
+
+
+@st.composite
+def small_tables(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    tab = draw(st.lists(st.one_of(st.just(NEG_INF), HALVES), min_size=1 << n, max_size=1 << n))
+    if not any(is_finite(v) for v in tab):
+        tab[0] = Fraction(0)
+    return SetFunction(n, tuple(tab))
+
+
+@pytest.mark.parametrize("edge", DTYPE_EDGES, ids=EDGE_IDS)
+@given(f=small_tables(6), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_demand_on_every_dtype_matches_the_object_route(edge, f, data):
+    rung, above, sign = edge
+    prices = st.fractions(-3, 3, max_denominator=3)
+    p = PriceVector(tuple(data.draw(prices) for _ in range(f.n)))
+    d = lcm(*(v.denominator for v in p.entries))
+    row = [v.numerator * (d // v.denominator) for v in p.entries]
+    kern = _DemandKernel(f, d, max(map(abs, row), default=0))
+    g = _plus(f, _demand_shift(f, kern, rung, above, sign))
+    got = _both_kernel_routes(lambda: demand(g, p), RUNGS[RUNGS.index(rung) + above])
+    assert (got.members.members, got.value) == _oracle_demand(g, p)
+
+
+@pytest.mark.parametrize("edge", DTYPE_EDGES, ids=EDGE_IDS)
+@given(f=small_tables(4), sampler=SAMPLERS)
+@settings(max_examples=12, deadline=None)
+def test_sampled_checks_on_every_dtype_match_the_object_route(edge, f, sampler):
+    rung, above, sign = edge
+    g = _plus(f, _demand_shift(f, sampler._kernel(f), rung, above, sign))
+
+    def verdicts():
+        return (check_gs_sampled(g, sampler), check_si_sampled(g, sampler),
+                check_nc_sampled(g, sampler), check_nc_sampled(g, sampler, simultaneous=True),
+                _price_sweep(g, sampler, ("si", "nc", "ncsim")))
+
+    got = _both_kernel_routes(verdicts, RUNGS[RUNGS.index(rung) + above])
+    if (rung, above) == (np.int16, False):
+        # the widest int16 sweep against the per-price loops
+        want = _assert_sweeps_agree(g, sampler)
+        assert got[:4] == (want["gs"], want["si"], want["nc"], want["ncsim"])
