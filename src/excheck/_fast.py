@@ -70,7 +70,7 @@ class IntTable:
     ``lo``/``hi`` the range of the finite entries.  ``sent`` has the dtype
     ``int_dtype(neg, lo, hi)``: int16, int32 or int64, or an object array
     of Python integers past the int64 bound.  The kernels add at most two
-    entries and compare with floors 2*neg - 1 and 2*lo - 1, all inside it.
+    entries and compare with the floor 2*lo - 1, all inside it.
 
     Every table comes from :meth:`from_codes`; ``IntTable(f)`` runs it on
     f's rational table with one code per mask.

@@ -7,20 +7,23 @@ Quantified tuples are scanned in lexicographic bitmask order (X outer, Y
 middle, elements or I inner), so witnesses are canonical.
 
 One kernel runs every one-item scan: chunks of X rows, in order, against
-every Y, each element i on the grid of rows holding i and columns missing
-it.  A function (``mnat-exc``, and ``valuated-matroid``, which has no
-deletion branch) reaches it as its cached :class:`IntTable`
-(``SetFunction.ints``), so repeated checks of one function rescale it
-once.  The table's array takes the narrowest of int16, int32 and int64
-in which twice the largest magnitude among its entries and its ``-inf``
-sentinel is below 2^14, 2^30 or 2^62, so every two-term sum and every
-floor is exact, and is an object array of Python integers otherwise; the
-same kernel runs on every dtype, the object one being the exact fallback.
-Its (X, Y) blocks are sized in bytes, so an int16 table sweeps four times
-the cells of an int64 one per numpy call.  The least (row-major (X, Y)
-cell, i) of the first chunk holding a violation is the first tuple of the
-lexicographic order, the first hit of the loop scan that the tests keep
-as the oracle.
+every Y, each element i on the grid of rows holding i and columns
+missing it.  A function (``mnat-exc`` and ``valuated-matroid``) reaches
+it as its cached :class:`IntTable` (``SetFunction.ints``), so repeated
+checks of one function rescale it once.  ``valuated-matroid``, after its
+cardinality test, is this ``mnat-exc`` scan on an equicardinal domain,
+where X-i and Y+i never lie: the deletion term s(X-i) + s(Y+i) is the
+sentinel sum 2*neg < 2*lo <= lhs in the integer table and -inf + -inf in
+the rational one, so it never repairs a tuple.  The table's array takes
+the narrowest of int16, int32 and int64 in which twice the largest
+magnitude among its entries and its ``-inf`` sentinel is below 2^14,
+2^30 or 2^62, so every two-term sum and every floor is exact, and is an
+object array of Python integers otherwise; the same kernel runs on every
+dtype, the object one being the exact fallback.  Its (X, Y) blocks are
+sized in bytes, so an int16 table sweeps four times the cells of an
+int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
+first chunk holding a violation is the first tuple of the lexicographic
+order, the first hit of the loop scan that the tests keep as the oracle.
 
 A family reaches every kernel in one form: its boolean membership table
 over all 2^n masks, with its ascending members.  On the per-i grid of the
@@ -90,10 +93,10 @@ twice for NC-sim and (indicator, zero) for NC.  The hit holds when X and Y
 are in the domain, which a zero table cannot show, I is a nonempty part
 of X\\Y (one element for a one-item hit), and t1(X) + t2(Y) exceeds
 t1(X-I+J) + t2(Y-J+I) for every repair J: every J inside Y\\X, or for a
-one-item hit J = 0 (where there is a deletion branch) and the single
-elements of Y\\X, so no re-check costs more than the scan of one tuple.
-A mismatch raises :class:`InternalCheckError`.  ``local``'s inequalities
-keep their own re-check.
+one-item hit J = 0 and the single elements of Y\\X, so no re-check
+costs more than the scan of one tuple.  A mismatch raises
+:class:`InternalCheckError`.  ``local``'s inequalities keep their own
+re-check.
 
 A third kernel runs ``local``'s three inequality families.  Each reads
 s(X+i+j) + s(X+k+l) > max(s(X+i+k) + s(X+j+l), s(X+j+k) + s(X+i+l)),
@@ -109,36 +112,21 @@ array, of whichever dtype.
 
 Measured on 2 cores of an AVX-512 Xeon (CPython 3.11.7, numpy 2.4.6), a
 full ``mnat-exc`` scan of min(|S|, n/2), whose table is int16, takes
-0.016-0.019 s at n = 10, 0.35-0.38 s at n = 12 and 5.5-6.0 s at n = 14;
-timed back to back, each run in a fresh process, the code that kept every
-such table in int64, with blocks of 2^16 cells, took 0.057-0.066 s,
-1.28-1.40 s and 13.9 s (medians of 7 and 3 scans per process at n = 10
-and 12, two processes per side, alternating; one scan per process, two
-per side, at n = 14).  A full ``mnat-exc-m`` scan of the same function,
-building half the I, takes 0.012-0.013 s at n = 8, 0.06 s at n = 9,
-0.30-0.33 s at n = 10, 1.4-1.6 s at n = 11 and 7.0-7.4 s at n = 12; the
-code that built every I took 0.024-0.043 s, 0.12-0.20 s, 0.61-1.04 s,
-3.3-3.8 s and 14.7-15.7 s (best of 3 up to n = 10, one scan at n = 11 and
-12; two processes per side, alternating), and the loops 0.3 s, 1.3 s and
-10 s up to n = 10.
-On the bases of U(6, 12), ``b-exc`` on the membership grid takes 7-8 ms, where
-the one-item kernel on the indicator's int16 table took 12-21 ms, and
-``b-exc-pm`` 10-13 ms (best of 5, interleaved runs).  Timed later, back to back with
-the code they replaced, while the host ran about half as fast: ``local``
-on min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
-and on min(|S|, 3) at n = 9 0.8 ms, where the loops took 0.22 s and
-18 ms; ``b-exc-m`` on the bases of U(6, 12) takes 0.83 s, from 1.7 s
-before the level skip.  On object arrays (min(|S|, n/2) times 2^70) a
-full ``mnat-exc`` scan at n = 9 takes 0.32 s and ``mnat-exc-m`` at n = 7
-0.016 s, where the loops took 0.19 s and 0.057 s.  Building half the I,
-``b-exc-m`` on the bases of U(6, 12) takes 0.38-0.50 s, against
-0.71-0.77 s for the code that built every I, and ``mnat-exc-m`` on that
-object table at n = 7 takes 0.0046 s, against 0.011-0.013 s (best of 3
-and of 5, two processes per side, alternating).  Each scan costs at
-least the fixed overhead of its numpy calls: on a family at n = 4,
+0.016-0.019 s at n = 10, 0.35-0.38 s at n = 12 and 5.5-6.0 s at n = 14
+(medians of 7 and 3 scans per process at n = 10 and 12, one scan per
+process at n = 14).  A full ``mnat-exc-m`` scan of the same function
+takes 0.012-0.013 s at n = 8, 0.06 s at n = 9, 0.30-0.33 s at n = 10,
+1.4-1.6 s at n = 11 and 7.0-7.4 s at n = 12 (best of 3 up to n = 10, one
+scan at n = 11 and 12).  On the bases of U(6, 12), ``b-exc`` on the
+membership grid takes 7-8 ms, ``b-exc-pm`` 10-13 ms (best of 5) and
+``b-exc-m`` 0.38-0.50 s (best of 3).  Timed while the host ran about
+half as fast: ``local`` on min(|S|, 6) at n = 12 (a box domain, so no
+domain scan) takes 0.021 s and on min(|S|, 3) at n = 9 0.8 ms.  On object
+arrays (min(|S|, n/2) times 2^70) a full ``mnat-exc`` scan at n = 9 takes
+0.32 s and ``mnat-exc-m`` at n = 7 0.0046 s (best of 5).  Each scan costs
+at least the fixed overhead of its numpy calls: on a family at n = 4,
 ``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms and ``b-exc-m``
-0.31-0.41 ms (2,000 random families per run), where loops took about
-0.02 ms for ``b-exc`` and 0.04 ms for ``b-exc-m``.
+0.31-0.41 ms (2,000 random families per run).
 """
 
 from __future__ import annotations
@@ -279,19 +267,6 @@ _MIN_CAP_ROWS = 32
 _GRID_CACHE_BYTES = 1 << 23
 
 
-def _exchange_hit(t: IntTable, deletion: bool):
-    """The earliest violating (X, Y, i-bit) of the one-item scan, or None.
-
-    The scan reads the sentinel table ``t.sent`` (``-inf`` entries replaced
-    by ``t.neg``) over the ascending finite masks ``t.dom``.  With
-    ``deletion`` the rhs includes s(X-i) + s(Y+i) (mnat-exc); without it
-    the empty swap maximum is the floor 2*neg - 1, below every two-term sum
-    (valuated matroids).
-    """
-    floor = None if deletion else 2 * t.neg - 1
-    return _scan_exchange_np(t.sent, t.dom, t.neg, floor)
-
-
 def _scan_per_element(da, n: int, prepare, itemsize: int, col_bytes: int):
     """Earliest (X, Y, i-bit) over X and Y in ``da`` that one of the per-i grids flags.
 
@@ -390,43 +365,41 @@ def _element_bits(n: int):
     return bits
 
 
-def _scan_exchange_np(sa, da, neg: int, floor):
-    """Vectorized kernel: chunks of X rows, in order, against every Y.
+def _scan_exchange_np(sa, da, neg: int):
+    """Vectorized kernel: the earliest violating (X, Y, i-bit) over X and Y
+    in ``da``, or None, on the sentinel table ``sa`` (``-inf`` entries
+    replaced by ``neg``); chunks of X rows, in order, against every Y.
 
-    ``neg`` and ``floor`` become scalars of the table's dtype, which the
-    guard of :class:`IntTable` admits, so the work arrays keep that dtype
-    under either numpy promotion rule (value-based before numpy 2).
+    ``neg`` becomes a scalar of the table's dtype, which the guard of
+    :class:`IntTable` admits, so the work arrays keep that dtype under
+    either numpy promotion rule (value-based before numpy 2).
     """
     n = len(sa).bit_length() - 1
     bits = _element_bits(n)
     neg = sa.dtype.type(neg)
-    if floor is not None:
-        floor = sa.dtype.type(floor)
 
     def prepare(b, yc):
         yi = yc | b
         y_has = (yc & bits) != 0
         cv = np.where(y_has, sa[yi ^ bits], neg)
         sy, y_any = sa[yc], y_has.any(axis=1)
-        return lambda xr: _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg, floor)
+        return lambda xr: _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg)
 
     # charged per column: the n x columns tables that prepare builds, cv and y_has
     return _scan_per_element(da, n, prepare, sa.itemsize, n * (sa.itemsize + 1))
 
 
-def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int, floor):
+def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int):
     """Row-major index of the first cell with lhs > best, or None.
 
-    Rows are X-i (``sx`` = s(X)), columns Y+i (``sy`` = s(Y)); row j of
-    ``cv`` holds s((Y+i)-j), or ``neg`` where j is not in Y.  A swap term
-    whose j lies outside Y\\X reads ``neg`` on one side, and a sum
-    containing ``neg`` is below every lhs, so no mask is needed.  Every sum
-    has two entries (or ``neg``) as terms, so it stays in the table's dtype.
+    Rows are X-i (``sx`` = s(X)), columns Y+i (``sy`` = s(Y)); ``best``
+    starts at s(X-i) + s(Y+i), and row j of ``cv`` holds s((Y+i)-j), or
+    ``neg`` where j is not in Y.  A swap term whose j lies outside Y\\X
+    reads ``neg`` on one side, and a sum containing ``neg`` is below every
+    lhs, so no mask is needed.  Every sum has two entries (or ``neg``) as
+    terms, so it stays in the table's dtype.
     """
-    if floor is None:
-        best = sa[xi][:, None] + sa[yi]
-    else:
-        best = np.full((xi.size, yi.size), floor, dtype=sa.dtype)
+    best = sa[xi][:, None] + sa[yi]
     tmp = np.empty_like(best)
     x_has = (xi & bits) != 0
     rv = np.where(x_has, neg, sa[xi | bits])
@@ -702,14 +675,14 @@ def _recheck(holds: bool, witness: Witness) -> Witness:
 
 
 def _exchange_verdict(condition: str, hit, t1, t2, dom, *, one_item: bool = False,
-                      deletion: bool = True, values: bool = False, prices=()) -> Verdict:
+                      values: bool = False, prices=()) -> Verdict:
     """The verdict of an exchange kernel's hit (X, Y, I), re-checked on raw tables.
 
     The tables are the kernels' own, read exactly: the hit is a violation
     when X and Y lie in the domain (finite in ``dom``), I is a nonempty
     part of X\\Y, and t1(X) + t2(Y) > t1(X-I+J) + t2(Y-J+I) for every J
     inside Y\\X.  A ``one_item`` hit has a single element in I and tries
-    only J = 0 (with ``deletion``) and the single elements of Y\\X.  A
+    only J = 0 and the single elements of Y\\X.  A
     function passes its table three times and its witness keeps both sides
     (``values``); a family passes its indicator (0 on members, -inf
     elsewhere) as ``dom`` and as both tables, or as one of them against an
@@ -720,7 +693,7 @@ def _exchange_verdict(condition: str, hit, t1, t2, dom, *, one_item: bool = Fals
         return Verdict(True)
     X, Y, I = hit
     if one_item:
-        repairs = [*([0] if deletion else []), *iter_bits(Y & ~X)]
+        repairs = [0, *iter_bits(Y & ~X)]
         named = {"sets": (("X", X), ("Y", Y)), "elements": (("i", I.bit_length()),)}
     else:
         repairs = iter_submasks(Y & ~X)
@@ -748,8 +721,8 @@ def check_single_exchange(f: SetFunction) -> Verdict:
     swapping i against some j in Y\\X.  Tuples with an infinite left-hand
     side hold vacuously.
     """
-    tab = f.table
-    hit = _exchange_hit(f.ints, deletion=True)
+    t, tab = f.ints, f.table
+    hit = _scan_exchange_np(t.sent, t.dom, t.neg)
     return _exchange_verdict("mnat-exc", hit, tab, tab, tab, one_item=True, values=True)
 
 
@@ -800,8 +773,9 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
     """Check the valuated-matroid axioms.
 
     The effective domain must be equi-cardinal and every (X, Y, i) must
-    admit a value-preserving swap against some j in Y\\X (no pure
-    deletion branch here; the empty swap maximum counts as -inf).
+    admit a value-preserving swap against some j in Y\\X.  On such a
+    domain X-i and Y+i are never in it, so this is the ``mnat-exc`` scan
+    under its own condition name.
     """
     dom = f.dom_masks
     card = dom[0].bit_count()
@@ -817,10 +791,10 @@ def check_valuated_matroid(f: SetFunction) -> Verdict:
                 ),
             )
 
-    tab = f.table
-    hit = _exchange_hit(f.ints, deletion=False)
+    t, tab = f.ints, f.table
+    hit = _scan_exchange_np(t.sent, t.dom, t.neg)
     return _exchange_verdict("valuated-matroid:exchange", hit, tab, tab, tab, one_item=True,
-                             deletion=False, values=True)
+                             values=True)
 
 
 # ----------------------------------------------------------------------

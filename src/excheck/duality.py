@@ -382,33 +382,21 @@ def fenchel_gap(
     dual_int, q_ints, visited = _dual_sweep(items1, items2, k, radius, primal_int)
 
     dual = Fraction(dual_int, scale)
-    if primal_int is None:
-        return DualityReport(
-            primal=NEG_INF,
-            dual=dual,
-            q_star=None,
-            gap=None,
-            y0_elements=elems,
-            box_radius=Fraction(radius, scale),
-            scale=scale,
-            note="primal is -inf (the slices have disjoint finite supports); gap is infinite",
-            points_visited=visited,
-        )
-
-    primal = Fraction(primal_int, scale)
-    gap = dual - primal
-    if gap < 0:
-        raise InternalCheckError("dual fell below primal; the sweep is broken")
-    q_star = None
-    note = None
-    q_frac = PriceVector(tuple(Fraction(qi, scale) for qi in q_ints))
-    if gap == 0:
-        q_star = q_frac
-    else:
-        note = (
-            f"no certificate in the box [-{Fraction(radius, scale)}, {Fraction(radius, scale)}]"
-            f"^{k}; best q = ({','.join(ext_to_str(v) for v in q_frac.entries)})"
-        )
+    primal, gap, q_star = NEG_INF, None, None
+    note = "primal is -inf (the slices have disjoint finite supports); gap is infinite"
+    if primal_int is not None:
+        primal = Fraction(primal_int, scale)
+        gap = dual - primal
+        if gap < 0:
+            raise InternalCheckError("dual fell below primal; the sweep is broken")
+        q_frac = PriceVector(tuple(Fraction(qi, scale) for qi in q_ints))
+        if gap == 0:
+            q_star, note = q_frac, None
+        else:
+            note = (
+                f"no certificate in the box [-{Fraction(radius, scale)}, {Fraction(radius, scale)}]"
+                f"^{k}; best q = ({','.join(ext_to_str(v) for v in q_frac.entries)})"
+            )
     return DualityReport(
         primal=primal,
         dual=dual,

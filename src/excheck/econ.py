@@ -227,6 +227,10 @@ class PriceSampler:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
+            # Random(-k) is seeded as Random(k): a negative seed would
+            # replay another seed's streams
+            if value < 0:
+                raise InputError(f"{name} must be nonnegative")
         step = _exact_rational("grid_step", self.grid_step)
         if step <= 0:
             raise InputError("grid_step must be positive")
@@ -236,8 +240,6 @@ class PriceSampler:
             if r < 0:
                 raise InputError("radius must be nonnegative")
             object.__setattr__(self, "radius", r)
-        if self.count < 0:
-            raise InputError("count must be nonnegative")
 
     def radius_for(self, f: SetFunction) -> Fraction:
         if self.radius is not None:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from random import Random
 
 from .checkers import check_single_exchange, check_valuated_matroid
-from .core import PriceVector, SetFamily, SetFunction, with_value
+from .core import PriceVector, SetFamily, SetFunction, _check_ground_size, with_value
 from .errors import InputError, InternalCheckError
 from .sets import elements_of, iter_bits
 from .values import ExtValue, as_ext_value, is_finite
@@ -50,6 +50,10 @@ class MatroidSpec:
     blocks: tuple[tuple[int, ...], ...] | None = None
     capacities: tuple[int, ...] | None = None
     weights: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self):
+        # before bases() enumerates up to 2^n members
+        _check_ground_size(self.n)
 
     @classmethod
     def uniform(cls, k: int, n: int, weights=None) -> "MatroidSpec":

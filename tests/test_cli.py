@@ -239,6 +239,24 @@ def test_equivalence_pass_and_fail(files, capsys):
     assert all(v["status"] == "fail" for v in report["exact"].values())
 
 
+def test_equivalence_refuses_a_negative_seed(files, capsys):
+    code, out, err = run(capsys, "equivalence", files["rank2"], "--seed", "-1")
+    assert code == 1 and out == "" and err == "error: seed must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [("--kind", "free", "--n", "21", "--family"),
+                                  ("--kind", "uniform", "--k", "1", "--n", "21")])
+def test_gen_refuses_n_past_20_before_enumerating(capsys, monkeypatch, argv):
+    # bases() would enumerate up to 2^n members before SetFamily refused n
+    def enumerate_nothing(self):
+        raise AssertionError("bases() ran before n was checked")
+
+    monkeypatch.setattr(MatroidSpec, "bases", enumerate_nothing)
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: ground-set size must be in 0..20, got 21\n"
+
+
 def test_gen_uniform_writes_wmat(files, tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     code, _, _ = run(

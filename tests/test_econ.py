@@ -181,6 +181,8 @@ def test_sampler_validation():
         {"count": True},
         {"seed": 1.0},
         {"seed": True},
+        # Random(-1) is seeded as Random(1)
+        {"seed": -1},
     ],
 )
 def test_sampler_rejects_inexact_inputs(kwargs):

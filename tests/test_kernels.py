@@ -202,7 +202,7 @@ def _oracle_family_verdict(family: SetFamily, condition: str = "bnat-exc") -> Ve
     )
 
 
-def _scan_exchange_py(s, dom, floor):
+def _scan_exchange_py(s, dom):
     """Loop form of the one-item scan on a sentinel table ``s`` (a list),
     exact for integers of any size: the oracle of the array kernel."""
     for X in dom:
@@ -215,7 +215,7 @@ def _scan_exchange_py(s, dom, floor):
                 xd ^= ib
                 xi = X ^ ib
                 yi = Y | ib
-                best = s[xi] + s[yi] if floor is None else floor
+                best = s[xi] + s[yi]
                 if lhs > best:
                     yd = Y & ~X
                     while yd:
@@ -262,10 +262,39 @@ def _mnat_verdict(f: SetFunction, hit):
 
 
 def _valuated_verdict(f: SetFunction, hit):
-    """The same without the deletion branch, as check_valuated_matroid does."""
+    """The same under valuated-matroid's condition name, as check_valuated_matroid does."""
     tab = f.table
     return _exchange_verdict("valuated-matroid:exchange", hit, tab, tab, tab, one_item=True,
-                             deletion=False, values=True)
+                             values=True)
+
+
+def _scan_swaps_py(s, dom, floor):
+    """The valuated-matroid swap axiom read literally, as a loop scan on a
+    sentinel table ``s`` (a list): (X, Y, i) fails when s(X) + s(Y)
+    exceeds every s(X-i+j) + s(Y+i-j) with j in Y\\X and ``floor``, which
+    stands for the empty maximum.  There is no deletion term s(X-i) + s(Y+i)."""
+    for X in dom:
+        for Y in dom:
+            lhs = s[X] + s[Y]
+            for ib in iter_bits(X & ~Y):
+                swaps = [s[(X ^ ib) | jb] + s[(Y | ib) ^ jb] for jb in iter_bits(Y & ~X)]
+                if lhs > max([floor, *swaps]):
+                    return X, Y, ib
+    return None
+
+
+def _swap_verdict(f: SetFunction, hit) -> Verdict:
+    """The verdict of a hit of :func:`_scan_swaps_py` on f: its rhs is the
+    best swap, -inf when Y\\X is empty."""
+    if hit is None:
+        return Verdict(True)
+    X, Y, ib = hit
+    tab = f.table
+    rhs = max((tab[(X ^ ib) | jb] + tab[(Y | ib) ^ jb] for jb in iter_bits(Y & ~X)),
+              default=NEG_INF)
+    return Verdict(False, Witness("valuated-matroid:exchange", sets=(("X", X), ("Y", Y)),
+                                  elements=(("i", ib.bit_length()),), lhs=tab[X] + tab[Y],
+                                  rhs=rhs))
 
 
 def _mnat_m_verdict(f: SetFunction, hit):
@@ -286,18 +315,24 @@ def _assert_multi_routes_agree(f: SetFunction):
     return py
 
 
-def _both_routes(t: IntTable, floor):
+def _both_routes(t: IntTable):
     """The hits of the one-item loop oracle and of the array kernel on one table."""
-    return (_scan_exchange_py(t.sent.tolist(), t.dom.tolist(), floor),
-            _scan_exchange_np(t.sent, t.dom, t.neg, floor))
+    return (_scan_exchange_py(t.sent.tolist(), t.dom.tolist()),
+            _scan_exchange_np(t.sent, t.dom, t.neg))
 
 
 def _assert_routes_agree(f: SetFunction, valuated: bool = False):
+    """The loop oracle and the kernel give one verdict on f.  With
+    ``valuated`` (f must be equicardinal) the literal swap-axiom scan, its
+    empty maximum below every two-term sum, finds the kernel's hit, and
+    check_valuated_matroid gives that scan's verdict."""
     t = IntTable(f)
-    floor = 2 * t.neg - 1 if valuated else None
-    py, vec = _both_routes(t, floor)
-    verdict = _valuated_verdict if valuated else _mnat_verdict
-    assert verdict(f, py) == verdict(f, vec)
+    py, vec = _both_routes(t)
+    assert _mnat_verdict(f, py) == _mnat_verdict(f, vec)
+    if valuated:
+        swap = _scan_swaps_py(t.sent.tolist(), t.dom.tolist(), 2 * t.neg - 1)
+        assert swap == vec
+        assert check_valuated_matroid(f) == _swap_verdict(f, swap)
     return py
 
 
@@ -350,15 +385,16 @@ def _shifted(f: SetFunction, c) -> SetFunction:
 
 def test_n3_universe_both_routes():
     levels = (NEG_INF, Fraction(0), Fraction(1))
-    seen = failing = 0
+    seen = failing = equi = 0
     for tab in product(levels, repeat=8):
         if all(v is NEG_INF for v in tab):
             continue
         f = SetFunction(3, tab)
-        failing += _assert_routes_agree(f) is not None
-        _assert_routes_agree(f, valuated=True)
+        valuated = len({m.bit_count() for m in f.dom_masks}) == 1
+        failing += _assert_routes_agree(f, valuated) is not None
+        equi += valuated
         seen += 1
-    assert seen == 6560
+    assert (seen, equi) == (6560, 56)
     assert 0 < failing < seen
 
 
@@ -376,7 +412,7 @@ def test_n3_families_against_oracle():
         fam = SetFamily(3, frozenset(m for m in range(8) if bits >> m & 1))
         oracle = _oracle_family_verdict(fam)
         assert check_family(fam, "b-exc") == oracle
-        py, vec = _both_routes(fam.indicator.ints, None)
+        py, vec = _both_routes(fam.indicator.ints)
         assert py == vec
         want = None if oracle.passed else (oracle.witness.set_mask("X"),
                                            oracle.witness.set_mask("Y"),
@@ -471,8 +507,36 @@ def test_valuated_matroid_routes_agree(f, c):
     f = _shifted(f, c)
     hit = _assert_routes_agree(f, valuated=True)
     # the public check agrees with the loop oracle
-    if len({m.bit_count() for m in f.dom_masks}) == 1:
-        assert check_valuated_matroid(f) == _valuated_verdict(f, hit)
+    assert check_valuated_matroid(f) == _valuated_verdict(f, hit)
+
+
+@st.composite
+def equicardinal_tables(draw, max_n=7):
+    """Tables finite on k-sets only: weighted U(k, n) raised or lowered at
+    one basis (or left as it is), or some of its bases with random
+    rational values."""
+    # with k or n - k below 2 every |X\Y| is 1, and the one swap repairs every tuple
+    n = draw(st.integers(min_value=4, max_value=max_n))
+    k = draw(st.integers(2, n - 2))
+    ksets = [m for m in range(1 << n) if m.bit_count() == k]
+    if draw(st.booleans()):
+        w = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        tab = {m: sum((w[e] for e in range(n) if m >> e & 1), Fraction(0)) for m in ksets}
+        tab[draw(st.sampled_from(ksets))] += draw(RATIONALS)
+    else:
+        kept = draw(st.lists(st.sampled_from(ksets), min_size=2, unique=True))
+        values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        tab = {m: draw(values) for m in kept}
+    return SetFunction(n, tuple(tab.get(m, NEG_INF) for m in range(1 << n)))
+
+
+@given(equicardinal_tables(), SHIFTS)
+@settings(max_examples=200, deadline=None)
+def test_valuated_matroid_is_the_mnat_scan_on_equicardinal_tables(f, c):
+    # X-i and Y+i lie off an equicardinal domain, so the deletion term of
+    # the mnat-exc scan never repairs a tuple: the kernel's hit is that of
+    # the literal swap-axiom scan, and so is check_valuated_matroid's verdict
+    _assert_routes_agree(_shifted(f, c), valuated=True)
 
 
 @given(near_concave())
@@ -926,7 +990,6 @@ def test_kernels_at_the_exact_rung_edges(rung, above, sign):
     assert not check_single_exchange(f).passed and not check_multiple_exchange(f).passed
     hit = _assert_routes_agree(f)
     assert check_single_exchange(f) == _mnat_verdict(f, hit)
-    _assert_routes_agree(f, valuated=True)
     hit = _assert_multi_routes_agree(f)
     assert check_multiple_exchange(f) == _mnat_m_verdict(f, hit)
     assert _local_hit(t) == _local_oracle(t)
