@@ -14,8 +14,21 @@ from random import Random
 
 import numpy as np
 
+from .errors import InputError
+
 # a random pair block is read from the generator's words about this many at a time
 _WALK_WORDS = 1 << 12
+
+
+def require_nonnegative_int(name: str, value) -> None:
+    """Refuse ``value`` with :class:`InputError` unless it is an integer
+    (not a bool) of at least zero.  Seeds pass this test: ``Random(-k)`` is
+    seeded as ``Random(k)``, so a negative seed would replay another
+    seed's draws."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative")
 
 
 def price_draws(rng: Random, n: int, kmax: int, a: int, dtype):

@@ -19,9 +19,15 @@ the narrowest of int16, int32 and int64 in which twice the largest
 magnitude among its entries and its ``-inf`` sentinel is below 2^14,
 2^30 or 2^62, so every two-term sum and every floor is exact, and is an
 object array of Python integers otherwise; the same kernel runs on every
-dtype, the object one being the exact fallback.  Its (X, Y) blocks are
-sized in bytes, so an int16 table sweeps four times the cells of an
-int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
+dtype, the object one being the exact fallback.  On the grid of i the
+kernel is a dominance test: the swap against j repairs a cell when
+s(X-i+j) - s(X) >= s(Y) - s(Y+i-j), and the deletion term when
+s(X-i) - s(X) >= s(Y) - s(Y+i), so a cell fails when its row's vector of
+these differences lies below its column's in every coordinate, which one
+comparison over (j, X, Y) decides (see :func:`_first_violation`).  Each
+difference is a two-term sum, exact in the table's dtype.  Its (X, Y)
+blocks are sized in bytes, so an int16 table sweeps four times the cells
+of an int64 one per numpy call.  The least (row-major (X, Y) cell, i) of the
 first chunk holding a violation is the first tuple of the lexicographic
 order, the first hit of the loop scan that the tests keep as the oracle.
 
@@ -112,21 +118,23 @@ array, of whichever dtype.
 
 Measured on 2 cores of an AVX-512 Xeon (CPython 3.11.7, numpy 2.4.6), a
 full ``mnat-exc`` scan of min(|S|, n/2), whose table is int16, takes
-0.016-0.019 s at n = 10, 0.35-0.38 s at n = 12 and 5.5-6.0 s at n = 14
-(medians of 7 and 3 scans per process at n = 10 and 12, one scan per
-process at n = 14).  A full ``mnat-exc-m`` scan of the same function
-takes 0.012-0.013 s at n = 8, 0.06 s at n = 9, 0.30-0.33 s at n = 10,
-1.4-1.6 s at n = 11 and 7.0-7.4 s at n = 12 (best of 3 up to n = 10, one
-scan at n = 11 and 12).  On the bases of U(6, 12), ``b-exc`` on the
-membership grid takes 7-8 ms, ``b-exc-pm`` 10-13 ms (best of 5) and
-``b-exc-m`` 0.38-0.50 s (best of 3).  Timed while the host ran about
-half as fast: ``local`` on min(|S|, 6) at n = 12 (a box domain, so no
-domain scan) takes 0.021 s and on min(|S|, 3) at n = 9 0.8 ms.  On object
-arrays (min(|S|, n/2) times 2^70) a full ``mnat-exc`` scan at n = 9 takes
-0.32 s and ``mnat-exc-m`` at n = 7 0.0046 s (best of 5).  Each scan costs
-at least the fixed overhead of its numpy calls: on a family at n = 4,
-``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms and ``b-exc-m``
-0.31-0.41 ms (2,000 random families per run).
+0.0055-0.0056 s at n = 10, 0.090-0.098 s at n = 12 and 1.20-1.25 s at
+n = 14 (medians of 7 and 3 scans per process at n = 10 and 12, one scan
+per process at n = 14; three processes each).  A full ``mnat-exc-m``
+scan of the same function takes 0.012-0.013 s at n = 8, 0.06 s at
+n = 9, 0.30-0.33 s at n = 10, 1.4-1.6 s at n = 11 and 7.0-7.4 s at
+n = 12 (best of 3 up to n = 10, one scan at n = 11 and 12).  On the
+bases of U(6, 12), ``b-exc`` on the membership grid takes 6.7-7.0 ms,
+``b-exc-pm`` 9.8-10.3 ms (best of 5, three processes) and ``b-exc-m``
+0.38-0.50 s (best of 3).  Timed while the host ran about half as fast: ``local`` on
+min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
+and on min(|S|, 3) at n = 9 0.8 ms.  On object arrays (min(|S|, n/2)
+times 2^70) a full ``mnat-exc`` scan at n = 9 takes 0.068-0.072 s (best
+of 5, three processes) and ``mnat-exc-m`` at n = 7 0.0046 s (best of
+5).  Each scan costs at least the fixed overhead of its numpy calls: on
+a family at n = 4, ``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm``
+0.12-0.19 ms and ``b-exc-m`` 0.31-0.41 ms (2,000 random families per
+run).
 """
 
 from __future__ import annotations
@@ -254,13 +262,17 @@ class ExchangeCertificate:
 # the one-item exchange kernel (see the module docstring)
 
 # X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
-# (X, Y) cells, so early exits stay cheap, then doubling up to one block
-# of cells or _MIN_CAP_ROWS rows, whichever is more.  An element's column
+# (X, Y) cells, so early exits stay cheap, then growing 8x up to one
+# block of cells or _MIN_CAP_ROWS rows, whichever is more; a passing scan
+# at n = 9 reads three chunks, and pays each chunk's fixed numpy calls per
+# element three times, not seven as with doubling.  An element's column
 # tables are kept for the whole scan while they fit _GRID_CACHE_BYTES
 # (see _ElementGrids), else rebuilt per chunk.  The (X, Y) work arrays
 # hold one block of rows, at most _BLOCK_BYTES of cells or a single row:
 # 2^16 cells of an int64 or object table (or of a family's int64 masks),
-# 2^18 of an int16 table.
+# 2^18 of an int16 table.  The one-item sweep's boolean (j, X, Y) block
+# is not charged to it: it takes at most n - 1 bytes per cell, 3.4 MB
+# for an int16 table at n = 14.
 _FIRST_CHUNK_CELLS = 1 << 12
 _BLOCK_BYTES = 1 << 19
 _MIN_CAP_ROWS = 32
@@ -274,9 +286,11 @@ def _scan_per_element(da, n: int, prepare, itemsize: int, col_bytes: int):
     and returns ``sweep(xr)``: for rows ``xr``, all holding i, the row-major
     index of the least flagged cell of the grid against ``yc``, or None.
     The sweep's (X, Y) work arrays have ``itemsize`` bytes per cell, and
-    the tables ``prepare`` keeps about ``col_bytes`` per column.  X rows
-    go in chunks, in order: the first of about _FIRST_CHUNK_CELLS cells,
-    then doubling up to one block of cells or _MIN_CAP_ROWS rows.
+    the tables ``prepare`` keeps about ``col_bytes`` per column; a sweep
+    may also build one byte per cell and per j (the one-item kernel's
+    dominance block), at most (n - 1) * _BLOCK_BYTES / ``itemsize`` bytes.
+    X rows go in chunks, in order: the first of about _FIRST_CHUNK_CELLS
+    cells, then growing 8x up to one block of cells or _MIN_CAP_ROWS rows.
     """
     ncols = len(da)
     block = _BLOCK_BYTES // itemsize
@@ -289,7 +303,7 @@ def _scan_per_element(da, n: int, prepare, itemsize: int, col_bytes: int):
         if hit is not None:
             r, c, i = hit
             return int(chunk[r]), int(da[c]), 1 << i
-        start, rows = start + rows, min(2 * rows, cap)
+        start, rows = start + rows, min(8 * rows, cap)
     return None
 
 
@@ -372,7 +386,10 @@ def _scan_exchange_np(sa, da, neg: int):
 
     ``neg`` becomes a scalar of the table's dtype, which the guard of
     :class:`IntTable` admits, so the work arrays keep that dtype under
-    either numpy promotion rule (value-based before numpy 2).
+    either numpy promotion rule (value-based before numpy 2).  The column
+    side of the dominance test (see :func:`_first_violation`) is built
+    once per element: for each j held by some column, s(Y) - s(Y+i-j),
+    or s(Y) - neg where j is not in Y, and the deletion term s(Y) - s(Y+i).
     """
     n = len(sa).bit_length() - 1
     bits = _element_bits(n)
@@ -381,32 +398,45 @@ def _scan_exchange_np(sa, da, neg: int):
     def prepare(b, yc):
         yi = yc | b
         y_has = (yc & bits) != 0
-        cv = np.where(y_has, sa[yi ^ bits], neg)
-        sy, y_any = sa[yc], y_has.any(axis=1)
-        return lambda xr: _first_violation(sa, sa[xr], sy, xr ^ b, yi, cv, y_any, bits, neg)
+        js = np.flatnonzero(y_has.any(axis=1))
+        jb, sy = bits[js], sa[yc]
+        yb = sy - np.where(y_has[js], sa[yi ^ jb], neg)
+        y0 = sy - sa[yi]
+        return lambda xr: _first_violation(sa, xr, b, y0, yb, jb, neg)
 
-    # charged per column: the n x columns tables that prepare builds, cv and y_has
+    # charged per column: yb and y0, at most n entries, and n bytes to spare
     return _scan_per_element(da, n, prepare, sa.itemsize, n * (sa.itemsize + 1))
 
 
-def _first_violation(sa, sx, sy, xi, yi, cv, y_any, bits, neg: int):
-    """Row-major index of the first cell with lhs > best, or None.
+def _first_violation(sa, xr, b: int, y0, yb, jb, neg: int):
+    """Row-major index of the first cell (X, Y) that no term repairs, or None.
 
-    Rows are X-i (``sx`` = s(X)), columns Y+i (``sy`` = s(Y)); ``best``
-    starts at s(X-i) + s(Y+i), and row j of ``cv`` holds s((Y+i)-j), or
-    ``neg`` where j is not in Y.  A swap term whose j lies outside Y\\X
-    reads ``neg`` on one side, and a sum containing ``neg`` is below every
-    lhs, so no mask is needed.  Every sum has two entries (or ``neg``) as
-    terms, so it stays in the table's dtype.
+    Rows are X (``xr``, all holding i = ``b``), columns Y.  Term j repairs
+    the cell when s(X-i+j) + s(Y+i-j) >= s(X) + s(Y), that is when
+    A_j(X) = s(X-i+j) - s(X) is at least B_j(Y) = s(Y) - s(Y+i-j); the
+    deletion term compares s(X-i) - s(X) with ``y0`` = s(Y) - s(Y+i).  So
+    a cell fails exactly when A < B in every coordinate, which one
+    (j, rows, columns) comparison decides.  ``jb`` holds the bits of the
+    j that some column holds, one per row of ``yb`` = B; A reads ``neg``
+    in place of s(X-i+j) where j is in X, and ``yb`` reads s(Y) - neg
+    where j is not in Y.  A term with ``neg`` on either side never
+    repairs: its sum is below 2*lo <= s(X) + s(Y).  So a j that every row
+    holds is dropped, which on consecutive rows are the high bits set in
+    their common prefix.
+
+    Each entry of A and B is the difference of two entries of the table
+    (or of one and ``neg``), a two-term sum, which the table's dtype holds
+    exactly (see :func:`~excheck._fast.int_dtype`), so the work arrays
+    stay in it and the object route runs unchanged.  The boolean block has
+    a byte per cell and per j, at most n - 1 times the cells of the sweep.
     """
-    best = sa[xi][:, None] + sa[yi]
-    tmp = np.empty_like(best)
-    x_has = (xi & bits) != 0
-    rv = np.where(x_has, neg, sa[xi | bits])
-    for j in np.flatnonzero(~x_has.all(axis=1) & y_any):
-        np.add(rv[j][:, None], cv[j], out=tmp)
-        np.maximum(best, tmp, out=best)
-    bad = (np.add(sx[:, None], sy, out=tmp) > best).ravel()
+    sx = sa[xr]
+    xi = xr ^ b
+    x_has = (xi & jb) != 0
+    js = ~x_has.all(axis=1)  # a j in every row repairs no cell
+    xa = np.where(x_has[js], neg, sa[xi | jb[js]]) - sx
+    bad = ((sa[xi] - sx)[:, None] < y0) & (xa[:, :, None] < yb[js][:, None, :]).all(axis=0)
+    bad = bad.ravel()
     k = int(bad.argmax())
     return k if bad[k] else None
 

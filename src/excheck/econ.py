@@ -80,7 +80,7 @@ from random import Random
 
 import numpy as np
 
-from ._draws import pair_draws, price_draws
+from ._draws import pair_draws, price_draws, require_nonnegative_int
 from ._fast import int_dtype
 from .checkers import Verdict, Witness, check_multiple_exchange
 from .checkers import _exchange_verdict, _stack_hit
@@ -224,13 +224,7 @@ class PriceSampler:
 
     def __post_init__(self):
         for name in ("seed", "count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            # Random(-k) is seeded as Random(k): a negative seed would
-            # replay another seed's streams
-            if value < 0:
-                raise InputError(f"{name} must be nonnegative")
+            require_nonnegative_int(name, getattr(self, name))
         step = _exact_rational("grid_step", self.grid_step)
         if step <= 0:
             raise InputError("grid_step must be positive")

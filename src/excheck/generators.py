@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from random import Random
 
+from ._draws import require_nonnegative_int
 from .checkers import check_single_exchange, check_valuated_matroid
 from .core import PriceVector, SetFamily, SetFunction, _check_ground_size, with_value
 from .errors import InputError, InternalCheckError
@@ -246,8 +247,10 @@ def mutate(f: SetFunction, seed: int, magnitude) -> SetFunction:
     """Perturb one random finite entry by +/- magnitude (near-miss corpus).
 
     No property of the result is guaranteed; magnitude zero returns an
-    equal function.
+    equal function.  ``seed`` must be a nonnegative integer, as for
+    :class:`~excheck.econ.PriceSampler`.
     """
+    require_nonnegative_int("seed", seed)
     mag = as_ext_value(magnitude)
     if not is_finite(mag):
         raise InputError("magnitude must be finite")

@@ -7,6 +7,7 @@ from excheck import (
     EnumerationSpec,
     InputError,
     MatroidSpec,
+    PriceSampler,
     PriceVector,
     check_family,
     check_single_exchange,
@@ -113,6 +114,20 @@ def test_mutate(rank2):
     diff = [m for m in range(8) if a.table[m] != rank2.table[m]]
     assert len(diff) == 1
     assert abs(a.table[diff[0]] - rank2.table[diff[0]]) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be nonnegative"), (-7, "seed must be nonnegative"),
+    (True, "seed must be an integer, got True"), (1.0, "seed must be an integer, got 1.0"),
+])
+def test_mutate_refuses_what_price_samplers_refuse(rank2, seed, message):
+    # Random(-k) is seeded as Random(k): a negative seed would replay its
+    # positive twin's mutation
+    with pytest.raises(InputError, match=f"^{message}$"):
+        mutate(rank2, seed=seed, magnitude=1)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        PriceSampler(seed=seed, count=1)
+    assert mutate(rank2, seed=0, magnitude=1).table == mutate(rank2, seed=0, magnitude=1).table
 
 
 def test_mutated_instances_judged_by_checker(wmat):

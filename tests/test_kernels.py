@@ -677,7 +677,7 @@ def test_column_tables_once_per_scan_within_the_cache_budget(raised, room, monke
     bits = [1 << i for i in range(n)]
     if room is None:  # every element's tables fit: one build each, at most
         assert len(builds) == len(set(builds)) and set(builds) <= set(bits)
-    if raised is None:  # a full scan of five chunks
+    if raised is None:  # a full scan of three chunks
         assert sorted(set(builds)) == bits
         # 128 columns of n int16 and n boolean entries per element: 3 KB,
         # so a budget of 4 KB keeps one element's tables
@@ -694,6 +694,112 @@ def test_early_exit_builds_only_the_first_chunks_tables(monkeypatch):
     builds = _count_table_builds(monkeypatch)
     assert check_single_exchange(g).witness is not None
     assert len(builds) == len(set(builds)) <= n
+
+
+# ----------------------------------------------------------------------
+# the one-item kernel's dominance test
+
+
+# 1 on the 2-sets of four elements, 0 below, -inf above: the difference
+# s(X-i+j) - s(X) reads neg - hi for j in a 2-set X, and s(Y) - s(Y+i-j)
+# reads hi - neg for j outside a 2-set Y
+TWO_SETS = SetFunction.from_callable(
+    4, lambda m: NEG_INF if m.bit_count() > 2 else Fraction(m.bit_count() == 2))
+
+
+@pytest.mark.parametrize("rung", RUNGS[:3])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "at"])
+def test_dominance_differences_at_the_rung_edges(rung, above):
+    # v -> a*v + c puts hi at M = 2^(bits-1) - 1 (+1 at the edge) and the
+    # sentinel within 2 of -M: hi - neg, the widest difference, is within
+    # 2 of 2*M, the bound the table's dtype admits
+    top = (1 << (EDGE_BITS[rung] - 1)) - 1 + above
+    a = (2 * top - 1) // 3
+    f = SetFunction(4, tuple(v * a + top - a if is_finite(v) else NEG_INF
+                             for v in TWO_SETS.table))
+    t = f.ints
+    assert t.sent.dtype == RUNGS[RUNGS.index(rung) + above]
+    assert (t.hi, 2 * max(abs(t.neg), t.hi)) == (top, 2 * top)
+    assert t.hi - t.neg >= 2 * top - 2
+    hit = _assert_routes_agree(f)
+    assert hit is not None and hit == _assert_routes_agree(TWO_SETS)
+    assert check_single_exchange(f) == _mnat_verdict(f, hit)
+
+
+def _spy_one_item(monkeypatch) -> list:
+    """Record each chunk of the one-item kernel as ("chunk", its X rows) and
+    each sweep as ("sweep", i-bit, X rows, j bits, whether it found a cell)."""
+    calls = []
+    grid_chunk, first_violation = checkers._grid_chunk, checkers._first_violation
+
+    def chunk_spy(da, xa, *args):
+        calls.append(("chunk", xa))
+        return grid_chunk(da, xa, *args)
+
+    def sweep_spy(sa, xr, b, y0, yb, jb, neg):
+        k = first_violation(sa, xr, b, y0, yb, jb, neg)
+        calls.append(("sweep", b, xr, jb, k is not None))
+        return k
+
+    monkeypatch.setattr(checkers, "_grid_chunk", chunk_spy)
+    monkeypatch.setattr(checkers, "_first_violation", sweep_spy)
+    return calls
+
+
+@pytest.mark.parametrize("c", [1, C], ids=["int16", "object"])
+def test_one_item_hit_in_a_later_row_block(c, monkeypatch):
+    # blocks of one row: f({2, 3, 4, 6, 7, 8}) lowered by one fails first
+    # at X = {1, ..., 4, 6, 7, 8}, and the sweep of i = 1 passes the 15
+    # earlier rows holding 1 of the hit's chunk, one block each
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 1 << 4)
+    f = _scaled(_rank(8, 4), c)
+    g = with_value(f, 0b11101110, f.table[0b11101110] - c)
+    calls = _spy_one_item(monkeypatch)
+    hit = _assert_routes_agree(g)
+    X, _, ib = hit
+    sweeps = [call[1:] for call in calls if call[0] == "sweep"]
+    assert all(len(xr) == 1 for _, xr, _, _ in sweeps)
+    assert {int(xr[0]) for _, xr, _, bad in sweeps if bad} == {X}
+    last = max(k for k, call in enumerate(calls) if call[0] == "chunk")
+    chunk = [call[1:] for call in calls[last:] if call[0] == "sweep" and call[1] == ib]
+    assert (X, ib, len(chunk)) == (0b11101111, 1, 16)
+    assert chunk[-1][3] and not any(bad for *_, bad in chunk[:-1])
+    assert check_single_exchange(g) == _mnat_verdict(g, hit)
+
+
+def test_sweeps_without_a_repairing_j(monkeypatch):
+    # every table on one or two elements with values in {-inf, 0, 1}: some
+    # sweeps have no column holding a j, so only the deletion term can
+    # repair, and some have rows holding every j, whose swap terms all
+    # read the sentinel
+    calls = _spy_one_item(monkeypatch)
+    seen = failing = 0
+    for n in (1, 2):
+        for tab in product((NEG_INF, Fraction(0), Fraction(1)), repeat=1 << n):
+            if all(v is NEG_INF for v in tab):
+                continue
+            f = SetFunction(n, tab)
+            failing += _assert_routes_agree(f) is not None
+            seen += 1
+    assert seen == 8 + 80 and 0 < failing < seen
+    sweeps = [call[2:] for call in calls if call[0] == "sweep"]
+    assert any(jb.size == 0 and bad for _, jb, bad in sweeps)
+    assert any(jb.size == 0 and not bad for _, jb, bad in sweeps)
+    assert any(jb.size and ((xr & jb) != 0).all() for xr, jb, _ in sweeps)
+
+
+def test_chunk_schedule_of_the_one_item_kernel(monkeypatch):
+    # chunks grow 8x from about 4,096 cells: a passing scan at n = 9 reads
+    # 8, 64 and 440 rows, and a table raised at row 1 at n = 12 fails in
+    # its second chunk
+    calls = _spy_one_item(monkeypatch)
+    assert check_single_exchange(_rank(9, 4)).passed
+    assert [len(call[1]) for call in calls if call[0] == "chunk"] == [8, 64, 440]
+    calls.clear()
+    f = _rank(12, 6)
+    g = with_value(f, 0b1, f.table[0b1] + 1)
+    assert check_single_exchange(g).witness.set_mask("X") == 0b1
+    assert [len(call[1]) for call in calls if call[0] == "chunk"] == [1, 8]
 
 
 def test_multi_hit_in_a_later_chunk_after_deep_levels():
@@ -839,9 +945,12 @@ def _count_calls(monkeypatch, name: str) -> list:
 def test_family_scans_past_one_chunk_against_oracle(n, kind, toggles, monkeypatch):
     # small chunks, blocks and column-table budget: the scans read many
     # chunks of X rows, sweep each grid in blocks of one or two rows and
-    # rebuild an element's column tables on every chunk
+    # rebuild an element's column tables on every chunk.  Chunks grow 8x,
+    # so the cap of 64 // members rows, and at least 4, keeps even the
+    # 9 members of the n = 7 partition matroid in three chunks: 1, 7, 1
     monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
-    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 1 << 10)
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 1 << 9)
+    monkeypatch.setattr(checkers, "_MIN_CAP_ROWS", 4)
     monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 1 << 8)
     chunks = _count_calls(monkeypatch, "_grid_chunk")
     multi_chunks = _count_calls(monkeypatch, "_multi_chunk")
