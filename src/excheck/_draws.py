@@ -6,6 +6,9 @@ The sampled price streams are defined by per-call loops of
 blocks: :class:`Words` draws the generator's outputs in bulk and reads them
 the way those calls consume them.  Widths of more than 32 bits keep the
 per-call loop, which is exact for integers of any size.
+
+This module holds draw code only; its callers validate seeds and counts
+(:func:`excheck.values.require_nonnegative_int`) before drawing.
 """
 
 from __future__ import annotations
@@ -14,21 +17,8 @@ from random import Random
 
 import numpy as np
 
-from .errors import InputError
-
 # a random pair block is read from the generator's words about this many at a time
 _WALK_WORDS = 1 << 12
-
-
-def require_nonnegative_int(name: str, value) -> None:
-    """Refuse ``value`` with :class:`InputError` unless it is an integer
-    (not a bool) of at least zero.  Seeds pass this test: ``Random(-k)`` is
-    seeded as ``Random(k)``, so a negative seed would replay another
-    seed's draws."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise InputError(f"{name} must be nonnegative")
 
 
 def price_draws(rng: Random, n: int, kmax: int, a: int, dtype):

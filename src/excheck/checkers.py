@@ -151,6 +151,7 @@ from .core import (
     PriceVector,
     SetFamily,
     SetFunction,
+    _check_mask,
     effective_domain,
     validate_exchange_args,
 )
@@ -492,7 +493,6 @@ def _scan_multi_np(s1, s2, da, n: int):
     size = edges[1:] - edges[:-1]
     first, cells = np.repeat(edges[:-1], size), np.repeat(size, size)
     ends = np.cumsum(cells)
-    picks: dict = {}
     start, target = 0, min(_FIRST_CHUNK_CELLS, _MULTI_BLOCK)
     while start < da.size:
         base = ends[start - 1] if start else 0
@@ -501,14 +501,14 @@ def _scan_multi_np(s1, s2, da, n: int):
         # cell k of the chunk reads Y at da[k + shift]
         shift = np.repeat(first[start:stop] - (np.cumsum(cnt) - cnt), cnt)
         X, Y = np.repeat(da[start:stop], cnt), da[np.arange(shift.size) + shift]
-        hit = _multi_chunk(s1, s2, X, Y, pc, picks, equi)
+        hit = _multi_chunk(s1, s2, X, Y, pc, equi)
         if hit is not None:
             return hit
         start, target = stop, min(2 * target, _MULTI_BLOCK)
     return None
 
 
-def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
+def _multi_chunk(s1, s2, X, Y, pc, equi: bool):
     """Least (X, Y, I) over the ascending cells (X, Y) that no J repairs, or None.
 
     Cells with X\\Y nonempty are grouped by (|X\\Y|, |Y\\X|) and stay in
@@ -537,7 +537,7 @@ def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
             if not g.size:
                 continue
         a, b = divmod(int(key[g0]), width)
-        hit = _multi_group(s1, s2, X[g], Y[g], xd[g], yd[g], a, b, pc, picks, equi)
+        hit = _multi_group(s1, s2, X[g], Y[g], xd[g], yd[g], a, b, pc, equi)
         if hit is not None:
             c, I = hit
             found = (int(g[c]), I)
@@ -547,7 +547,7 @@ def _multi_chunk(s1, s2, X, Y, pc, picks, equi: bool):
     return int(X[c]), int(Y[c]), I
 
 
-def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
+def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, equi: bool):
     """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
 
     With ``s2 is s1`` the I are built from the a - 1 lowest bits of X\\Y:
@@ -568,7 +568,7 @@ def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
     step = max(1, _MULTI_BLOCK // per_cell)
     for lo in range(0, X.size, step):
         hi = lo + step
-        I = _pick(picks, pc, k, None) @ _low_bits(xd[lo:hi], k)  # row t: the t-th I of each cell
+        I = _pick(k, None) @ _low_bits(xd[lo:hi], k)  # row t: the t-th I of each cell
         cells = I.shape[1]
         xi = X[lo:hi] ^ I
         yi = Y[lo:hi] | I
@@ -578,7 +578,7 @@ def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
             xi, yi = xi.ravel(), yi.ravel()
             open_ = np.concatenate([
                 _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
-                            _pick(picks, pc, b, size))
+                            _pick(b, size))
                 for size in range(1, k + 1)
             ])
         else:
@@ -588,7 +588,7 @@ def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, picks, equi: bool):
                 if not open_.size:
                     break
                 open_ = _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, open_,
-                                    _pick(picks, pc, b, size))
+                                    _pick(b, size))
         if open_.size:
             c, t = open_ % cells, open_ // cells
             k = int(np.argmin(c * per_cell + t))
@@ -635,16 +635,16 @@ def _low_bits(v, k: int):
     return out
 
 
-def _pick(picks: dict, pc, k: int, size):
+@lru_cache(maxsize=None)
+def _pick(k: int, size):
     """0/1 matrix whose rows are the k-bit patterns of popcount ``size``
     (every nonzero pattern when ``size`` is None), in ascending order, one
     bit per column; times a matrix of single-bit masks, one row per bit, it
-    deposits the patterns.  Kept in ``picks`` for the rest of the scan."""
-    key = (k, size)
-    if key not in picks:
-        pats = np.arange(1, 1 << k) if size is None else np.flatnonzero(pc[: 1 << k] == size)
-        picks[key] = ((pats[:, None] >> np.arange(k)) & 1).astype(np.int8)
-    return picks[key]
+    deposits the patterns (read-only, shared)."""
+    pats = np.arange(1, 1 << k) if size is None else np.flatnonzero(_popcounts(k) == size)
+    out = ((pats[:, None] >> np.arange(k)) & 1).astype(np.int8)
+    out.flags.writeable = False
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -1035,8 +1035,10 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 
 def _family_exchange(family: SetFamily, X: int, Y: int, I: int, not_member: str) -> int | None:
     """The least J inside Y\\X by (|J|, mask) with X-I+J and Y-J+I both
-    members, after the membership checks (``not_member`` ends their
-    message)."""
+    members, after the range and membership checks (``not_member`` ends
+    the latter's message)."""
+    for name, S in (("X", X), ("Y", Y), ("I", I)):
+        _check_mask(S, family.n, name)
     members = family.members
     for name, S in (("X", X), ("Y", Y)):
         if S not in members:
@@ -1061,7 +1063,7 @@ def check_family(family: SetFamily, axiom: str) -> Verdict:
     failing ``b-exc-pm`` names the clause (``a``: leaving X, ``b``:
     entering Y) that has no repair.
     """
-    ax = axiom.strip().lower()
+    ax = axiom.strip().lower() if isinstance(axiom, str) else None
     if ax not in FAMILY_AXIOMS:
         raise InputError(f"unknown family axiom {axiom!r}; expected one of {FAMILY_AXIOMS}")
     if not family.members:

@@ -29,7 +29,7 @@ import numpy as np
 from ._fast import IntTable
 from .errors import EmptySliceError, InputError
 from .sets import elements_of, iter_bits, set_str
-from .values import NEG_INF, ExtValue, as_ext_value, is_finite
+from .values import NEG_INF, ExtValue, as_ext_value, finite_value, is_finite
 
 __all__ = [
     "MAX_GROUND_SIZE",
@@ -217,13 +217,8 @@ class PriceVector:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
-        norm = []
-        for v in self.entries:
-            fv = as_ext_value(v)
-            if not is_finite(fv):
-                raise InputError("prices must be finite rationals")
-            norm.append(fv)
-        object.__setattr__(self, "entries", tuple(norm))
+        entries = tuple(finite_value(v, "prices") for v in self.entries)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def zeros(cls, n: int) -> "PriceVector":
@@ -254,31 +249,29 @@ class PriceVector:
             sums[m] = sums[m ^ low] + self.entries[low.bit_length() - 1]
         return tuple(sums)
 
-    def __add__(self, other: "PriceVector") -> "PriceVector":
+    def _zip(self, other: "PriceVector"):
+        """The entries of both vectors side by side; the lengths must agree."""
         if len(other) != len(self):
             raise InputError("price vectors have different lengths")
-        return PriceVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return zip(self.entries, other.entries)
+
+    def __add__(self, other: "PriceVector") -> "PriceVector":
+        return PriceVector(tuple(a + b for a, b in self._zip(other)))
 
     def __neg__(self) -> "PriceVector":
         return PriceVector(tuple(-a for a in self.entries))
 
     def join(self, other: "PriceVector") -> "PriceVector":
         """Component-wise maximum."""
-        if len(other) != len(self):
-            raise InputError("price vectors have different lengths")
-        return PriceVector(tuple(max(a, b) for a, b in zip(self.entries, other.entries)))
+        return PriceVector(tuple(max(a, b) for a, b in self._zip(other)))
 
     def meet(self, other: "PriceVector") -> "PriceVector":
         """Component-wise minimum."""
-        if len(other) != len(self):
-            raise InputError("price vectors have different lengths")
-        return PriceVector(tuple(min(a, b) for a, b in zip(self.entries, other.entries)))
+        return PriceVector(tuple(min(a, b) for a, b in self._zip(other)))
 
     def leq(self, other: "PriceVector") -> bool:
         """Component-wise <=."""
-        if len(other) != len(self):
-            raise InputError("price vectors have different lengths")
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        return all(a <= b for a, b in self._zip(other))
 
     def abs_sum(self) -> Fraction:
         return sum((abs(a) for a in self.entries), Fraction(0))
@@ -300,6 +293,11 @@ class SlicePair:
     f2: SetFunction
 
 
+def _check_price_length(p: PriceVector, n: int) -> None:
+    if len(p) != n:
+        raise InputError(f"price vector length {len(p)} does not match ground set {n}")
+
+
 def effective_domain(f: SetFunction) -> SetFamily:
     """The family of subsets where the function is finite."""
     return SetFamily._from_sorted(f.n, f.dom_masks)
@@ -308,8 +306,7 @@ def effective_domain(f: SetFunction) -> SetFamily:
 def shifted_argmax(f: SetFunction, p: PriceVector) -> tuple[list[int], Fraction]:
     """The maximizers of f(Z) - p(Z), ascending, and the maximum, computed
     exactly on the rational table."""
-    if len(p) != f.n:
-        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
+    _check_price_length(p, f.n)
     sums = p.subset_sums
     tab = f.table
     best = None
@@ -327,8 +324,7 @@ def shifted_argmax(f: SetFunction, p: PriceVector) -> tuple[list[int], Fraction]
 
 def shift_by_price(f: SetFunction, p: PriceVector) -> SetFunction:
     """Subtract the additive price of each subset; -inf entries stay -inf."""
-    if len(p) != f.n:
-        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
+    _check_price_length(p, f.n)
     sums = p.subset_sums
     tab = tuple(v - sums[m] if is_finite(v) else NEG_INF for m, v in enumerate(f.table))
     return SetFunction(f.n, tab)

@@ -91,7 +91,7 @@ from .core import (
 )
 from .errors import EmptySliceError, InputError, InternalCheckError
 from .sets import elements_of
-from .values import NEG_INF, ExtValue, ext_to_str
+from .values import NEG_INF, ExtValue, ext_to_str, finite_value
 
 __all__ = [
     "conjugate",
@@ -339,7 +339,10 @@ def fenchel_gap(
     lexicographically first minimizer of the box either way.  The default
     radius is twice the finite value range plus one (in cleared units); a
     caller-supplied ``box_radius`` is interpreted in original units and
-    floored onto the integer grid.  Cost grows as about 8 m^k for
+    floored onto the integer grid.  It must be an exact finite rational
+    (an int, a ``Fraction`` or a ``'p/q'`` string, see
+    :func:`~excheck.values.finite_value`); anything else raises
+    :class:`InputError`.  Cost grows as about 8 m^k for
     m = 2R + 1 values per coordinate, and memory as O(2 m^(k-2) + block)
     per side: on int16, k = 6 with m = 15 takes about 0.004 s and k = 7
     about 0.09 s at a peak RSS of 40 MB, and a full 15^5 box on the
@@ -353,7 +356,7 @@ def fenchel_gap(
     if box_radius is None:
         radius = default_radius
     else:
-        br = Fraction(box_radius)
+        br = finite_value(box_radius, "box_radius")
         if br < 0:
             raise InputError("box_radius must be nonnegative")
         radius = floor(br * scale)
@@ -435,7 +438,8 @@ def big_m_vectors(
     """Build the big-M price pair for (X, Y, I, q) and verify its relations.
 
     M defaults to twice the finite value range plus the total absolute
-    price mass of q plus one; a larger M may be supplied.  Four relations
+    price mass of q plus one; a larger M may be supplied, as an exact
+    finite rational (:func:`~excheck.values.finite_value`).  Four relations
     are checked exactly (two equalities reducing the slice conjugates to
     the global conjugate, two lower bounds on the join and meet); any
     failure raises :class:`InternalCheckError` since they hold by
@@ -456,7 +460,7 @@ def big_m_vectors(
     if m_value is None:
         m = threshold
     else:
-        m = Fraction(m_value)
+        m = finite_value(m_value, "m_value")
         if m < threshold:
             raise InputError(f"M must be at least the threshold {threshold}, got {m}")
 

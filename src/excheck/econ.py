@@ -75,19 +75,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, lcm
-from numbers import Rational
 from random import Random
 
 import numpy as np
 
-from ._draws import pair_draws, price_draws, require_nonnegative_int
+from ._draws import pair_draws, price_draws
 from ._fast import int_dtype
 from .checkers import Verdict, Witness, check_multiple_exchange
 from .checkers import _exchange_verdict, _stack_hit
-from .core import PriceVector, SetFamily, SetFunction, shifted_argmax
+from .core import PriceVector, SetFamily, SetFunction, _check_price_length, shifted_argmax
 from .errors import InputError, InternalCheckError
 from .sets import iter_bits
-from .values import ExtValue
+from .values import ExtValue, finite_value, require_nonnegative_int
 
 __all__ = [
     "DemandSet",
@@ -186,8 +185,7 @@ def _halves(a: np.ndarray, i: int):
 
 def demand(f: SetFunction, p: PriceVector) -> DemandSet:
     """Exact argmax of f(Z) - p(Z) over all subsets."""
-    if len(p) != f.n:
-        raise InputError(f"price vector length {len(p)} does not match ground set {f.n}")
+    _check_price_length(p, f.n)
     d = lcm(*(v.denominator for v in p.entries))
     row = [v.numerator * (d // v.denominator) for v in p.entries]
     kern = _DemandKernel(f, d, max(map(abs, row), default=0))
@@ -200,12 +198,6 @@ def demand(f: SetFunction, p: PriceVector) -> DemandSet:
 
 # ----------------------------------------------------------------------
 # price sampling
-
-
-def _exact_rational(name: str, value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, Rational):
-        raise InputError(f"{name} must be an exact rational, got {value!r}")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -225,12 +217,12 @@ class PriceSampler:
     def __post_init__(self):
         for name in ("seed", "count"):
             require_nonnegative_int(name, getattr(self, name))
-        step = _exact_rational("grid_step", self.grid_step)
+        step = finite_value(self.grid_step, "grid_step")
         if step <= 0:
             raise InputError("grid_step must be positive")
         object.__setattr__(self, "grid_step", step)
         if self.radius is not None:
-            r = _exact_rational("radius", self.radius)
+            r = finite_value(self.radius, "radius")
             if r < 0:
                 raise InputError("radius must be nonnegative")
             object.__setattr__(self, "radius", r)

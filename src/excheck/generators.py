@@ -13,12 +13,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from random import Random
 
-from ._draws import require_nonnegative_int
 from .checkers import check_single_exchange, check_valuated_matroid
 from .core import PriceVector, SetFamily, SetFunction, _check_ground_size, with_value
 from .errors import InputError, InternalCheckError
 from .sets import elements_of, iter_bits
-from .values import ExtValue, as_ext_value, is_finite
+from .values import ExtValue, as_ext_value, finite_value, is_finite, require_nonnegative_int
 
 __all__ = [
     "MatroidSpec",
@@ -179,12 +178,10 @@ def _or_all(parts) -> int:
 def _norm_weights(weights, n: int) -> tuple[Fraction, ...] | None:
     if weights is None:
         return None
-    ws = tuple(as_ext_value(w) for w in weights)
+    ws = tuple(finite_value(w, "weights") for w in weights)
     if len(ws) != n:
         raise InputError(f"expected {n} weights, got {len(ws)}")
-    if not all(is_finite(w) for w in ws):
-        raise InputError("weights must be finite")
-    return ws  # type: ignore[return-value]
+    return ws
 
 
 def gen_weighted_matroid(spec: MatroidSpec) -> SetFunction:
@@ -225,11 +222,9 @@ def gen_rank_valuation(spec: MatroidSpec) -> SetFunction:
 def gen_modular_plus_concave(w: PriceVector, g_seq) -> SetFunction:
     """f(X) = w(X) + g(|X|) for a concave sequence g of length n+1."""
     n = len(w)
-    gs = [as_ext_value(g) for g in g_seq]
+    gs = [finite_value(g, "g_seq") for g in g_seq]
     if len(gs) != n + 1:
         raise InputError(f"g_seq must have length n+1 = {n + 1}, got {len(gs)}")
-    if not all(is_finite(g) for g in gs):
-        raise InputError("g_seq must be finite")
     for i in range(1, n):
         if gs[i + 1] - gs[i] > gs[i] - gs[i - 1]:
             raise InputError("g_seq is not concave (second differences must be <= 0)")
@@ -251,9 +246,7 @@ def mutate(f: SetFunction, seed: int, magnitude) -> SetFunction:
     :class:`~excheck.econ.PriceSampler`.
     """
     require_nonnegative_int("seed", seed)
-    mag = as_ext_value(magnitude)
-    if not is_finite(mag):
-        raise InputError("magnitude must be finite")
+    mag = finite_value(magnitude, "magnitude")
     rng = Random(seed)
     mask = rng.choice(f.dom_masks)
     sign = rng.choice((1, -1))

@@ -36,7 +36,10 @@ def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based element labels of a mask."""
+    """Sorted 1-based element labels of a mask; a negative mask raises
+    :class:`InputError`."""
+    if mask < 0:
+        raise InputError(f"a mask is a nonnegative integer, got {mask!r}")
     out = []
     while mask:
         bit = mask & -mask

@@ -5,6 +5,14 @@ bottom element follows the usual extended-valued conventions: it absorbs
 addition, compares below every finite value, and ``-inf <= -inf`` holds.
 A maximum over an empty collection is ``-inf`` (pass ``default=NEG_INF``
 to :func:`max`).
+
+The gates for arguments from outside the library live here, one per rule.
+:func:`as_ext_value` admits an int, a ``Fraction``, a ``'p/q'`` string or
+``-inf`` and refuses floats, bools, decimal strings and numpy scalars;
+table entries go through it.  :func:`finite_value` applies the same rule
+and then refuses ``-inf``, naming the argument in every message; prices,
+radii, weights and every other finite argument go through it.
+:func:`require_nonnegative_int` admits the integer counts and seeds.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ __all__ = [
     "ExtValue",
     "is_finite",
     "as_ext_value",
+    "finite_value",
+    "require_nonnegative_int",
     "parse_rational",
     "ext_to_json",
     "ext_to_str",
@@ -140,6 +150,29 @@ def as_ext_value(x) -> ExtValue:
     if isinstance(x, float):
         raise InputError("floating point values are rejected; use an exact 'p/q' string")
     raise InputError(f"unsupported value: {x!r}")
+
+
+def finite_value(x, name: str) -> Fraction:
+    """Normalize the argument ``name`` to an exact finite rational: the rule
+    of :func:`as_ext_value`, and ``-inf`` is refused too."""
+    try:
+        v = as_ext_value(x)
+    except InputError as e:
+        raise InputError(f"{name}: {e}") from None
+    if not is_finite(v):
+        raise InputError(f"{name} must be finite, got {x!r}")
+    return v
+
+
+def require_nonnegative_int(name: str, value) -> None:
+    """Refuse ``value`` with :class:`InputError` unless it is an integer
+    (not a bool) of at least zero.  Seeds pass this test: ``Random(-k)`` is
+    seeded as ``Random(k)``, so a negative seed would replay another
+    seed's draws."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InputError(f"{name} must be nonnegative")
 
 
 def ext_to_json(v: ExtValue):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import excheck
 from excheck import (
     NEG_INF,
     InputError,
@@ -195,8 +200,9 @@ def test_family_axiom_examples(k4):
 
 def test_family_axiom_validation():
     fam = SetFamily(2, frozenset({0b01}))
-    with pytest.raises(InputError):
-        check_family(fam, "nonsense")
+    for axiom in ("nonsense", 5, None):
+        with pytest.raises(InputError, match="unknown family axiom"):
+            check_family(fam, axiom)
     with pytest.raises(InputError):
         check_family(SetFamily(2, frozenset()), "b-exc")
 
@@ -238,6 +244,42 @@ def test_find_base_exchange_non_matroid():
     assert find_base_exchange(fam, 0b0011, 0b1100, 0b0001) is None
     with pytest.raises(InputError):
         find_base_exchange(fam, 0b0101, 0b1100, 0)
+
+
+_MASK_SEARCHES = {
+    "find_base_exchange": "find_base_exchange(SetFamily(3, frozenset((3, 5, 6))), {X}, {Y}, {I})",
+    "maximizer_exchange": ("maximizer_exchange(SetFunction.from_callable(3, lambda m: "
+                           "min(m.bit_count(), 2)), {X}, {Y}, {I})"),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 3])
+@pytest.mark.parametrize("arg", ["X", "Y", "I"])
+@pytest.mark.parametrize("search", sorted(_MASK_SEARCHES))
+def test_family_searches_range_check_their_masks(search, arg, bad):
+    # in a subprocess with a timeout, so a search that never returns fails the test
+    masks = dict(X=0b011, Y=0b101, I=0b010)
+    masks[arg] = bad
+    call = _MASK_SEARCHES[search].format(**masks)
+    message = _raise_in_subprocess(f"from excheck import *; {call}")
+    assert message == f"{arg} out of range for ground set of size 3: {bad}"
+
+
+def test_elements_of_refuses_a_negative_mask():
+    message = _raise_in_subprocess("from excheck import elements_of; elements_of(-1)")
+    assert message == "a mask is a nonnegative integer, got -1"
+
+
+def _raise_in_subprocess(code: str) -> str:
+    """The message of the InputError that ``code`` raises in a fresh
+    interpreter, which must finish within 20 s."""
+    script = (f"from excheck import InputError\ntry:\n    {code}\n"
+              "except InputError as e:\n    print(e)")
+    env = dict(os.environ, PYTHONPATH=str(Path(excheck.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 # ----------------------------------------------------------------------
