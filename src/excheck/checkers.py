@@ -151,7 +151,6 @@ from .core import (
     PriceVector,
     SetFamily,
     SetFunction,
-    _check_mask,
     effective_domain,
     validate_exchange_args,
 )
@@ -1035,16 +1034,10 @@ def maximizer_exchange(f: SetFunction, X: int, Y: int, I: int) -> int | None:
 
 def _family_exchange(family: SetFamily, X: int, Y: int, I: int, not_member: str) -> int | None:
     """The least J inside Y\\X by (|J|, mask) with X-I+J and Y-J+I both
-    members, after the range and membership checks (``not_member`` ends
-    the latter's message)."""
-    for name, S in (("X", X), ("Y", Y), ("I", I)):
-        _check_mask(S, family.n, name)
+    members, after :func:`~excheck.core.validate_exchange_args`
+    (``not_member`` ends its membership message)."""
+    validate_exchange_args(family, X, Y, I, not_member)
     members = family.members
-    for name, S in (("X", X), ("Y", Y)):
-        if S not in members:
-            raise InputError(f"{name}={set_str(S)} {not_member}")
-    if I & ~(X & ~Y):
-        raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
     for J in submasks_smallest_first(Y & ~X):
         if ((X ^ I) | J) in members and ((Y & ~J) | I) in members:
             return J

@@ -5,7 +5,9 @@ Subcommands: ``check``, ``exchange``, ``duality``, ``demand``,
 holds (or the requested object was produced), 2 the property fails or no
 certificate exists, 1 for any usage or input error.  JSON reports are
 byte-identical across reruns when ``--no-timing`` is given.  Rational
-arguments use exact ``p/q`` strings; decimals are rejected.
+arguments use exact ``p/q`` strings; decimals are rejected.  Each verb's
+handler returns its exit code, report and human lines, and :func:`main`
+alone times, labels and prints them.
 """
 
 from __future__ import annotations
@@ -99,18 +101,6 @@ def _verdict_obj(verdict) -> dict:
     }
 
 
-def _emit(args, report: dict, lines: list[str], started: float) -> None:
-    if not args.no_timing:
-        report["elapsed_ms"] = round((perf_counter() - started) * 1000.0, 3)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-        if not args.no_timing:
-            print(f"elapsed: {report['elapsed_ms']} ms")
-
-
 def _load_function(path) -> SetFunction:
     inst = load_instance(path)
     if not isinstance(inst, SetFunction):
@@ -130,8 +120,7 @@ def _require_scan_cap(n: int, force: bool) -> None:
 # check
 
 
-def _cmd_check(args) -> int:
-    started = perf_counter()
+def _cmd_check(args) -> tuple:
     prop = args.property
     inst = load_instance(args.file)
     _require_scan_cap(inst.n, args.force)
@@ -149,7 +138,6 @@ def _cmd_check(args) -> int:
             note = "the family is a generalized matroid"
 
     report = {
-        "command": "check",
         "input": str(args.file),
         "property": prop,
         "n": inst.n,
@@ -163,8 +151,7 @@ def _cmd_check(args) -> int:
         lines.append(f"  witness: {_humanize(verdict.witness)}")
     if note:
         lines.append(f"  note: {note}")
-    _emit(args, report, lines, started)
-    return 0 if verdict.passed else 2
+    return 0 if verdict.passed else 2, report, lines
 
 
 def _humanize(witness) -> str:
@@ -179,14 +166,12 @@ def _humanize(witness) -> str:
 # exchange
 
 
-def _cmd_exchange(args) -> int:
-    started = perf_counter()
+def _cmd_exchange(args) -> tuple:
     f = _load_function(args.file)
     X, Y, I = _parse_sets(args, f.n)
     cert = find_exchange_set(f, X, Y, I)
     if cert is not None:
         report = {
-            "command": "exchange",
             "input": str(args.file),
             "found": True,
             "J": list(elements_of(cert.j_set)),
@@ -199,30 +184,25 @@ def _cmd_exchange(args) -> int:
             f"J={set_str(cert.j_set)}  lhs={ext_to_str(cert.lhs)} <= rhs={ext_to_str(cert.rhs)}",
             f"|I|={I.bit_count()} |J|={cert.j_set.bit_count()}",
         ]
-        _emit(args, report, lines, started)
-        return 0
+        return 0, report, lines
     # no J repairs (X, Y, I): the exact exchange test confirms it and gives both sides
     tab = f.table
     w = _exchange_verdict("mnat-exc-m", (X, Y, I), tab, tab, tab, values=True).witness
     lhs, best = w.lhs, w.rhs
     report = {
-        "command": "exchange",
         "input": str(args.file),
         "found": False,
         "lhs": ext_to_json(lhs),
         "best_rhs": ext_to_json(best),
     }
-    lines = [f"no exchange set: lhs={ext_to_str(lhs)} > best rhs={ext_to_str(best)}"]
-    _emit(args, report, lines, started)
-    return 2
+    return 2, report, [f"no exchange set: lhs={ext_to_str(lhs)} > best rhs={ext_to_str(best)}"]
 
 
 # ----------------------------------------------------------------------
 # duality
 
 
-def _cmd_duality(args) -> int:
-    started = perf_counter()
+def _cmd_duality(args) -> tuple:
     f = _load_function(args.file)
     X, Y, I = _parse_sets(args, f.n)
     k = (Y & ~X).bit_count()
@@ -234,7 +214,6 @@ def _cmd_duality(args) -> int:
     rep = fenchel_gap(f, X, Y, I, box_radius=radius)
     gap_json = ext_to_json(rep.gap) if rep.gap is not None else "inf"
     report = {
-        "command": "duality",
         "input": str(args.file),
         "primal": ext_to_json(rep.primal),
         "dual": ext_to_json(rep.dual),
@@ -261,22 +240,19 @@ def _cmd_duality(args) -> int:
         lines.append(f"q*: {qtxt if qtxt else '(empty)'}")
     if rep.note:
         lines.append(f"note: {rep.note}")
-    _emit(args, report, lines, started)
-    return 0 if rep.gap == 0 else 2
+    return 0 if rep.gap == 0 else 2, report, lines
 
 
 # ----------------------------------------------------------------------
 # demand
 
 
-def _cmd_demand(args) -> int:
-    started = perf_counter()
+def _cmd_demand(args) -> tuple:
     f = _load_function(args.file)
     prices = _parse_rational_list(args.price, "--price")
     d = demand(f, PriceVector(tuple(prices)))
     members = [list(elements_of(m)) for m in d.members.sorted_members]
     report = {
-        "command": "demand",
         "input": str(args.file),
         "price": [ext_to_json(v) for v in d.price.entries],
         "value": ext_to_json(d.value),
@@ -287,16 +263,14 @@ def _cmd_demand(args) -> int:
         + " ".join(set_str(m) for m in d.members.sorted_members),
         f"attained value: {ext_to_str(d.value)}",
     ]
-    _emit(args, report, lines, started)
-    return 0
+    return 0, report, lines
 
 
 # ----------------------------------------------------------------------
 # equivalence
 
 
-def _cmd_equivalence(args) -> int:
-    started = perf_counter()
+def _cmd_equivalence(args) -> tuple:
     f = _load_function(args.file)
     _require_scan_cap(f.n, args.force)
     radius = parse_rational(args.radius) if args.radius is not None else None
@@ -313,16 +287,11 @@ def _cmd_equivalence(args) -> int:
         "local": _verdict_obj(rep.local),
     }
     sampled = {
-        name: {
-            "status": sv.verdict.status,
-            "witness": sv.verdict.witness.as_dict() if sv.verdict.witness else None,
-            "samples": sv.samples,
-        }
+        name: {**_verdict_obj(sv.verdict), "samples": sv.samples}
         for name, sv in (("gs", rep.gs), ("si", rep.si), ("nc", rep.nc), ("ncsim", rep.ncsim))
     }
     overall = "pass" if rep.all_pass else "fail"
     report = {
-        "command": "equivalence",
         "input": str(args.file),
         "exact": exact,
         "sampled": sampled,
@@ -336,16 +305,14 @@ def _cmd_equivalence(args) -> int:
         lines.append(f"  {name:12s} {tag} ({v['samples']} samples)")
         if v["witness"]:
             lines.append(f"    witness: {json.dumps(v['witness'], sort_keys=True)}")
-    _emit(args, report, lines, started)
-    return 0 if rep.all_pass else 2
+    return 0 if rep.all_pass else 2, report, lines
 
 
 # ----------------------------------------------------------------------
 # gen
 
 
-def _cmd_gen(args) -> int:
-    started = perf_counter()
+def _cmd_gen(args) -> tuple:
     kind = args.kind
     weights = _parse_rational_list(args.weights, "--weights") if args.weights else None
 
@@ -403,11 +370,10 @@ def _cmd_gen(args) -> int:
         except OSError as e:
             raise InputError(f"cannot write {args.output}: {e}") from None
         inst_kind = "set_family" if isinstance(inst, SetFamily) else "set_function"
-        report = {"command": "gen", "written": str(args.output), "kind": inst_kind, "n": inst.n}
-        _emit(args, report, [f"wrote {inst_kind} (n={inst.n}) to {args.output}"], started)
-    else:
-        sys.stdout.write(text)
-    return 0
+        report = {"written": str(args.output), "kind": inst_kind, "n": inst.n}
+        return 0, report, [f"wrote {inst_kind} (n={inst.n}) to {args.output}"]
+    sys.stdout.write(text)
+    return 0, None, None
 
 
 # ----------------------------------------------------------------------
@@ -495,14 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = perf_counter()
     try:
-        return args.handler(args)
+        code, report, lines = args.handler(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except InternalCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 1
+    if report is not None:
+        report["command"] = args.command
+        if not args.no_timing:
+            report["elapsed_ms"] = round((perf_counter() - started) * 1000.0, 3)
+            lines.append(f"elapsed: {report['elapsed_ms']} ms")
+        print(json.dumps(report, sort_keys=True) if args.format == "json" else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._fast import IntTable
 from .errors import EmptySliceError, InputError
-from .sets import elements_of, iter_bits, set_str
+from .sets import elements_of, iter_bits, mask_from_elements, set_str
 from .values import NEG_INF, ExtValue, as_ext_value, finite_value, is_finite
 
 __all__ = [
@@ -228,12 +228,13 @@ class PriceVector:
         return len(self.entries)
 
     def entry(self, element: int) -> Fraction:
-        """Price of a 1-based element."""
-        if element < 1 or element > len(self.entries):
-            raise InputError(f"element {element} out of range")
+        """Price of a 1-based element, its label checked as by
+        :func:`~excheck.sets.mask_from_elements`."""
+        mask_from_elements((element,), len(self.entries))
         return self.entries[element - 1]
 
     def sum_over(self, mask: int) -> Fraction:
+        _check_mask(mask, len(self.entries))
         total = Fraction(0)
         for bit in iter_bits(mask):
             total += self.entries[bit.bit_length() - 1]
@@ -330,15 +331,19 @@ def shift_by_price(f: SetFunction, p: PriceVector) -> SetFunction:
     return SetFunction(f.n, tab)
 
 
-def validate_exchange_args(f: SetFunction, X: int, Y: int, I: int) -> None:
-    """Shared precondition: X, Y finite, I inside X\\Y."""
-    _check_mask(X, f.n, "X")
-    _check_mask(Y, f.n, "Y")
-    _check_mask(I, f.n, "I")
-    if not is_finite(f.table[X]):
-        raise InputError(f"X={set_str(X)} is not in the effective domain")
-    if not is_finite(f.table[Y]):
-        raise InputError(f"Y={set_str(Y)} is not in the effective domain")
+def validate_exchange_args(
+    f: SetFunction | SetFamily, X: int, Y: int, I: int,
+    not_member: str = "is not in the effective domain",
+) -> None:
+    """The one precondition of every exchange entry point on (X, Y, I): the
+    three masks in range, X and Y finite under a function or members of a
+    family (``not_member`` ends the message when one is not), and I
+    inside X\\Y."""
+    for name, S in (("X", X), ("Y", Y), ("I", I)):
+        _check_mask(S, f.n, name)
+    for name, S in (("X", X), ("Y", Y)):
+        if (S not in f.members) if isinstance(f, SetFamily) else not is_finite(f.table[S]):
+            raise InputError(f"{name}={set_str(S)} {not_member}")
     if I & ~(X & ~Y):
         raise InputError(f"I={set_str(I)} is not a subset of X\\Y={set_str(X & ~Y)}")
 

@@ -445,7 +445,6 @@ def big_m_vectors(
     failure raises :class:`InternalCheckError` since they hold by
     construction for every admissible M.
     """
-    validate_exchange_args(f, X, Y, I)
     try:
         sp = slice_pair(f, X, Y, I)
     except EmptySliceError as e:

@@ -14,10 +14,12 @@ from itertools import combinations, product
 from random import Random
 
 from .checkers import check_single_exchange, check_valuated_matroid
-from .core import PriceVector, SetFamily, SetFunction, _check_ground_size, with_value
+from .core import PriceVector, SetFamily, SetFunction, _check_ground_size, _check_mask, with_value
 from .errors import InputError, InternalCheckError
 from .sets import elements_of, iter_bits
-from .values import ExtValue, as_ext_value, finite_value, is_finite, require_nonnegative_int
+from .values import (
+    ExtValue, _require_int, as_ext_value, finite_value, is_finite, require_nonnegative_int,
+)
 
 __all__ = [
     "MatroidSpec",
@@ -52,18 +54,24 @@ class MatroidSpec:
     weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in ("uniform", "graphic", "partition", "free"):
+            raise InputError(f"unknown matroid kind {self.kind!r}")
         # before bases() enumerates up to 2^n members
         _check_ground_size(self.n)
 
     @classmethod
     def uniform(cls, k: int, n: int, weights=None) -> "MatroidSpec":
+        _require_int("k", k)
+        _require_int("n", n)
         if not (0 <= k <= n):
             raise InputError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
         return cls(kind="uniform", n=n, k=k, weights=_norm_weights(weights, n))
 
     @classmethod
     def graphic(cls, edges, weights=None) -> "MatroidSpec":
-        es = tuple((int(u), int(v)) for u, v in edges)
+        es = tuple((u, v) for u, v in edges)
+        for vertex in (w for e in es for w in e):
+            _require_int("edge endpoint", vertex)
         if not es:
             raise InputError("graphic matroid needs at least one edge")
         if len(es) > _MAX_GRAPH_EDGES:
@@ -78,8 +86,13 @@ class MatroidSpec:
 
     @classmethod
     def partition(cls, blocks, capacities, weights=None) -> "MatroidSpec":
-        bl = tuple(tuple(sorted(int(e) for e in b)) for b in blocks)
-        caps = tuple(int(c) for c in capacities)
+        bl = tuple(tuple(b) for b in blocks)
+        caps = tuple(capacities)
+        for e in (e for b in bl for e in b):
+            _require_int("block element", e)
+        for c in caps:
+            _require_int("capacity", c)
+        bl = tuple(tuple(sorted(b)) for b in bl)
         if len(bl) != len(caps):
             raise InputError("one capacity per block is required")
         if any(c < 0 for c in caps):
@@ -97,6 +110,7 @@ class MatroidSpec:
 
     @classmethod
     def free(cls, n: int, weights=None) -> "MatroidSpec":
+        _require_int("n", n)
         if n < 1:
             raise InputError("free kind needs n >= 1")
         return cls(kind="free", n=n, weights=_norm_weights(weights, n))
@@ -133,8 +147,7 @@ class MatroidSpec:
 
     def rank(self, subset: int) -> int:
         """Matroid rank of a subset."""
-        if subset < 0 or subset >= (1 << self.n):
-            raise InputError(f"subset out of range: {subset!r}")
+        _check_mask(subset, self.n)
         if self.kind == "uniform":
             return min(subset.bit_count(), self.k or 0)
         if self.kind == "free":
@@ -261,6 +274,7 @@ class EnumerationSpec:
     value_alphabet: tuple[ExtValue, ...]
 
     def __post_init__(self):
+        require_nonnegative_int("n", self.n)
         if self.n < 1 or self.n > 3:
             raise InputError("exhaustive enumeration supports 1 <= n <= 3")
         alpha = tuple(as_ext_value(a) for a in self.value_alphabet)

@@ -35,11 +35,15 @@ def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
     return mask
 
 
+def _check_nonnegative(mask: int) -> None:
+    if mask < 0:
+        raise InputError(f"a mask is a nonnegative integer, got {mask!r}")
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based element labels of a mask; a negative mask raises
     :class:`InputError`."""
-    if mask < 0:
-        raise InputError(f"a mask is a nonnegative integer, got {mask!r}")
+    _check_nonnegative(mask)
     out = []
     while mask:
         bit = mask & -mask
@@ -53,7 +57,9 @@ def set_str(mask: int) -> str:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Single-bit masks of ``mask``, lowest first."""
+    """Single-bit masks of ``mask``, lowest first; a negative mask raises
+    :class:`InputError` at the first step."""
+    _check_nonnegative(mask)
     while mask:
         bit = mask & -mask
         yield bit
@@ -61,7 +67,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` in ascending numeric order (0 first, mask last)."""
+    """All submasks of ``mask`` in ascending numeric order (0 first, mask
+    last); a negative mask raises :class:`InputError` at the first step."""
+    _check_nonnegative(mask)
     s = 0
     while True:
         yield s

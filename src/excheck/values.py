@@ -164,13 +164,17 @@ def finite_value(x, name: str) -> Fraction:
     return v
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def require_nonnegative_int(name: str, value) -> None:
     """Refuse ``value`` with :class:`InputError` unless it is an integer
     (not a bool) of at least zero.  Seeds pass this test: ``Random(-k)`` is
     seeded as ``Random(k)``, so a negative seed would replay another
     seed's draws."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
+    _require_int(name, value)
     if value < 0:
         raise InputError(f"{name} must be nonnegative")
 

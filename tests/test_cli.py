@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -373,6 +374,207 @@ def test_timing_present_by_default(files, capsys):
     code, out, _ = run(capsys, "check", files["rank2"], "--property", "mnat-exc",
                        "--format", "json")
     assert code == 0 and "elapsed_ms" in json.loads(out)
+
+
+# the exact --no-timing stdout of every verb in both formats, per input file
+# named relative to the fixture directory
+_PINNED = [
+    pytest.param(
+        ("check", "rank2.json", "--property", "mnat-exc"), 0,
+        (
+            '{"command": "check", "input": "rank2.json", "n": 3, "property": '
+            '"mnat-exc", "verdict": "pass", "witness": null}\n'
+        ),
+        'mnat-exc on rank2.json (n=3): pass\n',
+        id="check-pass",
+    ),
+    pytest.param(
+        ("check", "comp.json", "--property", "local"), 2,
+        (
+            '{"command": "check", "input": "comp.json", "n": 2, "property": "local", '
+            '"verdict": "fail", "witness": {"X": [], "condition": "local:i", "i": 1, '
+            '"j": 2, "lhs": 3, "rhs": 2}}\n'
+        ),
+        (
+            'local on comp.json (n=2): fail\n'
+            '  witness: family (i) X={} i=1 j=2 lhs=3 rhs=2\n'
+        ),
+        id="check-local-witness",
+    ),
+    pytest.param(
+        ("check", "k4fam.json", "--property", "bnat-exc"), 0,
+        (
+            '{"command": "check", "input": "k4fam.json", "n": 6, "note": "the family '
+            'is a generalized matroid", "property": "bnat-exc", "verdict": "pass", '
+            '"witness": null}\n'
+        ),
+        (
+            'bnat-exc on k4fam.json (n=6): pass\n'
+            '  note: the family is a generalized matroid\n'
+        ),
+        id="check-generalized-matroid",
+    ),
+    pytest.param(
+        ("exchange", "rank2.json", "--x", "1,2", "--y", "3", "--i", "1,2"), 0,
+        (
+            '{"J": [3], "command": "exchange", "found": true, "input": "rank2.json", '
+            '"lhs": 3, "rhs": 3, "size_I": 2, "size_J": 1}\n'
+        ),
+        (
+            'J={3}  lhs=3 <= rhs=3\n'
+            '|I|=2 |J|=1\n'
+        ),
+        id="exchange-found",
+    ),
+    pytest.param(
+        ("exchange", "comp.json", "--x", "1,2", "--y", "", "--i", "1"), 2,
+        (
+            '{"best_rhs": 2, "command": "exchange", "found": false, "input": '
+            '"comp.json", "lhs": 3}\n'
+        ),
+        'no exchange set: lhs=3 > best rhs=2\n',
+        id="exchange-not-found",
+    ),
+    pytest.param(
+        ("duality", "rank2.json", "--x", "1,2", "--y", "3", "--i", "1"), 0,
+        (
+            '{"box_radius": 5, "command": "duality", "dual": 3, "gap": 0, "input": '
+            '"rank2.json", "primal": 3, "q_star": {"3": 1}, "scale": 1, "y0": [3]}\n'
+        ),
+        (
+            'primal=3 dual=3 gap=0\n'
+            'box radius 5 (scale 1) over Y\\X=[3]\n'
+            'q*: q3=1\n'
+        ),
+        id="duality-closed",
+    ),
+    pytest.param(
+        ("duality", "gapped.json", "--x", "1,2", "--y", "3,4", "--i", "1,2"), 2,
+        (
+            '{"box_radius": 21, "command": "duality", "dual": 0, "gap": 10, "input": '
+            '"gapped.json", "note": "no certificate in the box [-21, 21]^2; best q = '
+            '(0,0)", "primal": -10, "q_star": null, "scale": 1, "y0": [3, 4]}\n'
+        ),
+        (
+            'primal=-10 dual=0 gap=10\n'
+            'box radius 21 (scale 1) over Y\\X=[3, 4]\n'
+            'note: no certificate in the box [-21, 21]^2; best q = (0,0)\n'
+        ),
+        id="duality-gap",
+    ),
+    pytest.param(
+        ("demand", "comp.json", "--price", "3/2,3/2"), 0,
+        (
+            '{"command": "demand", "input": "comp.json", "members": [[], [1, 2]], '
+            '"price": ["3/2", "3/2"], "value": 0}\n'
+        ),
+        (
+            'demand at (3/2,3/2): {} {1,2}\n'
+            'attained value: 0\n'
+        ),
+        id="demand",
+    ),
+    pytest.param(
+        ("equivalence", "rank2.json", "--count", "30"), 0,
+        (
+            '{"command": "equivalence", "exact": {"local": {"status": "pass", '
+            '"witness": null}, "mnat-exc": {"status": "pass", "witness": null}, '
+            '"mnat-exc-m": {"status": "pass", "witness": null}}, "input": '
+            '"rank2.json", "sampled": {"gs": {"samples": 4023, "status": "pass", '
+            '"witness": null}, "nc": {"samples": 1361, "status": "pass", "witness": '
+            'null}, "ncsim": {"samples": 1361, "status": "pass", "witness": null}, '
+            '"si": {"samples": 1361, "status": "pass", "witness": null}}, "verdict": '
+            '"pass"}\n'
+        ),
+        (
+            'equivalence on rank2.json: pass\n'
+            '  mnat-exc     pass (exact)\n'
+            '  mnat-exc-m   pass (exact)\n'
+            '  local        pass (exact)\n'
+            '  gs           pass (4023 samples)\n'
+            '  si           pass (1361 samples)\n'
+            '  nc           pass (1361 samples)\n'
+            '  ncsim        pass (1361 samples)\n'
+        ),
+        id="equivalence-pass",
+    ),
+    pytest.param(
+        ("equivalence", "comp.json", "--count", "100"), 2,
+        (
+            '{"command": "equivalence", "exact": {"local": {"status": "fail", '
+            '"witness": {"X": [], "condition": "local:i", "i": 1, "j": 2, "lhs": 3, '
+            '"rhs": 2}}, "mnat-exc": {"status": "fail", "witness": {"X": [1, 2], '
+            '"Y": [], "condition": "mnat-exc", "i": 1, "lhs": 3, "rhs": 2}}, '
+            '"mnat-exc-m": {"status": "fail", "witness": {"I": [1], "X": [1, 2], '
+            '"Y": [], "condition": "mnat-exc-m", "lhs": 3, "rhs": 2}}}, "input": '
+            '"comp.json", "sampled": {"gs": {"samples": 550, "status": "fail", '
+            '"witness": {"X": [1, 2], "condition": "gs", "p": [1, 2], "q": [2, 2], '
+            '"sample": 258}}, "nc": {"samples": 325, "status": "fail", "witness": '
+            '{"I": [1], "X": [1, 2], "Y": [], "condition": "nc", "p": [1, 2], '
+            '"sample": 129}}, "ncsim": {"samples": 325, "status": "fail", "witness": '
+            '{"I": [1], "X": [1, 2], "Y": [], "condition": "ncsim", "p": [1, 2], '
+            '"sample": 129}}, "si": {"samples": 325, "status": "fail", "witness": '
+            '{"X": [], "condition": "si", "lhs": 0, "p": [1, 1], "rhs": 1, "sample": '
+            '128}}}, "verdict": "fail"}\n'
+        ),
+        (
+            'equivalence on comp.json: fail\n'
+            '  mnat-exc     fail (exact)\n'
+            '  mnat-exc-m   fail (exact)\n'
+            '  local        fail (exact)\n'
+            '  gs           refuted (550 samples)\n'
+            '    witness: {"X": [1, 2], "condition": "gs", "p": [1, 2], "q": [2, 2], '
+            '"sample": 258}\n'
+            '  si           refuted (325 samples)\n'
+            '    witness: {"X": [], "condition": "si", "lhs": 0, "p": [1, 1], "rhs": '
+            '1, "sample": 128}\n'
+            '  nc           refuted (325 samples)\n'
+            '    witness: {"I": [1], "X": [1, 2], "Y": [], "condition": "nc", "p": '
+            '[1, 2], "sample": 129}\n'
+            '  ncsim        refuted (325 samples)\n'
+            '    witness: {"I": [1], "X": [1, 2], "Y": [], "condition": "ncsim", '
+            '"p": [1, 2], "sample": 129}\n'
+        ),
+        id="equivalence-fail",
+    ),
+    pytest.param(
+        ("gen", "--kind", "uniform", "--k", "2", "--n", "3", "--weights", "0,1,2",
+         "-o", "gen.json"), 0,
+        (
+            '{"command": "gen", "kind": "set_function", "n": 3, "written": '
+            '"gen.json"}\n'
+        ),
+        'wrote set_function (n=3) to gen.json\n',
+        id="gen-output",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, json_out, human_out", _PINNED)
+def test_report_bytes_are_pinned(files, capsys, monkeypatch, k4, argv, code, json_out, human_out):
+    gapped = SetFunction.from_entries(
+        4,
+        [
+            (0b0011, -10), (0b1100, 0), (0, 0), (0b0100, -10), (0b1000, -10),
+            (0b0111, 0), (0b1011, 0), (0b1111, -10),
+        ],
+    )
+    save_set_function(gapped, files["dir"] / "gapped.json")
+    save_set_family(k4.bases(), files["dir"] / "k4fam.json")
+    monkeypatch.chdir(files["dir"])
+    for fmt, want in (("json", json_out), ("human", human_out)):
+        assert run(capsys, *argv, "--format", fmt, "--no-timing") == (code, want, "")
+        # with timing, the same report plus elapsed_ms, or one last elapsed line
+        timed_code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (timed_code, err) == (code, "")
+        if fmt == "json":
+            report = json.loads(out)
+            assert type(report.pop("elapsed_ms")) is float
+            assert json.dumps(report, sort_keys=True) + "\n" == want
+        else:
+            *body, last = out.splitlines()
+            assert re.fullmatch(r"elapsed: [0-9.]+ ms", last)
+            assert "\n".join(body) + "\n" == want
 
 
 _DIGITS = "7" * 5000  # past the interpreter's default limit of 4300 digits per int

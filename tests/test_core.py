@@ -5,7 +5,9 @@ import pytest
 from excheck import (
     NEG_INF,
     EmptySliceError,
+    EnumerationSpec,
     InputError,
+    MatroidSpec,
     PriceVector,
     SetFamily,
     SetFunction,
@@ -15,6 +17,7 @@ from excheck import (
     slice_pair,
     with_value,
 )
+from excheck.sets import iter_bits, iter_submasks
 
 
 def test_eval_examples(rank2, wmat, comp):
@@ -147,3 +150,64 @@ def test_subset_helpers():
         mask_from_elements([1, 1])
     with pytest.raises(InputError):
         mask_from_elements([0])
+
+
+_U23 = MatroidSpec.uniform(2, 3)
+_LABEL_RULE = "element labels are positive integers, got "
+_NEGATIVE_MASK = "a mask is a nonnegative integer, got -1"
+
+
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        pytest.param(lambda: PriceVector((1, 2)).entry(1.5), _LABEL_RULE + "1.5",
+                     id="entry-float"),
+        pytest.param(lambda: PriceVector((1, 2)).entry(True), _LABEL_RULE + "True",
+                     id="entry-bool"),
+        pytest.param(lambda: PriceVector((1, 2)).entry(3), "element 3 exceeds ground-set size 2",
+                     id="entry-past-n"),
+        pytest.param(lambda: PriceVector((1, 2)).sum_over(4),
+                     "subset out of range for ground set of size 2: 4", id="sum-over-past-n"),
+        pytest.param(lambda: PriceVector((1, 2)).sum_over(True),
+                     "subset out of range for ground set of size 2: True", id="sum-over-bool"),
+        # next(), not list(): a negative mask used to make both iterators endless
+        pytest.param(lambda: next(iter_bits(-1)), _NEGATIVE_MASK, id="iter-bits-negative"),
+        pytest.param(lambda: next(iter_submasks(-1)), _NEGATIVE_MASK, id="iter-submasks-negative"),
+        pytest.param(lambda: EnumerationSpec("2", (0, 1)), "n must be an integer, got '2'",
+                     id="enumeration-str"),
+        pytest.param(lambda: EnumerationSpec(2.0, (0, 1)), "n must be an integer, got 2.0",
+                     id="enumeration-float"),
+        pytest.param(lambda: EnumerationSpec(True, (0, 1)), "n must be an integer, got True",
+                     id="enumeration-bool"),
+        pytest.param(lambda: _U23.rank(True), "subset out of range for ground set of size 3: True",
+                     id="rank-bool"),
+        pytest.param(lambda: _U23.rank(1.5), "subset out of range for ground set of size 3: 1.5",
+                     id="rank-float"),
+        pytest.param(lambda: _U23.rank(8), "subset out of range for ground set of size 3: 8",
+                     id="rank-past-n"),
+        pytest.param(lambda: MatroidSpec.uniform(True, 3), "k must be an integer, got True",
+                     id="uniform-bool"),
+        pytest.param(lambda: MatroidSpec.uniform("2", 3), "k must be an integer, got '2'",
+                     id="uniform-str"),
+        pytest.param(lambda: MatroidSpec.uniform(1.5, 3), "k must be an integer, got 1.5",
+                     id="uniform-float"),
+        pytest.param(lambda: MatroidSpec.free("2"), "n must be an integer, got '2'",
+                     id="free-str"),
+        pytest.param(lambda: MatroidSpec.partition([[1, 2]], [1.9]),
+                     "capacity must be an integer, got 1.9", id="partition-float-cap"),
+        pytest.param(lambda: MatroidSpec.partition([[1.5, 2]], [1]),
+                     "block element must be an integer, got 1.5", id="partition-float-element"),
+        pytest.param(lambda: MatroidSpec.partition([["1", 2]], [1]),
+                     "block element must be an integer, got '1'", id="partition-str-element"),
+        pytest.param(lambda: MatroidSpec.graphic([(1.5, 2), (2, 3)]),
+                     "edge endpoint must be an integer, got 1.5", id="graphic-float-vertex"),
+        pytest.param(lambda: MatroidSpec.graphic([("1", 2), (2, 3)]),
+                     "edge endpoint must be an integer, got '1'", id="graphic-str-vertex"),
+        pytest.param(lambda: MatroidSpec(kind="bogus", n=2).bases(),
+                     "unknown matroid kind 'bogus'", id="matroid-unknown-kind"),
+    ],
+)
+def test_labels_masks_and_generator_arguments_are_refused(probe, message):
+    with pytest.raises(InputError) as exc:
+        probe()
+    assert str(exc.value) == message
