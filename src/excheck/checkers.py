@@ -57,19 +57,29 @@ demanded, passes an all-zero s2.  X^I, Y|I and J touch only the low n
 bits, and X & ~Y cancels the row offset, so only the forming of cells
 knows the stack: each X in a chunk, in order, is paired with the members
 Y of its own row.  Cells with X\\Y empty are dropped and the rest
-grouped by (|X\\Y|, |Y\\X|).  Each cell expands to its (X, Y, I) tuples,
-I over the nonzero submasks of X\\Y in ascending order (half of them,
-below, when one table is read twice), and the J inside Y\\X are tried
-level by level: every J with |J| = 0, then 1, and so on, each level only
-on the tuples that no smaller J repaired.  Tuples left after the last
-level are violations, and the least ((X, Y) cell, I) of the first chunk
-holding one is again the loop scan's first hit, and on a stack the least
-failing row.  Levels keep early exits cheap: most tuples are repaired by
-a small J, and trying every J at once made the early exits of n = 14
-scans several times slower.  On an equicardinal domain
+grouped by |X\\Y| alone.  Each cell expands to its (X, Y, I) tuples, I
+over the nonzero submasks of X\\Y in ascending order (half of them,
+below, when one table is read twice), built once per group, and the J
+inside Y\\X are tried level by level: J empty, then every J with
+|J| = 1, and so on, each level only on the tuples that no smaller J
+repaired.  Levels keep early exits cheap: most tuples are repaired by a
+small J, and trying every J at once made the early exits of n = 14 scans
+several times slower.  Within a level each cell tries the J of its own
+Y\\X, in rounds: first its l lowest bits alone, then the other J of
+size l, only on the tuples that one left.  The patterns of size l come
+in ascending order, so a cell of width w = |Y\\X| reads the first
+comb(w, l) of them and no tuple tries a J twice, however wide the other
+cells of its group are.  A tuple still open after its last J is a
+violation: after level w, or after its own level on an equicardinal
+domain (below).  The least ((X, Y) cell, I) of the first chunk holding
+one is again the loop scan's first hit, and on a stack the least failing
+row.  The least violation known so far bounds the group: the cells after
+it leave the levels still to come, so a table dense in violations stops
+after a few cells of its first group.  On an equicardinal domain
 (matroid bases, weighted matroids, a stack whose members share one size)
 X-I+J lies in the domain only when |J| = |I|, so level 0 is skipped and
-level l runs only on the tuples with |I| = l.
+level l runs only on the tuples with |I| = l, a contiguous run of the
+group's I rows, which are built by size.
 
 With one table on both sides (``s2 is s1``: every form but NC) half the
 I are scanned.  For I' = (X\\Y)\\I and J' = (Y\\X)\\J, X-I'+J' is
@@ -121,20 +131,22 @@ full ``mnat-exc`` scan of min(|S|, n/2), whose table is int16, takes
 0.0055-0.0056 s at n = 10, 0.090-0.098 s at n = 12 and 1.20-1.25 s at
 n = 14 (medians of 7 and 3 scans per process at n = 10 and 12, one scan
 per process at n = 14; three processes each).  A full ``mnat-exc-m``
-scan of the same function takes 0.012-0.013 s at n = 8, 0.06 s at
-n = 9, 0.30-0.33 s at n = 10, 1.4-1.6 s at n = 11 and 7.0-7.4 s at
-n = 12 (best of 3 up to n = 10, one scan at n = 11 and 12).  On the
-bases of U(6, 12), ``b-exc`` on the membership grid takes 6.7-7.0 ms,
-``b-exc-pm`` 9.8-10.3 ms (best of 5, three processes) and ``b-exc-m``
-0.38-0.50 s (best of 3).  Timed while the host ran about half as fast: ``local`` on
+scan of the same function takes 0.0067-0.0072 s at n = 8, 0.034-0.037 s
+at n = 9, 0.19-0.22 s at n = 10, 0.93-1.10 s at n = 11 and 5.8-6.4 s at
+n = 12 (best of 3 up to n = 10, one scan at n = 11 and 12; three
+processes each, two at n = 12).  On the bases of U(6, 12), ``b-exc`` on
+the membership grid takes 6.7-7.0 ms, ``b-exc-pm`` 9.8-10.3 ms (best of
+5, three processes) and ``b-exc-m`` 0.091-0.11 s (best of 3, three
+processes).  Timed while the host ran about half as fast: ``local`` on
 min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
 and on min(|S|, 3) at n = 9 0.8 ms.  On object arrays (min(|S|, n/2)
 times 2^70) a full ``mnat-exc`` scan at n = 9 takes 0.068-0.072 s (best
-of 5, three processes) and ``mnat-exc-m`` at n = 7 0.0046 s (best of
-5).  Each scan costs at least the fixed overhead of its numpy calls: on
-a family at n = 4, ``b-exc`` takes 0.09-0.15 ms, ``b-exc-pm``
-0.12-0.19 ms and ``b-exc-m`` 0.31-0.41 ms (2,000 random families per
-run).
+of 5, three processes) and ``mnat-exc-m`` at n = 7 0.0029-0.0032 s
+(best of 5, three processes).  Each scan costs at least the fixed
+overhead of its numpy calls: on a family at n = 4, ``b-exc`` takes
+0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms (2,000 random families per run)
+and ``b-exc-m`` 0.11-0.14 ms (2,000 families, each mask a member with
+probability 1/2; three runs).
 """
 
 from __future__ import annotations
@@ -444,8 +456,9 @@ def _first_violation(sa, xr, b: int, y0, yb, jb, neg: int):
 # ----------------------------------------------------------------------
 # the multi-item exchange kernel (see the module docstring)
 
-# Chunks of X stop at this many (X, Y) cells (or one X), and one block of
-# a level of the J search holds at most this many (X, Y, I, J).
+# Chunks of X stop at this many (X, Y) cells (or one X), a group's block
+# of cells at this many (X, Y, I) tuples (or one cell), and one block of a
+# level's later J at this many (X, Y, I, J) (or one tuple).
 _MULTI_BLOCK = 1 << 13
 
 
@@ -510,11 +523,11 @@ def _scan_multi_np(s1, s2, da, n: int):
 def _multi_chunk(s1, s2, X, Y, pc, equi: bool):
     """Least (X, Y, I) over the ascending cells (X, Y) that no J repairs, or None.
 
-    Cells with X\\Y nonempty are grouped by (|X\\Y|, |Y\\X|) and stay in
-    (X, Y) order within a group; I runs over the nonzero submasks of X\\Y
-    in ascending order.  So the least (cell, I) over all groups is the
-    loop scan's first hit, and once a group has one, later groups need
-    only the cells before it.  With ``s2 is s1`` a cell's I and its
+    Cells with X\\Y nonempty are grouped by |X\\Y| and stay in (X, Y)
+    order within a group; I runs over the nonzero submasks of X\\Y in
+    ascending order.  So the least (cell, I) over all groups is the loop
+    scan's first hit, and once a group has one, later groups need only
+    the cells before it.  With ``s2 is s1`` a cell's I and its
     complement in X\\Y fail together (see the module docstring), and
     the only I of a cell with |X\\Y| = 1 is repaired by J = Y\\X, so
     those cells are dropped.
@@ -522,21 +535,14 @@ def _multi_chunk(s1, s2, X, Y, pc, equi: bool):
     xd = X & ~Y
     cell = np.flatnonzero(xd & (xd - 1) if s2 is s1 else xd)
     X, Y, xd = X[cell], Y[cell], xd[cell]
-    yd = Y & ~X
-    width = len(pc).bit_length()  # exceeds every |Y\X|
-    key = (pc[xd] * width + pc[yd]).astype(np.int16)  # int16 keys get a radix sort
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1)] if key.size else []
+    width = pc[xd]
     found = None
-    for g0, g1 in zip(starts, [*starts[1:], key.size]):
-        g = order[g0:g1]
-        if found is not None:
-            g = g[g < found[0]]
-            if not g.size:
-                continue
-        a, b = divmod(int(key[g0]), width)
-        hit = _multi_group(s1, s2, X[g], Y[g], xd[g], yd[g], a, b, pc, equi)
+    for a in np.flatnonzero(np.bincount(width)).tolist():
+        g = np.flatnonzero(width[: X.size if found is None else found[0]] == a)
+        if not g.size:
+            continue
+        x, y = X[g], Y[g]
+        hit = _multi_group(s1, s2, x, y, xd[g], y & ~x, a, pc, equi)
         if hit is not None:
             c, I = hit
             found = (int(g[c]), I)
@@ -546,72 +552,125 @@ def _multi_chunk(s1, s2, X, Y, pc, equi: bool):
     return int(X[c]), int(Y[c]), I
 
 
-def _multi_group(s1, s2, X, Y, xd, yd, a: int, b: int, pc, equi: bool):
-    """Least (cell, I) of one group, |X\\Y| = a and |Y\\X| = b, that no J repairs.
+def _multi_group(s1, s2, X, Y, xd, yd, a: int, pc, equi: bool):
+    """Least (cell, I) of one group, |X\\Y| = a, that no J repairs, or None.
 
     With ``s2 is s1`` the I are built from the a - 1 lowest bits of X\\Y:
     an I holding the top bit fails only when its complement, a smaller I,
     does (see the module docstring), so the least failing I is among
     these.  The one-sided form builds every I.  The group's cells go in
-    blocks of whole cells.  Level l tries every J of size l, only on the
-    (X, Y, I) tuples that no smaller J repaired, so a tuple repaired early
-    costs little; the tuples left after level b are violations.  On an
-    ``equi``-cardinal domain X-I+J is in the domain only when |J| = |I|, so
-    level 0 repairs nothing and level l tries only the tuples with
-    |I| = l, up to the largest |I| built.  Work arrays put the I or J index
-    first, so the test over all J of a level is a reduction across rows.
+    blocks of whole cells, and a block's I are built once, in rows
+    ordered by size.  Level l tries the J of size l inside each cell's
+    own Y\\X, so a cell of width w = |Y\\X| tries comb(w, l) of them,
+    each once: first its l lowest bits alone, then the rest only on the
+    (X, Y, I) tuples that one left (:func:`_later_tries`).  A tuple
+    still open after its last J is a violation; the least known one
+    bounds the block, and the cells after it leave the levels still to
+    come.
+
+    Without ``equi`` every tuple goes through level 0 (J empty) and then
+    levels 1, 2, ... on whatever no smaller J repaired, so a tuple of
+    width w is settled after level w's first J, its only one.  On an
+    ``equi``-cardinal domain X-I+J is in the domain only when |J| = |I|,
+    so level 0 repairs nothing and level l tries only the tuples with
+    |I| = l, a contiguous run of the block's I rows, each settled after
+    its level's last J.
     """
-    lhs = s1[X] + s2[Y]
     k = a - 1 if s2 is s1 else a  # I is built from the k lowest bits of X\Y
-    per_cell = (1 << k) - 1
-    step = max(1, _MULTI_BLOCK // per_cell)
+    rows, starts = _by_size(k)
+    vals = rows + 1  # the pattern of each I row
+    step = max(1, _MULTI_BLOCK // vals.size)
     for lo in range(0, X.size, step):
         hi = lo + step
-        I = _pick(k, None) @ _low_bits(xd[lo:hi], k)  # row t: the t-th I of each cell
-        cells = I.shape[1]
-        xi = X[lo:hi] ^ I
-        yi = Y[lo:hi] | I
-        ybits = _low_bits(yd[lo:hi], b)
+        I = _submasks(_low_bits(xd[lo:hi], k))[rows]  # row t: each cell's I of pattern vals[t]
+        xi, yi = X[lo:hi] ^ I, Y[lo:hi] | I
+        lhs = s1[X[lo:hi]] + s2[Y[lo:hi]]
+        ydb = yd[lo:hi]
+        w = pc[ydb]
+        cells, hit = lhs.size, None
+        xf, yf = xi.ravel(), yi.ravel()
+        first, rest = 0, ydb  # first: each cell's l lowest bits of Y\X, its first J of size l
         if equi:
-            i_size = np.repeat(pc[1 : per_cell + 1], cells)  # |I| of each entry
-            xi, yi = xi.ravel(), yi.ravel()
-            open_ = np.concatenate([
-                _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, np.flatnonzero(i_size == size),
-                            _pick(b, size))
-                for size in range(1, k + 1)
-            ])
+            for size in range(1, k + 1):
+                bit = rest & -rest
+                first, rest = first | bit, rest ^ bit
+                r0, r1 = starts[size - 1], starts[size]  # the I rows with |I| = size
+                bound = cells if hit is None else hit % cells + 1
+                t, c = np.nonzero(_unrepaired(s1, s2, xi[r0:r1, :bound], yi[r0:r1, :bound],
+                                              lhs[:bound], first[:bound]))
+                open_ = (t + r0) * cells + c
+                if open_.size and a > size:
+                    open_ = _later_tries(s1, s2, xf, yf, lhs, ydb, w, open_, size)
+                if open_.size:
+                    hit = _least(open_ if hit is None else np.append(open_, hit), cells, vals)
         else:
-            open_ = np.flatnonzero(s1[xi] + s2[yi] < lhs[lo:hi])
-            xi, yi = xi.ravel(), yi.ravel()
-            for size in range(1, b + 1):
-                if not open_.size:
-                    break
-                open_ = _unrepaired(s1, s2, xi, yi, lhs[lo:hi], ybits, open_,
-                                    _pick(b, size))
-        if open_.size:
-            c, t = open_ % cells, open_ // cells
-            k = int(np.argmin(c * per_cell + t))
-            return lo + int(c[k]), int(I[t[k], c[k]])
+            open_ = np.flatnonzero(_unrepaired(s1, s2, xi, yi, lhs))
+            size = 0
+            while open_.size:
+                c = open_ % cells
+                if size:
+                    left = _unrepaired(s1, s2, xf[open_], yf[open_], lhs[c], first[c])
+                    open_, c = open_[left], c[left]
+                done = w[c] == size  # past their last J: violations
+                if done.any():
+                    hit = _least(open_[done], cells, vals)
+                    open_ = open_[c < hit % cells]
+                if size and open_.size:
+                    open_ = _later_tries(s1, s2, xf, yf, lhs, ydb, w, open_, size)
+                bit = rest & -rest
+                first, rest, size = first | bit, rest ^ bit, size + 1
+        if hit is not None:
+            return lo + hit % cells, int(I.flat[hit])
     return None
 
 
-def _unrepaired(s1, s2, xi, yi, lhs, ybits, open_, pick_j):
-    """The entries of ``open_`` (indices into the flat ``xi`` = X-I and
-    ``yi`` = Y+I, cell fastest) that no J of one level repairs, that is,
-    with s1(X-I+J) + s2(Y+I-J) below the cell's ``lhs``; row r of
-    ``pick_j`` selects the bits of the r-th J among the cell's ``ybits``.
-    Blocks are sized by the level's width, so each holds at most
-    _MULTI_BLOCK (entry, J) pairs."""
+def _unrepaired(s1, s2, xi, yi, lhs, J=None):
+    """Whether J leaves each tuple unrepaired, elementwise: s1(X-I+J) +
+    s2(Y-J+I) below ``lhs`` = s1(X) + s2(Y), from ``xi`` = X-I and
+    ``yi`` = Y+I (the arrays broadcast; J None is the empty set)."""
+    if J is None:
+        return s1[xi] + s2[yi] < lhs
+    return s1[xi | J] + s2[yi ^ J] < lhs
+
+
+def _later_tries(s1, s2, xi, yi, lhs, yd, w, open_, size: int):
+    """The entries of ``open_`` that none of their level's later J repairs.
+
+    An entry indexes the flat ``xi`` = X-I and ``yi`` = Y+I, cell fastest
+    (``lhs``, ``yd`` = Y\\X and its size ``w`` are per cell).  Its cell
+    of width w tries the J of rows 1 to comb(w, size) - 1 of ``_pick(b,
+    size)``, deposited on the bits of its Y\\X: after the level's first
+    J, the rest of those inside the cell's own w bits, each once.
+    (entry, J) pairs go in blocks of at most _MULTI_BLOCK, or one entry.
+    """
     cells = lhs.size
-    step = max(1, _MULTI_BLOCK // pick_j.shape[0])
-    keep = []
-    for lo in range(0, open_.size, step):
-        e = open_[lo : lo + step]
-        c = e % cells
-        J = pick_j @ ybits[:, c]
-        repaired = (s1[xi[e] | J] + s2[yi[e] ^ J] >= lhs[c]).any(axis=0)
-        keep.append(e[~repaired])
+    c = open_ % cells
+    b = int(w[c].max())
+    ybits = _low_bits(yd[c], b)  # column j: the bits of entry j's Y\X
+    pos = _pick(b, size)
+    tries = np.searchsorted(pos[:, -1], w[c]) - 1  # the rows past the first inside w bits
+    ends = np.cumsum(tries)
+    keep, start = [], 0
+    while start < open_.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _MULTI_BLOCK, "right")))
+        cnt = tries[start:stop]
+        seg = np.repeat(np.arange(start, stop), cnt)  # the entry of each pair
+        row = np.arange(1, seg.size + 1) - np.repeat(ends[start:stop] - cnt - base, cnt)
+        J = ybits[pos[row], seg[:, None]].sum(axis=1)
+        e = open_[seg]
+        left = np.ones(stop - start, dtype=bool)
+        left[seg[~_unrepaired(s1, s2, xi[e], yi[e], lhs[c[seg]], J)] - start] = False
+        keep.append(open_[start:stop][left])
+        start = stop
     return np.concatenate(keep)
+
+
+def _least(e, cells: int, vals):
+    """The entry of ``e`` (flat indices, cell fastest, into I rows of
+    patterns ``vals``) with the least (cell, I)."""
+    c, t = e % cells, e // cells
+    return int(e[np.argmin(c * (vals.size + 1) + vals[t])])
 
 
 @lru_cache(maxsize=None)
@@ -634,14 +693,33 @@ def _low_bits(v, k: int):
     return out
 
 
+def _submasks(bits):
+    """Row t: the sum of the rows of ``bits`` (single-bit masks, one row per
+    bit) that pattern t + 1 selects, so each column's nonzero submasks of
+    its bits in ascending order."""
+    out = bits[:1]
+    for b in bits[1:]:
+        out = np.concatenate([out, b[None], out + b])
+    return out
+
+
 @lru_cache(maxsize=None)
-def _pick(k: int, size):
-    """0/1 matrix whose rows are the k-bit patterns of popcount ``size``
-    (every nonzero pattern when ``size`` is None), in ascending order, one
-    bit per column; times a matrix of single-bit masks, one row per bit, it
-    deposits the patterns (read-only, shared)."""
-    pats = np.arange(1, 1 << k) if size is None else np.flatnonzero(_popcounts(k) == size)
-    out = ((pats[:, None] >> np.arange(k)) & 1).astype(np.int8)
+def _by_size(k: int):
+    """The rows of :func:`_submasks` over k bits by size, then value, and
+    the position where each size starts (read-only, shared)."""
+    sizes = _popcounts(k)[1:]
+    rows = np.argsort(sizes, kind="stable")
+    rows.flags.writeable = False
+    return rows, tuple(np.searchsorted(sizes[rows], np.arange(1, k + 2)).tolist())
+
+
+@lru_cache(maxsize=None)
+def _pick(k: int, size: int):
+    """The bit positions of the k-bit patterns of popcount ``size``, one
+    row per pattern in ascending order, so the patterns inside the first
+    w bits are the first comb(w, size) rows (read-only, shared)."""
+    pats = np.flatnonzero(_popcounts(k) == size)
+    out = np.nonzero((pats[:, None] >> np.arange(k)) & 1)[1].reshape(pats.size, size)
     out.flags.writeable = False
     return out
 

@@ -54,22 +54,34 @@ class MatroidSpec:
     weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "graphic", "partition", "free"):
+        """The one gate for the fields each kind needs, however the spec is
+        built: the classmethods only shape their arguments.  Edges become
+        pairs, blocks sorted tuples and weights Fractions."""
+        if self.kind == "uniform":
+            _require_int("k", self.k)
+            _require_int("n", self.n)
+            if not (0 <= self.k <= self.n):
+                raise InputError(
+                    f"uniform matroid needs 0 <= k <= n, got k={self.k}, n={self.n}")
+        elif self.kind == "graphic":
+            self._check_edges()
+        elif self.kind == "partition":
+            self._check_blocks()
+        elif self.kind == "free":
+            _require_int("n", self.n)
+            if self.n < 1:
+                raise InputError("free kind needs n >= 1")
+        else:
             raise InputError(f"unknown matroid kind {self.kind!r}")
+        object.__setattr__(self, "weights", _norm_weights(self.weights, self.n))
         # before bases() enumerates up to 2^n members
         _check_ground_size(self.n)
 
-    @classmethod
-    def uniform(cls, k: int, n: int, weights=None) -> "MatroidSpec":
-        _require_int("k", k)
-        _require_int("n", n)
-        if not (0 <= k <= n):
-            raise InputError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
-        return cls(kind="uniform", n=n, k=k, weights=_norm_weights(weights, n))
-
-    @classmethod
-    def graphic(cls, edges, weights=None) -> "MatroidSpec":
-        es = tuple((u, v) for u, v in edges)
+    def _check_edges(self):
+        es = tuple(tuple(e) for e in self.edges or ())
+        for e in es:
+            if len(e) != 2:
+                raise InputError(f"an edge is a pair of vertices, got {e!r}")
         for vertex in (w for e in es for w in e):
             _require_int("edge endpoint", vertex)
         if not es:
@@ -82,12 +94,14 @@ class MatroidSpec:
         for u, v in es:
             if u == v:
                 raise InputError(f"self-loop ({u},{v}) not supported")
-        return cls(kind="graphic", n=len(es), edges=es, weights=_norm_weights(weights, len(es)))
+        if self.n != len(es):
+            raise InputError(f"graphic matroid needs n = {len(es)}, one element per edge, "
+                             f"got n={self.n!r}")
+        object.__setattr__(self, "edges", es)
 
-    @classmethod
-    def partition(cls, blocks, capacities, weights=None) -> "MatroidSpec":
-        bl = tuple(tuple(b) for b in blocks)
-        caps = tuple(capacities)
+    def _check_blocks(self):
+        bl = tuple(tuple(b) for b in self.blocks or ())
+        caps = tuple(self.capacities or ())
         for e in (e for b in bl for e in b):
             _require_int("block element", e)
         for c in caps:
@@ -103,17 +117,31 @@ class MatroidSpec:
                 if e in seen:
                     raise InputError(f"element {e} appears in two blocks")
                 seen.add(e)
-        n = len(seen)
-        if not seen or seen != set(range(1, n + 1)):
+        _require_int("n", self.n)
+        if not seen or seen != set(range(1, self.n + 1)):
             raise InputError("blocks must partition {1..n} exactly")
-        return cls(kind="partition", n=n, blocks=bl, capacities=caps, weights=_norm_weights(weights, n))
+        object.__setattr__(self, "blocks", bl)
+        object.__setattr__(self, "capacities", caps)
+
+    @classmethod
+    def uniform(cls, k: int, n: int, weights=None) -> "MatroidSpec":
+        return cls(kind="uniform", n=n, k=k, weights=weights)
+
+    @classmethod
+    def graphic(cls, edges, weights=None) -> "MatroidSpec":
+        es = tuple(edges)
+        return cls(kind="graphic", n=len(es), edges=es, weights=weights)
+
+    @classmethod
+    def partition(cls, blocks, capacities, weights=None) -> "MatroidSpec":
+        bl = tuple(tuple(b) for b in blocks)
+        # the element count: any repeat is refused before n is read
+        return cls(kind="partition", n=sum(map(len, bl)), blocks=bl, capacities=capacities,
+                   weights=weights)
 
     @classmethod
     def free(cls, n: int, weights=None) -> "MatroidSpec":
-        _require_int("n", n)
-        if n < 1:
-            raise InputError("free kind needs n >= 1")
-        return cls(kind="free", n=n, weights=_norm_weights(weights, n))
+        return cls(kind="free", n=n, weights=weights)
 
     def bases(self) -> SetFamily:
         """Enumerate the member family exactly."""
@@ -125,7 +153,6 @@ class MatroidSpec:
         elif self.kind == "free":
             members = frozenset(range(1 << self.n))
         elif self.kind == "partition":
-            assert self.blocks is not None and self.capacities is not None
             per_block = []
             for b, cap in zip(self.blocks, self.capacities):
                 take = min(cap, len(b))
@@ -136,7 +163,6 @@ class MatroidSpec:
                 _or_all(parts) for parts in product(*per_block)
             ) if per_block else frozenset({0})
         else:
-            assert self.edges is not None
             full_rank = self._graph_rank((1 << self.n) - 1)
             members = frozenset(
                 m
@@ -149,11 +175,10 @@ class MatroidSpec:
         """Matroid rank of a subset."""
         _check_mask(subset, self.n)
         if self.kind == "uniform":
-            return min(subset.bit_count(), self.k or 0)
+            return min(subset.bit_count(), self.k)
         if self.kind == "free":
             return subset.bit_count()
         if self.kind == "partition":
-            assert self.blocks is not None and self.capacities is not None
             total = 0
             for b, cap in zip(self.blocks, self.capacities):
                 bmask = sum(1 << (e - 1) for e in b)
@@ -162,7 +187,6 @@ class MatroidSpec:
         return self._graph_rank(subset)
 
     def _graph_rank(self, subset: int) -> int:
-        assert self.edges is not None
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:

@@ -84,6 +84,56 @@ def test_matroid_spec_validation():
         MatroidSpec.partition([(1, 3)], [1])  # not a partition of 1..n
 
 
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        pytest.param(lambda: MatroidSpec(kind="graphic", n=2).bases(),
+                     "graphic matroid needs at least one edge", id="graphic-no-edges"),
+        pytest.param(lambda: MatroidSpec(kind="graphic", n=2, edges=((1, 2),)),
+                     "graphic matroid needs n = 1, one element per edge, got n=2",
+                     id="graphic-wrong-n"),
+        pytest.param(lambda: MatroidSpec(kind="graphic", n=1, edges=((1, 2, 3),)),
+                     "an edge is a pair of vertices, got (1, 2, 3)", id="graphic-triple"),
+        pytest.param(lambda: MatroidSpec(kind="partition", n=2).bases(),
+                     "blocks must partition {1..n} exactly", id="partition-no-blocks"),
+        pytest.param(lambda: MatroidSpec(kind="partition", n=3, blocks=((1, 2),),
+                                         capacities=(1,)),
+                     "blocks must partition {1..n} exactly", id="partition-wrong-n"),
+        pytest.param(lambda: MatroidSpec(kind="partition", n=2, blocks=((1, 2),)),
+                     "one capacity per block is required", id="partition-no-capacities"),
+        pytest.param(lambda: MatroidSpec(kind="uniform", n=3).bases(),
+                     "k must be an integer, got None", id="uniform-no-k"),
+        pytest.param(lambda: MatroidSpec(kind="uniform", n=3, k=5).bases(),
+                     "uniform matroid needs 0 <= k <= n, got k=5, n=3", id="uniform-k-past-n"),
+        pytest.param(lambda: MatroidSpec(kind="free", n=0),
+                     "free kind needs n >= 1", id="free-empty"),
+        pytest.param(lambda: gen_weighted_matroid(MatroidSpec(kind="free", n=2, weights=(1,))),
+                     "expected 2 weights, got 1", id="free-short-weights"),
+        pytest.param(lambda: MatroidSpec(kind="uniform", n=21, k=1),
+                     "ground-set size must be in 0..20, got 21", id="uniform-past-20"),
+    ],
+)
+def test_matroid_spec_built_directly_is_checked(probe, message):
+    # the dataclass constructor passes the one gate the classmethods use
+    with pytest.raises(InputError) as exc:
+        probe()
+    assert str(exc.value) == message
+
+
+def test_matroid_spec_built_directly_equals_the_classmethods():
+    # fields are shaped alike: edges as pairs, blocks sorted, weights Fractions
+    assert MatroidSpec(kind="partition", n=3, blocks=([3, 1], [2]), capacities=[1, 1],
+                       weights=[1, 2, 3]) == MatroidSpec.partition([(1, 3), (2,)], (1, 1),
+                                                                   (1, 2, 3))
+    assert MatroidSpec(kind="graphic", n=2, edges=([1, 2], [2, 3])) == MatroidSpec.graphic(
+        [(1, 2), (2, 3)])
+    direct = MatroidSpec(kind="uniform", n=3, k=2, weights=("1/2", 1, 2))
+    assert direct == MatroidSpec.uniform(2, 3, (Fraction(1, 2), 1, 2))
+    assert direct.weights == (Fraction(1, 2), Fraction(1), Fraction(2))
+    assert gen_weighted_matroid(direct).table == gen_weighted_matroid(
+        MatroidSpec.uniform(2, 3, (Fraction(1, 2), 1, 2))).table
+
+
 def test_modular_plus_concave(rank2):
     f = gen_modular_plus_concave(PriceVector.zeros(3), [0, 1, 2, 2])
     assert f.table == rank2.table

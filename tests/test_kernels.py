@@ -20,6 +20,7 @@ and the widest int16 instances against the loops.  The rational exchange
 searches on family indicators are compared against membership searches.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -2000,6 +2001,195 @@ def test_zero_function_demands_every_set_and_passes_nc():
         assert check_nc_at(f, p, simultaneous).passed
         assert check_nc_sampled(f, sampler, simultaneous).passed
     assert _price_sweep(f, sampler, ("nc", "ncsim")) == {"nc": Verdict(True), "ncsim": Verdict(True)}
+
+
+# ----------------------------------------------------------------------
+# one group per |X\Y|, and each level's J in rounds
+
+
+@st.composite
+def mixed_width_tables(draw, max_n=6):
+    """g(|S|) plus weights on the sets of sizes lo..hi, some of them
+    dropped (so the domain is not a box), then one or two entries raised
+    or lowered; or seeded values 0..3 on such a domain, which fail at once.
+    Each |X\\Y| group of a chunk holds cells of several |Y\\X|, so the
+    first hit may lie in a cell narrower than others of its group."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    lo = draw(st.integers(0, 1))
+    hi = draw(st.integers(max(2, lo), n))
+    dom = [m for m in range(1 << n) if lo <= m.bit_count() <= hi]
+    dropped = set(draw(st.lists(st.sampled_from(dom), max_size=3)))
+    dom = [m for m in dom if m not in dropped] or [0]
+    if draw(st.booleans()):
+        rng = Random(draw(st.integers(0, 10**6)))
+        vals = {m: Fraction(rng.randint(0, 3)) for m in dom}
+    else:
+        incs = sorted(draw(st.lists(RATIONALS, min_size=n, max_size=n)), reverse=True)
+        w = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        g = [sum(incs[:k], Fraction(0)) for k in range(n + 1)]
+        vals = {m: g[m.bit_count()] + sum(w[e] for e in range(n) if m >> e & 1) for m in dom}
+        for _ in range(draw(st.integers(1, 2))):
+            m = draw(st.sampled_from(dom))
+            vals[m] += draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))
+    return SetFunction(n, tuple(vals.get(m, NEG_INF) for m in range(1 << n)))
+
+
+@given(mixed_width_tables(), SHIFTS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mixed_width_groups_match_the_loop_oracle(multi_block, f, c):
+    f = _shifted(f, c)
+    hit = _assert_multi_routes_agree(f)
+    assert check_multiple_exchange(f) == _mnat_m_verdict(f, hit)
+
+
+@st.composite
+def mixed_width_stacks(draw):
+    """Stacks of one to four families at n = 4..6, each a band of sizes
+    with some sets dropped or random masks."""
+    n = draw(st.integers(4, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, n - 2))
+            hi = draw(st.integers(lo + 1, n))
+            band = [m for m in range(1 << n) if lo <= m.bit_count() <= hi]
+            dropped = set(draw(st.lists(st.sampled_from(band), max_size=3)))
+            ms = [m for m in band if m not in dropped]
+        else:
+            ms = sorted(set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=24))))
+        rows.append(ms or [0])
+    return n, rows
+
+
+@given(mixed_width_stacks(), st.booleans())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mixed_width_stacks_match_the_oracle(multi_block, stack, one_sided):
+    n, rows = stack
+    _assert_stack_agrees(n, rows, one_sided)
+
+
+def test_one_group_per_size_of_x_minus_y(monkeypatch):
+    # every chunk runs one group per |X\Y| among its cells (|X\Y| >= 2 when
+    # one table is read on both sides, >= 1 on a one-sided stack): 47
+    # groups for a full scan of min(|S|, 3) at n = 8
+    present, ran = [], []
+    chunk, group = checkers._multi_chunk, checkers._multi_group
+
+    def spy_chunk(s1, s2, X, Y, pc, equi):
+        least = 2 if s2 is s1 else 1
+        present.append(sorted({a for a in pc[X & ~Y].tolist() if a >= least}))
+        ran.append([])
+        return chunk(s1, s2, X, Y, pc, equi)
+
+    def spy_group(s1, s2, X, Y, xd, yd, a, *rest):
+        ran[-1].append(a)
+        return group(s1, s2, X, Y, xd, yd, a, *rest)
+
+    monkeypatch.setattr(checkers, "_multi_chunk", spy_chunk)
+    monkeypatch.setattr(checkers, "_multi_group", spy_group)
+    assert check_multiple_exchange(_rank(8, 3)).passed
+    assert ran == present and sum(map(len, ran)) == 47
+    ran.clear()
+    present.clear()
+    band = [m for m in range(1 << 6) if 2 <= m.bit_count() <= 4]
+    bases = [m for m in band if m.bit_count() == 3]
+    for one_sided in (False, True):
+        assert _stack_hit(_stack(6, [band, bases]), one_sided) is None
+    assert ran == present and len(ran) == 2 and all(ran)
+
+
+def _spy_j_tries(monkeypatch) -> list:
+    """Spy on the multi-item kernel's repair test.  Per group it runs: the
+    Y\\X of each built (X, Y, I) tuple under its key (X-I, Y+I, s1(X) +
+    s2(Y)), the three numbers the test reads, and a count of the J tried
+    on each key; a key names one tuple barring coincidences, which
+    :func:`_assert_j_tries_within` allows for.  With the group's widths
+    and the hit it returned, as (cell width, widest cell)."""
+    groups = []
+    group, unrepaired = checkers._multi_group, checkers._unrepaired
+
+    def spy_group(s1, s2, X, Y, xd, yd, a, *rest):
+        owners = {}
+        for x, y, d in zip(X.tolist(), Y.tolist(), xd.tolist()):
+            low = d ^ (1 << (d.bit_length() - 1)) if s2 is s1 else d  # the bits I is built from
+            lhs = int(s1[x]) + int(s2[y])
+            for I in iter_submasks(low):
+                if I:
+                    owners.setdefault((x ^ I, y | I, lhs), []).append(y & ~x)
+        entry = [owners, Counter(), None]
+        groups.append(entry)
+        out = group(s1, s2, X, Y, xd, yd, a, *rest)
+        if out is not None:
+            widths = [v.bit_count() for v in yd.tolist()]
+            entry[2] = (widths[out[0]], max(widths))
+        return out
+
+    def spy_unrepaired(s1, s2, xi, yi, lhs, J=None):
+        cols = np.broadcast_arrays(xi, yi, lhs, 0 if J is None else J)
+        groups[-1][1].update(zip(*(col.ravel().tolist() for col in cols)))
+        return unrepaired(s1, s2, xi, yi, lhs, J)
+
+    monkeypatch.setattr(checkers, "_multi_group", spy_group)
+    monkeypatch.setattr(checkers, "_unrepaired", spy_unrepaired)
+    return groups
+
+
+def _assert_j_tries_within(groups, most):
+    """No built tuple tries a J outside its Y\\X or twice, nor more than
+    ``most(Y\\X)`` J in all."""
+    for owners, tries, _ in groups:
+        per_key = Counter()
+        for (x, y, lhs, J), count in tries.items():
+            yds = owners[x, y, lhs]
+            assert count <= sum(J & ~yd == 0 for yd in yds)
+            per_key[x, y, lhs] += count
+        for key, count in per_key.items():
+            assert count <= sum(most(yd) for yd in owners[key])
+
+
+def _probe_table(n: int, seed: int) -> SetFunction:
+    """Seeded values 0..9 on the sets of at most n // 2 elements."""
+    rng = Random(f"{n}:{seed}")
+    return SetFunction(n, tuple(Fraction(rng.randint(0, 9)) if m.bit_count() <= n // 2
+                                else NEG_INF for m in range(1 << n)))
+
+
+def test_no_tuple_tries_a_j_twice_on_violation_dense_tables(monkeypatch):
+    # nine seeded tables that fail within a few cells: each J a tuple
+    # tries lies inside its own Y\X, so none tries more than 2^|Y\X|,
+    # even where its group holds wider cells; and most hits lie in a cell
+    # narrower than the widest of its group
+    groups = _spy_j_tries(monkeypatch)
+    narrow = 0
+    for n in (8, 10, 11):
+        for seed in (1, 2, 3):
+            groups.clear()
+            f = _probe_table(n, seed)
+            t = f.ints
+            assert _scan_multi_py(t.sent.tolist(), t.dom.tolist()) == _scan_multi_np(
+                t.sent, t.sent, t.dom, t.n)
+            assert not check_multiple_exchange(f).passed
+            _assert_j_tries_within(groups, lambda yd: 1 << yd.bit_count())
+            (width, widest), = [g[2] for g in groups if g[2] is not None][-1:]
+            narrow += width < widest
+    assert narrow >= 5
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_weighted_uniform_matroids_settle_on_each_levels_first_j(n, monkeypatch):
+    # on a weighted U(k, n) both sides of every exchange sum to w(X) + w(Y),
+    # so the first J of size |I| repairs each tuple: one J per tuple, and
+    # no later round runs
+    later = _count_calls(monkeypatch, "_later_tries")
+    groups = _spy_j_tries(monkeypatch)
+    rng = Random(n)
+    for k in range(2, n - 1):
+        f = _uniform_weighted(n, k, [rng.randint(-3, 3) for _ in range(n)])
+        assert check_multiple_exchange(f).passed
+    assert groups and not later
+    _assert_j_tries_within(groups, lambda yd: 1)
 
 
 # ----------------------------------------------------------------------
