@@ -396,9 +396,10 @@ def fenchel_gap(
         if gap == 0:
             q_star, note = q_frac, None
         else:
+            r = Fraction(radius, scale)
             note = (
-                f"no certificate in the box [-{Fraction(radius, scale)}, {Fraction(radius, scale)}]"
-                f"^{k}; best q = ({','.join(ext_to_str(v) for v in q_frac.entries)})"
+                f"no certificate in the box [{-r}, {r}]^{k}; "
+                f"best q = ({','.join(ext_to_str(v) for v in q_frac.entries)})"
             )
     return DualityReport(
         primal=primal,

@@ -11,18 +11,26 @@ exhaustive integer sweep when the ground set and radius are small enough.
 One kernel computes demand, for :func:`demand` and for every sampled
 sweep.  The table is rescaled to integers once (values and the price
 grid share one denominator), and the kernel takes a batch of price rows
-at once: it forms every subset sum by doubling (the sums of the first i
-elements, then those plus p_i), the shifted values U = f - p on every
-mask, with a sentinel below every shifted value off the effective domain,
-the row maximum, and the demand mask U == max.  The checks then work on
-whole batches: gross substitutes closes the demand mask at q upward
-(superset-OR, one pass per element) and looks it up at X & {i : p_i = q_i}
-for each X demanded at p; single improvement takes, per mask, the maximum
+at once.  Its arrays hold the masks on axis 0 and the prices on axis 1,
+and it builds them in one preallocated array, in place: every subset sum
+by doubling (the sums of the first 2^i masks plus p_i fill the next
+2^i), then the shifted values U = f - p, then a sentinel below every
+shifted value written at the masks off the effective domain.  The
+maximum over the masks follows, then the demand mask U == max.  With the
+masks first, a pass over one element splits axis 0 into contiguous runs
+of 2^i masks, each with every price of the block, and a fold over the
+masks (the maximum, the
+single-improvement flags) halves axis 0 pass by pass, so every pass
+streams memory, even when a block holds only a few prices.  The checks
+work on whole blocks: gross substitutes closes the demand mask at q
+upward (superset-OR, one pass per element) and reads it only at the
+bundles demanded at p, for each demanded (X, price) pair at
+X & {i : p_i = q_i}; single improvement takes, per mask, the maximum
 over its drop, add and swap neighbours in two passes per element (the
 add-maximum A(Z), then the drop-maximum of max(U, A), which covers every
 swap).  NC-sim at p is ``b-exc-m`` on the demand family D(p), and NC its
 one-sided form, in which only X-I+J must stay demanded; so both pass the
-rows whose demand set has two or more members (a singleton cannot
+prices whose demand set has two or more members (a singleton cannot
 violate) to the multi-item exchange kernel of :mod:`excheck.checkers` as
 one stack of membership rows, and the least failing row is the first
 hit.  A J that repairs NC-sim repairs NC, so a sweep running both skips
@@ -57,17 +65,17 @@ computes demand from the raw rational table; a disagreement raises
 stream once and runs the single-improvement and both no-complementarities
 checks on each chunk.
 
-Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), in process: the four
-sampled checks of the twelve reports of the benchmark's ``market``
-workload take 0.14-0.18 s as the report runs them, from 0.32-0.36 s when
-every price was drawn by a per-call loop (2.9-3.4 s as per-price loops),
-and the whole twelve reports 0.19-0.29 s, from 0.42-0.47 s.  Exact demand
-at n = 12 takes about 0.8 ms per call on a function whose integer table
-exists, as it does for every loaded file (23-29 ms as a loop over
-rationals); building the table from the rationals first adds 2-4 ms.
-On min(|S|, 6) at n = 12, which passes, the shared SI/NC/NC-sim sweep
-and the GS sweep over 2,000 prices and 2,000 pairs take 0.47-0.53 s on
-int16 arrays, from 0.83-1.14 s on int64.
+Measured on 2 cores (CPython 3.11.7, numpy 2.4.6), in process, in six
+runs alternating with the earlier layout (one price per row of axis 0,
+the masks on axis 1), this one faster in every pair: the four sampled
+checks of the twelve reports of the benchmark's ``market`` workload take
+56-87 ms (best of 9 passes), from 84-107 ms, and the whole twelve
+reports 78-126 ms, from 106-136 ms.  On min(|S|, 6) at n = 12, which
+passes, the shared SI/NC/NC-sim sweep and the GS sweep over 2,000 prices
+and 2,000 pairs take 0.38-0.59 s on int16 (best of 3), from 0.55-0.71 s.
+Exact demand at n = 12 takes 0.07-0.10 ms per call in either layout on a
+function whose integer table exists, as it does for every loaded file;
+building the table from the rationals first adds about 2 ms.
 """
 
 from __future__ import annotations
@@ -155,21 +163,33 @@ class _DemandKernel:
         self.dtype = int_dtype(self.sent, self.unit, bound)
         self.dom = np.zeros(1 << f.n, dtype=bool)
         self.dom[t.dom] = True
-        self.vals = np.where(self.dom, t.sent, 0).astype(self.dtype)
+        self.vals = np.where(self.dom, t.sent, 0).astype(self.dtype)[:, None]
         if t.lo or t.hi:  # mult is below |sent| unless every value is 0, which it keeps
             self.vals *= mult
-        self.masks = np.arange(1 << f.n)
+        self.off = np.flatnonzero(~self.dom)
 
     def __call__(self, p: np.ndarray):
-        """(U, best, demanded) per row of p: U = f - p on every mask (``sent``
-        off the domain), its row maximum, and the mask U == best."""
+        """(U, best, demanded) for the rows of p, masks first: U = f - p as a
+        2^n x len(p) array (``sent`` off the domain), its maximum per price,
+        and the mask U == best."""
         p = p * self.unit
-        sums = np.zeros((len(p), 1), dtype=self.dtype)
-        for i in range(self.n):
-            sums = np.concatenate((sums, sums + p[:, i : i + 1]), axis=1)
-        u = np.where(self.dom, self.vals - sums, self.sent)
-        best = u.max(axis=1)
-        return u, best, u == best[:, None]
+        u = np.zeros((1 << self.n, len(p)), dtype=self.dtype)
+        for i in range(self.n):  # the price sums by doubling
+            np.add(u[: 1 << i], p[:, i], out=u[1 << i : 2 << i])
+        np.subtract(self.vals, u, out=u)
+        u[self.off] = self.sent
+        best = _fold(np.maximum, u)
+        return u, best, u == best
+
+
+def _fold(op, a: np.ndarray) -> np.ndarray:
+    """``op`` folded over the masks (axis 0) by halving: each pass is one
+    contiguous run, where a reduction over axis 0 would walk rows of a few
+    prices each at large n."""
+    while len(a) > 1:
+        h = len(a) // 2
+        a = op(a[:h], a[h:])
+    return a[0]
 
 
 def _grid_price(row, d: int) -> PriceVector:
@@ -178,9 +198,9 @@ def _grid_price(row, d: int) -> PriceVector:
 
 
 def _halves(a: np.ndarray, i: int):
-    """Views of the masks without and with element i+1, aligned by mask."""
-    v = a.reshape(len(a), -1, 2, 1 << i)
-    return v[:, :, 0], v[:, :, 1]
+    """Views of the masks (axis 0) without and with element i+1, aligned by mask."""
+    v = a.reshape(-1, 2, 1 << i, a.shape[1])
+    return v[:, 0], v[:, 1]
 
 
 def demand(f: SetFunction, p: PriceVector) -> DemandSet:
@@ -190,7 +210,7 @@ def demand(f: SetFunction, p: PriceVector) -> DemandSet:
     row = [v.numerator * (d // v.denominator) for v in p.entries]
     kern = _DemandKernel(f, d, max(map(abs, row), default=0))
     _, best, demanded = kern(np.array([row], dtype=kern.dtype))
-    members = np.flatnonzero(demanded[0]).tolist()
+    members = np.flatnonzero(demanded[:, 0]).tolist()
     return DemandSet(
         price=p, members=SetFamily(f.n, frozenset(members)), value=Fraction(int(best[0]), kern.scale)
     )
@@ -374,19 +394,21 @@ def _gs_flags(kern: _DemandKernel, pq: np.ndarray) -> np.ndarray:
     n, rows = kern.n, len(pq)
     p, q = pq[:, :n], pq[:, n:]
     _, _, demanded = kern(np.concatenate((p, q)))
-    dp, dq = demanded[:rows], demanded[rows:]
+    dq = demanded[:, rows:].copy()  # contiguous, so each pass below streams
     for i in range(n):  # dq[m] becomes: some Y demanded at q contains m
         lo, hi = _halves(dq, i)
         lo |= hi
     eqmask = (p == q).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-    fixed = kern.masks & eqmask[:, None]
-    covered = np.take_along_axis(dq, fixed, axis=1)
-    return (dp & (fixed != 0) & ~covered).any(axis=1)
+    xs, rs = np.nonzero(demanded[:, :rows])  # the (X, row) pairs of D(p)
+    fixed = xs & eqmask[rs]
+    flags = np.zeros(rows, dtype=bool)
+    flags[rs[(fixed != 0) & ~dq[fixed, rs]]] = True
+    return flags
 
 
 def _si_flags(kern: _DemandKernel, u: np.ndarray, demanded: np.ndarray) -> np.ndarray:
-    """Per price row: is some undemanded domain set improved by no single
-    drop, add or swap?"""
+    """Per price (a column of u): is some undemanded domain set improved by
+    no single drop, add or swap?"""
     add = np.full_like(u, kern.sent)  # add[Z] = max over j not in Z of u[Z + j]
     for i in range(kern.n):
         lo, _ = _halves(add, i)
@@ -398,7 +420,7 @@ def _si_flags(kern: _DemandKernel, u: np.ndarray, demanded: np.ndarray) -> np.nd
     for i in range(kern.n):
         _, hi = _halves(best, i)
         np.maximum(hi, _halves(up, i)[0], out=hi)
-    return (kern.dom & ~demanded & (best <= u)).any(axis=1)
+    return _fold(np.logical_or, kern.dom[:, None] & ~demanded & (best <= u))
 
 
 def _sampled(exact: Verdict, idx: int) -> Verdict:
@@ -415,7 +437,7 @@ def _price_sweep(f: SetFunction, sampler: PriceSampler, names) -> dict:
 
     def evaluate(rows, open_names):
         u, _, demanded = kern(rows)
-        multi = np.flatnonzero(demanded.sum(axis=1) >= 2)  # a singleton cannot fail NC
+        multi = np.flatnonzero(demanded.sum(axis=0) >= 2)  # a singleton cannot fail NC
         out = {}
         for name in sorted(open_names, key="ncsim".__ne__):
             if name == "si":
@@ -423,7 +445,7 @@ def _price_sweep(f: SetFunction, sampler: PriceSampler, names) -> dict:
             elif not multi.size or (name == "nc" and out.get("ncsim", 0) is None):
                 out[name] = None  # a J that repairs NC-sim repairs NC
             else:
-                hit = _stack_hit(demanded[multi], name == "nc")
+                hit = _stack_hit(demanded[:, multi].T, name == "nc")
                 out[name] = None if hit is None else int(multi[hit[0]])
         return out
 

@@ -164,6 +164,19 @@ def test_duality_gap_exit_code(tmp_path, capsys):
     assert "box_radius" in report
 
 
+def test_duality_note_of_a_zero_radius_box_has_no_signed_zero(files, capsys):
+    # radius 1/3 at scale 1 floors to the box {0}: comp's slices have
+    # primal 3 and dual 4 there, so the note names the box
+    argv = ("duality", files["comp"], "--x", "1", "--y", "2", "--i", "1",
+            "--box-radius", "1/3", "--no-timing")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-1] == "note: no certificate in the box [0, 0]^1; best q = (0)"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert json.loads(out)["note"] == "no certificate in the box [0, 0]^1; best q = (0)"
+
+
 def test_duality_oversized_slab_exits_1(tmp_path, capsys, monkeypatch):
     # |Y\X| = 10 is within the CLI cap and 9^10 points within the box cap,
     # but one slab holds 9^9 entries: refused before any slab buffer exists

@@ -11,7 +11,8 @@ checks pass to the multi-item kernel as demand sets.  The sampled
 GS/SI/NC sweeps are compared against per-price loops over the integer
 table, with the price streams drawn the way those loops drew them, one
 ``randint`` or ``random()`` call at a time; the sweeps' price blocks are
-compared against those streams.  The subset-DP dual sweep, on int64 and
+compared against those streams, and every row's SI and GS flag of a
+block against the at-price checks.  The subset-DP dual sweep, on int64 and
 on object arrays, is compared against the per-item grid sweep and the
 point-by-point loop kept below.  ``fenchel_gap``, ``demand`` and the
 sampled checks run on instances moved to either side of each integer
@@ -1743,6 +1744,74 @@ def test_bumped_sweeps_match_the_loops(raised, by):
     assert False in passed
 
 
+def _assert_flags_match(f: SetFunction, sampler: PriceSampler, block: int):
+    """Every row's SI and GS flag on one price block and one pair block (the
+    ``block``-th, or the last) against the at-price checks; returns both
+    flag arrays.  The sweeps compare only first hits, so this is what sees
+    a wrong flag on a later row of a block."""
+    kern = sampler._kernel(f)
+    d = sampler.grid_step.denominator
+    out = []
+    for cells, pairs in ((1 << f.n, False), (2 << f.n, True)):
+        blocks = list(sampler._blocks(f, kern.dtype, cells, pairs))
+        if not blocks:
+            out.append(np.zeros(0, dtype=bool))
+            continue
+        rows = blocks[min(block, len(blocks) - 1)]
+        if pairs:
+            flags = econ._gs_flags(kern, rows)
+            want = [not check_gs_at(f, econ._grid_price(r[: f.n], d),
+                                    econ._grid_price(r[f.n :], d)).passed
+                    for r in rows.tolist()]
+        else:
+            u, _, demanded = kern(rows)
+            flags = econ._si_flags(kern, u, demanded)
+            want = [not check_si_at(f, econ._grid_price(r, d)).passed for r in rows.tolist()]
+        assert flags.tolist() == want
+        out.append(flags)
+    return out
+
+
+@st.composite
+def flag_cases(draw):
+    """A table of small integers with -inf holes, n <= 5, whose sweeps run
+    on int16, or the same table times 2^70, whose sweeps run on object
+    arrays; a sampler of small radius; a block index."""
+    n = draw(st.integers(0, 5))
+    rng = Random(draw(st.integers(0, 2**32)))
+    holes = rng.random() / 2
+    tab = [NEG_INF if rng.random() < holes else Fraction(rng.randint(-6, 6))
+           for _ in range(1 << n)]
+    tab[rng.randrange(1 << n)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6))
+    big = draw(st.booleans())
+    f = SetFunction(n, tuple(tab))
+    return (_scaled(f, C) if big else f), big, draw(SAMPLERS), draw(st.integers(0, 3))
+
+
+@given(flag_cases())
+@settings(max_examples=60, deadline=None)
+def test_sweep_flags_match_the_at_price_checks_on_every_row(case):
+    f, big, sampler, block = case
+    assert sampler._kernel(f).dtype is (object if big else np.int16)
+    _assert_flags_match(f, sampler, block)
+
+
+def test_sweep_flags_hold_past_a_blocks_first_row():
+    # rank(5, 2) with f({1, ..., 5}) raised by two: the fourth blocks of both
+    # streams mix failing and passing rows.  Times 2^70, with the grid and
+    # radius scaled alike, the same integers k are drawn, so the object
+    # route must raise the same flags
+    g = with_value(_rank(5, 2), 0b11111, Fraction(4))
+    small = PriceSampler(seed=3, count=300, radius=Fraction(3, 2))
+    big = PriceSampler(seed=3, count=300, grid_step=Fraction(C, 2), radius=Fraction(3 * C, 2))
+    assert small._kernel(g).dtype is np.int16 and big._kernel(_scaled(g, C)).dtype is object
+    want = _assert_flags_match(g, small, 3)
+    for flags in want:
+        assert flags[1:].sum() > 10 and not flags.all()
+    got = _assert_flags_match(_scaled(g, C), big, 3)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 @given(priced_tables())
 @settings(max_examples=80, deadline=None)
 def test_demand_matches_the_rational_argmax(fp):
@@ -1828,7 +1897,7 @@ def test_empty_ground_set_kernel_holds_its_price_rows():
 def test_forged_sweep_hits_are_rejected(rank2, monkeypatch):
     sampler = PriceSampler(seed=1, count=20)
     monkeypatch.setattr(econ, "_gs_flags", lambda kern, pq: np.ones(len(pq), dtype=bool))
-    monkeypatch.setattr(econ, "_si_flags", lambda kern, u, dem: np.ones(len(u), dtype=bool))
+    monkeypatch.setattr(econ, "_si_flags", lambda kern, u, dem: np.ones(u.shape[1], dtype=bool))
     # rank2 has no NC violation at any price, so the sweep and check_nc_at
     # both take the forged (X, Y, I) and the J re-check on the exact
     # demand set rejects it
