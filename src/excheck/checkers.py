@@ -36,7 +36,11 @@ over all 2^n masks, with its ascending members.  On the per-i grid of the
 one-item kernel, the family axioms ``b-exc`` and ``b-exc-pm`` and the
 domain check of ``local`` (which a box domain, every set between the
 common part of the domain and its union, passes without a scan) become
-bitmask tests of one sweep (see :func:`_scan_family`); ``b-exc`` is
+bitmask tests of one sweep (see :func:`_scan_family`).  Per row and per
+column it packs the swaps that keep a set in the family, with the
+membership of X-i and Y+i as bit i, into masks of the narrowest unsigned
+dtype holding n bits (uint8, uint16 or uint32), so a ``b-exc`` cell is
+one AND and one comparison on one to four bytes.  ``b-exc`` is
 ``mnat-exc`` on the family's indicator function (``SetFamily.indicator``:
 0 on the members, -inf elsewhere), which is built only to re-check a hit.
 ``b-exc-m`` runs on the multi-item kernel as a stack of one membership
@@ -135,16 +139,18 @@ scan of the same function takes 0.0067-0.0072 s at n = 8, 0.034-0.037 s
 at n = 9, 0.19-0.22 s at n = 10, 0.93-1.10 s at n = 11 and 5.8-6.4 s at
 n = 12 (best of 3 up to n = 10, one scan at n = 11 and 12; three
 processes each, two at n = 12).  On the bases of U(6, 12), ``b-exc`` on
-the membership grid takes 6.7-7.0 ms, ``b-exc-pm`` 9.8-10.3 ms (best of
-5, three processes) and ``b-exc-m`` 0.091-0.11 s (best of 3, three
-processes).  Timed while the host ran about half as fast: ``local`` on
-min(|S|, 6) at n = 12 (a box domain, so no domain scan) takes 0.021 s
-and on min(|S|, 3) at n = 9 0.8 ms.  On object arrays (min(|S|, n/2)
-times 2^70) a full ``mnat-exc`` scan at n = 9 takes 0.068-0.072 s (best
-of 5, three processes) and ``mnat-exc-m`` at n = 7 0.0029-0.0032 s
-(best of 5, three processes).  Each scan costs at least the fixed
+its uint16 masks takes 2.3-2.4 ms, ``b-exc-pm`` 3.3-3.4 ms (best of 5,
+three processes) and ``b-exc-m`` 0.091-0.11 s (best of 3, three
+processes); on the 12,870 bases of U(8, 16) ``b-exc`` takes 0.18-0.19 s
+and ``b-exc-pm`` 0.29-0.45 s (best of 3, three processes).  Timed while
+the host ran about half as fast: ``local`` on min(|S|, 6) at n = 12 (a
+box domain, so no domain scan) takes 0.021 s and on min(|S|, 3) at
+n = 9 0.8 ms.  On object arrays (min(|S|, n/2) times 2^70) a full
+``mnat-exc`` scan at n = 9 takes 0.068-0.072 s (best of 5, three
+processes) and ``mnat-exc-m`` at n = 7 0.0029-0.0032 s (best of 5, three
+processes).  Each scan costs at least the fixed
 overhead of its numpy calls: on a family at n = 4, ``b-exc`` takes
-0.09-0.15 ms, ``b-exc-pm`` 0.12-0.19 ms (2,000 random families per run)
+0.10-0.15 ms, ``b-exc-pm`` 0.13-0.17 ms (2,000 random families per run)
 and ``b-exc-m`` 0.11-0.14 ms (2,000 families, each mask a member with
 probability 1/2; three runs).
 """
@@ -281,10 +287,10 @@ class ExchangeCertificate:
 # tables are kept for the whole scan while they fit _GRID_CACHE_BYTES
 # (see _ElementGrids), else rebuilt per chunk.  The (X, Y) work arrays
 # hold one block of rows, at most _BLOCK_BYTES of cells or a single row:
-# 2^16 cells of an int64 or object table (or of a family's int64 masks),
-# 2^18 of an int16 table.  The one-item sweep's boolean (j, X, Y) block
-# is not charged to it: it takes at most n - 1 bytes per cell, 3.4 MB
-# for an int16 table at n = 14.
+# 2^16 cells of an int64 or object table, 2^18 of an int16 table, and
+# 2^19, 2^18 or 2^17 of a family's uint8, uint16 or uint32 masks.  The
+# one-item sweep's boolean (j, X, Y) block is not charged to it: it takes
+# at most n - 1 bytes per cell, 3.4 MB for an int16 table at n = 14.
 _FIRST_CHUNK_CELLS = 1 << 12
 _BLOCK_BYTES = 1 << 19
 _MIN_CAP_ROWS = 32
@@ -387,6 +393,15 @@ def _grid_chunk(da, xa, n: int, grids, block: int):
 def _element_bits(n: int):
     """The column of single-bit masks 1 << i, i < n (read-only, shared)."""
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))[:, None]
+    bits.flags.writeable = False
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _mask_bits(n: int):
+    """:func:`_element_bits` in the narrowest unsigned dtype holding n bits:
+    uint8, uint16 or uint32 (read-only, shared)."""
+    bits = _element_bits(n).astype(np.uint8 if n <= 8 else np.uint16 if n <= 16 else np.uint32)
     bits.flags.writeable = False
     return bits
 
@@ -735,37 +750,49 @@ def _scan_family(mem, da, n: int, pm: bool):
     ``mem`` is the boolean membership table and ``da`` the ascending
     members.  On the grid of element i, ``jmask`` packs, per row, the j
     outside X with X-i+j a member, and ``kmask``, per column, the k in Y
-    with Y+i-k a member; so ``jmask & kmask`` packs the j in Y\\X that
-    keep both swapped sets in the family.  b-exc fails where X-i and Y+i
-    are not both members and ``jmask & kmask`` is zero.  b-exc-pm's
-    clause a fails where X-i is no member and jmask & Y == 0, clause b
-    where Y+i is no member and kmask & ~X == 0; the hit does not say
-    which.
+    with Y+i-k a member.  Bit i, which neither holds otherwise, packs the
+    membership term: X-i a member in ``jmask``, Y+i in ``kmask``.  So
+    ``jmask & kmask`` packs the repairs of b-exc: the j in Y\\X that keep
+    both swapped sets in the family, and i when X-i and Y+i are members;
+    b-exc fails where it is zero.  b-exc-pm's clause a fails where
+    ``jmask & (Y+i)`` is zero, clause b where ``kmask & ~(X-i)`` is; the
+    hit does not say which.  So each membership term is read once per row
+    or column, never per cell, and the masks take the narrowest unsigned
+    dtype holding n bits (see :func:`_mask_bits`): a block's (X, Y) cells
+    are one to four bytes wide.
     """
-    bits = _element_bits(n)
+    bits, ubits = _element_bits(n), _mask_bits(n)
+    ut = ubits.dtype
 
     def prepare(b, yc):
         yi = yc | b
-        kmask = np.where(((yc & bits) != 0) & mem[yi ^ bits], bits, 0).sum(axis=0)
-        y_in = mem[yi]
+        other = bits & ~b  # 1 << j for j != i; row i reads the set itself
+        kmask = _pack_masks(((yi & bits) != 0) & mem[yi ^ other], ubits)
+        yn = yi.astype(ut) if pm else None
 
         def sweep(xr):
             xi = xr ^ b
-            jmask = np.where(((xr & bits) == 0) & mem[xi | bits], bits, 0).sum(axis=0)[:, None]
-            x_in = mem[xi][:, None]
+            jmask = _pack_masks(((xi & bits) == 0) & mem[xi | other], ubits)[:, None]
             if pm:
-                bad = (~x_in & ((jmask & yc) == 0)) | (~y_in & ((kmask & ~xr[:, None]) == 0))
+                bad = ((jmask & yn) == 0) | ((kmask & ~xi.astype(ut)[:, None]) == 0)
             else:
-                bad = ~(x_in & y_in) & ((jmask & kmask) == 0)
+                bad = (jmask & kmask) == 0
             bad = bad.ravel()
             k = int(bad.argmax())
             return k if bad[k] else None
 
         return sweep
 
-    # charged per column: yc, yi and kmask (int64) and y_in; it keeps no
-    # n x columns table
-    return _scan_per_element(da, n, prepare, 8, 25)
+    # charged per column: its index (int64) and kmask, and for b-exc-pm
+    # Y+i in the mask dtype; it keeps no n x columns table
+    size = ut.itemsize
+    return _scan_per_element(da, n, prepare, size, 8 + (2 if pm else 1) * size)
+
+
+def _pack_masks(has, ubits):
+    """The set rows of each column of the n-row boolean ``has``, as masks
+    of the dtype of ``ubits`` (:func:`_mask_bits`)."""
+    return (has * ubits).sum(axis=0, dtype=ubits.dtype)
 
 
 # ----------------------------------------------------------------------

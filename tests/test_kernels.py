@@ -946,14 +946,18 @@ def _count_calls(monkeypatch, name: str) -> list:
 @pytest.mark.parametrize("n", [7, 8])
 def test_family_scans_past_one_chunk_against_oracle(n, kind, toggles, monkeypatch):
     # small chunks, blocks and column-table budget: the scans read many
-    # chunks of X rows, sweep each grid in blocks of one or two rows and
-    # rebuild an element's column tables on every chunk.  Chunks grow 8x,
-    # so the cap of 64 // members rows, and at least 4, keeps even the
-    # 9 members of the n = 7 partition matroid in three chunks: 1, 7, 1
+    # chunks of X rows, sweep each grid in blocks of a few rows and
+    # rebuild an element's column tables on every chunk.  A block holds
+    # 64 cells of the family masks' itemsize, and chunks grow 8x, so the
+    # cap of 64 // members rows, and at least 4, keeps even the 9 members
+    # of the n = 7 partition matroid in three chunks: 1, 7, 1.  The
+    # column-table budget holds ten columns of b-exc-pm (see
+    # test_family_column_tables_are_charged_their_own_size)
+    size = checkers._mask_bits(n).itemsize
     monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
-    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 1 << 9)
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 64 * size)
     monkeypatch.setattr(checkers, "_MIN_CAP_ROWS", 4)
-    monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 1 << 8)
+    monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 10 * (8 + 2 * size))
     chunks = _count_calls(monkeypatch, "_grid_chunk")
     multi_chunks = _count_calls(monkeypatch, "_multi_chunk")
     builds = _count_table_builds(monkeypatch)
@@ -981,19 +985,79 @@ def test_family_scans_past_one_chunk_against_oracle(n, kind, toggles, monkeypatc
         assert v == oracle
 
 
-def test_family_column_tables_are_charged_their_own_size(monkeypatch):
-    # a family sweep keeps about 25 bytes per column and no n x columns
-    # table, so a budget of that size keeps every element's tables for the
-    # whole scan of a passing family: one build per element
-    n = 8
+@pytest.mark.parametrize("n", [8, 9])
+def test_family_column_tables_are_charged_their_own_size(n, monkeypatch):
+    # a family sweep keeps per column its index (8 bytes) and kmask, and
+    # for b-exc-pm Y+i, each of the mask itemsize, and no n x columns
+    # table.  A budget of that size keeps every element's tables for the
+    # whole scan of a passing family, one build per element; a byte less
+    # drops the last element built, rebuilt on every chunk that reaches
+    # it, and chunks of at most 4 rows (blocks of 64 cells) spread every
+    # element over several chunks
     fam = _toggled_family(n, "band", 0)
     da = np.array(fam.sorted_members)
     columns = sum(int((da & (1 << i) == 0).sum()) for i in range(n))
-    monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", 25 * columns)
+    size = checkers._mask_bits(n).itemsize
     monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 64 * size)
+    monkeypatch.setattr(checkers, "_MIN_CAP_ROWS", 4)
     builds = _count_table_builds(monkeypatch)
-    assert check_family(fam, "b-exc").passed and check_family(fam, "b-exc-pm").passed
-    assert sorted(builds) == sorted(2 * [1 << i for i in range(n)])
+    for axiom, charge in (("b-exc", 8 + size), ("b-exc-pm", 8 + 2 * size)):
+        for spare, once in ((0, True), (-1, False)):
+            monkeypatch.setattr(checkers, "_GRID_CACHE_BYTES", charge * columns + spare)
+            builds.clear()
+            assert check_family(fam, axiom).passed
+            assert (sorted(builds) == [1 << i for i in range(n)]) == once
+
+
+def _window_family(n: int, toggles: int) -> SetFamily:
+    """The 2- and 3-sets of the six elements 1, 2, 3 and n-2, n-1, n, with
+    ``toggles`` seeded sets of them, of any size, moved in or out."""
+    rng = Random(f"window:{n}:{toggles}")
+    window = [0, 1, 2, n - 3, n - 2, n - 1]
+    subsets = [sum(1 << e for e in c) for k in range(7) for c in combinations(window, k)]
+    members = {m for m in subsets if m.bit_count() in (2, 3)}
+    for _ in range(toggles):
+        members ^= {rng.choice(subsets)}
+    return SetFamily(n, frozenset(members or {0}))
+
+
+@pytest.mark.parametrize("toggles", range(6))
+@pytest.mark.parametrize("n, dtype, kind", [
+    (8, np.uint8, "band"), (9, np.uint16, "band"), (8, np.uint8, "window"),
+    (9, np.uint16, "window"), (16, np.uint16, "window"), (17, np.uint32, "window"),
+])
+def test_family_scans_at_the_mask_dtype_edges(n, dtype, kind, toggles, monkeypatch):
+    # n = 8, 9, 16 and 17 are the widest and narrowest ground sets of the
+    # uint8, uint16 and uint32 masks, and the window family holds the top
+    # three elements, the dtype's highest bit at n = 8 and 16 and the one
+    # past the narrower dtype at n = 9 and 17.  Both families have members
+    # of two sizes, so X-i is a member on some rows and not on others, and
+    # Y+i likewise on the columns.  Blocks of 16 cells split every grid
+    # into rows; the band family is dense and is kept to n <= 9, the
+    # window one has 35 members at every n.  Every mask packed is of the
+    # narrowest dtype, under either numpy promotion rule
+    fam = _toggled_family(n, "band", toggles) if kind == "band" else _window_family(n, toggles)
+    monkeypatch.setattr(checkers, "_FIRST_CHUNK_CELLS", 16)
+    monkeypatch.setattr(checkers, "_BLOCK_BYTES", 16 * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(checkers, "_MIN_CAP_ROWS", 4)
+    packed = []
+    pack = checkers._pack_masks
+
+    def spy(has, ubits):
+        out = pack(has, ubits)
+        packed.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(checkers, "_pack_masks", spy)
+    for axiom, condition in (("b-exc", "bnat-exc"), ("b-exc-pm", "bnat-exc-pm")):
+        assert check_family(fam, axiom) == _oracle_family_verdict(fam, condition)
+    # local's domain scan, on a function over the family; its inequality
+    # families read the whole 2^n table and are not this test's subject
+    monkeypatch.setattr(checkers, "_local_hit", lambda t: None)
+    f = SetFunction(n, tuple(Fraction(0) if m in fam.members else NEG_INF for m in range(1 << n)))
+    assert check_local(f) == _oracle_family_verdict(fam, "local:domain")
+    assert packed and set(packed) == {np.dtype(dtype)}
 
 
 def test_no_family_builds_an_integer_table(monkeypatch):
